@@ -4,7 +4,9 @@ Commands: extract, label, correlate, train, evaluate, rank, predict,
 pipeline. Configuration comes from an optional key=value file plus
 command-line overrides (overrides win); every analysis run writes a
 manifest whose hash is embedded in each emitted report, and all output is
-written atomically.
+written atomically. The analysis commands share ``run_analysis`` over the
+stage table ``STAGES``: correlate, evaluate and rank each run one stage,
+and pipeline runs all three in that order.
 
 Exit codes: 0 success, 2 input error, 3 labeling degeneracy, 4 training
 failure, 5 prediction schema mismatch.
@@ -17,7 +19,8 @@ import csv
 import io
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from .dataset import (
     to_feature_matrix,
 )
 from .learn import (
-    EvalReport,
     FoldTrainingError,
     ForestParams,
     MLPParams,
@@ -45,20 +47,24 @@ from .learn import (
     dump_model,
     evaluate,
     load_model,
-    train_decision_tree,
-    train_mlp,
-    train_random_forest,
+    train_model,
 )
+from .learn.base import label_from_score
 from .learn.serialize import ModelFormatError
 from .metrics import INDEPENDENT_VARIABLES, MetricId, metric_for_column
 from .ranking import RankingAlgorithm, rank_features
-from .records import EffectivenessLabel, LabeledDataset
+from .records import EffectivenessLabel, FeatureMatrix, LabeledDataset, RawDataset
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_LABELING = 3
 EXIT_TRAINING = 4
 EXIT_PREDICT = 5
+
+_LABEL_TEXT = {
+    EffectivenessLabel.EFFECTIVE: "Effective",
+    EffectivenessLabel.NON_EFFECTIVE: "NonEffective",
+}
 
 
 class CliError(Exception):
@@ -111,17 +117,16 @@ class RunConfig:
             raise CliError(EXIT_INPUT, "q1 and q3 must be overridden together")
         return (self.q1, self.q3)
 
-    def tree_params(self) -> TreeParams:
-        return TreeParams(min_leaf=self.min_leaf, max_depth=self.max_depth)
-
-    def forest_params(self) -> ForestParams:
-        return ForestParams(
-            trees=self.trees,
-            features_per_split=self.features_per_split,
-            min_leaf=self.forest_min_leaf,
-        )
-
-    def mlp_params(self) -> MLPParams:
+    def params(self, kind: ModelKind) -> TreeParams | ForestParams | MLPParams:
+        """Hyperparameters of one classifier kind."""
+        if kind is ModelKind.DECISION_TREE:
+            return TreeParams(min_leaf=self.min_leaf, max_depth=self.max_depth)
+        if kind is ModelKind.RANDOM_FOREST:
+            return ForestParams(
+                trees=self.trees,
+                features_per_split=self.features_per_split,
+                min_leaf=self.forest_min_leaf,
+            )
         return MLPParams(
             hidden=self.hidden,
             learning_rate=self.learning_rate,
@@ -130,17 +135,12 @@ class RunConfig:
         )
 
 
-_LIST_KEYS = {"src", "classes", "features"}
-_INT_KEYS = {"seed", "k", "min_leaf", "trees", "forest_min_leaf", "epochs"}
-_OPT_INT_KEYS = {"max_depth", "features_per_split", "hidden"}
-_FLOAT_KEYS = {"threshold", "learning_rate", "momentum"}
-_OPT_FLOAT_KEYS = {"q1", "q3"}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict[str, object]:
     """Line-oriented key=value file; '#' starts a comment."""
     values: dict[str, object] = {}
-    names = {f.name for f in fields(RunConfig)}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -151,58 +151,55 @@ def load_config_file(path: str) -> dict[str, object]:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in names:
+            if key not in _FIELDS:
                 raise CliError(EXIT_INPUT, f"{path}:{line_no}: unknown key {key!r}")
             values[key] = _coerce(key, value)
     return values
 
 
 def _coerce(key: str, value: str) -> object:
-    if key in _LIST_KEYS:
+    """Parse text by the field's type; an optional int or float takes none/auto."""
+    declared, _, optional = _FIELDS[key].type.partition(" | ")
+    if declared == "list[str]":
         return [v.strip() for v in value.split(",") if v.strip()]
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _OPT_INT_KEYS:
-        return None if value.lower() in ("none", "auto") else int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _OPT_FLOAT_KEYS:
-        return None if value.lower() == "none" else float(value)
-    return value
+    if declared not in ("int", "float"):
+        return value
+    if optional and value.lower() in ("none", "auto"):
+        return None
+    return int(value) if declared == "int" else float(value)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict[str, object] = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    for f in fields(RunConfig):
-        arg = getattr(args, f.name, None)
+    for name in _FIELDS:
+        arg = getattr(args, name, None)
         if arg is not None:
-            values[f.name] = _coerce(f.name, arg) if isinstance(arg, str) and (
-                f.name in _LIST_KEYS | _INT_KEYS | _OPT_INT_KEYS | _FLOAT_KEYS | _OPT_FLOAT_KEYS
-            ) else arg
+            values[name] = _coerce(name, arg) if isinstance(arg, str) else arg
     return RunConfig(**values)
 
 
-# ---- shared pipeline stages ------------------------------------------------
+# ---- shared helpers --------------------------------------------------------
 
 
-def _ingest(config: RunConfig, require_target: bool = True):
+def _ingest(config: RunConfig, require=None, missing_exit: int = EXIT_INPUT) -> RawDataset:
+    """Read --dataset; ``require`` defaults to the features plus M."""
     if not config.dataset:
         raise CliError(EXIT_INPUT, "no dataset CSV given (--dataset)")
-    require = list(config.feature_ids())
-    if require_target:
-        require.append(MetricId.M)
+    if require is None:
+        require = [*config.feature_ids(), MetricId.M]
     try:
         with open(config.dataset, "r", encoding="utf-8", newline="") as handle:
             return ingest_csv(handle, require=require, provenance=config.dataset)
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read dataset: {exc}")
     except IngestError as exc:
-        raise CliError(EXIT_INPUT, f"bad dataset: {exc}")
+        code = missing_exit if isinstance(exc, MissingColumn) else EXIT_INPUT
+        raise CliError(code, f"bad dataset: {exc}")
 
 
-def _label(config: RunConfig, raw) -> LabeledDataset:
+def _label(config: RunConfig, raw: RawDataset) -> LabeledDataset:
     try:
         return label_by_quartiles(raw, thresholds=config.thresholds_override())
     except DegenerateSplit as exc:
@@ -219,69 +216,66 @@ def _require_seed(config: RunConfig) -> int:
 
 def _classifier_kinds(config: RunConfig) -> list[ModelKind]:
     if config.classifier == "all":
-        return [ModelKind.DECISION_TREE, ModelKind.RANDOM_FOREST,
-                ModelKind.MULTILAYER_PERCEPTRON]
-    by_name = {
-        "tree": ModelKind.DECISION_TREE,
-        "decisiontree": ModelKind.DECISION_TREE,
-        "forest": ModelKind.RANDOM_FOREST,
-        "randomforest": ModelKind.RANDOM_FOREST,
-        "mlp": ModelKind.MULTILAYER_PERCEPTRON,
-        "multilayerperceptron": ModelKind.MULTILAYER_PERCEPTRON,
-    }
+        return list(ModelKind)
+    by_name = {kind.value.lower(): kind for kind in ModelKind}
+    by_name.update(tree=ModelKind.DECISION_TREE, forest=ModelKind.RANDOM_FOREST,
+                   mlp=ModelKind.MULTILAYER_PERCEPTRON)
     kind = by_name.get(config.classifier.lower())
     if kind is None:
         raise CliError(EXIT_INPUT, f"unknown classifier {config.classifier!r}")
     return [kind]
 
 
-def _params_for(config: RunConfig, kind: ModelKind):
-    if kind is ModelKind.DECISION_TREE:
-        return config.tree_params()
-    if kind is ModelKind.RANDOM_FOREST:
-        return config.forest_params()
-    return config.mlp_params()
+def _output_path(config: RunConfig, default_name: str) -> str:
+    """--out is the output file when it has the default's extension, else its directory."""
+    if config.out.endswith(os.path.splitext(default_name)[1]):
+        return config.out
+    return os.path.join(config.out, default_name)
 
 
-def _params_echo(config: RunConfig) -> list[tuple[str, str]]:
-    tp, fp, mp = config.tree_params(), config.forest_params(), config.mlp_params()
-    return [
-        ("tree_params", f"min_leaf={tp.min_leaf} max_depth={tp.max_depth}"),
-        ("forest_params",
-         f"trees={fp.trees} features_per_split={fp.features_per_split} "
-         f"min_leaf={fp.min_leaf}"),
-        ("mlp_params",
-         f"hidden={mp.hidden} learning_rate={mp.learning_rate!r} "
-         f"momentum={mp.momentum!r} epochs={mp.epochs}"),
-    ]
-
-
-# ---- commands -----------------------------------------------------------------
+def _write_manifest(config: RunConfig, command: str, raw, labeled) -> str:
+    eff = sum(1 for _, l in labeled.records if l is EffectivenessLabel.EFFECTIVE)
+    params = zip(("tree_params", "forest_params", "mlp_params"), map(config.params, ModelKind))
+    text = reports.manifest_text([
+        ("command", command),
+        ("dataset", config.dataset or ""),
+        ("seed", str(config.seed)),
+        ("records_ingested", str(len(raw))),
+        ("q1_threshold", repr(labeled.q1_threshold)),
+        ("q3_threshold", repr(labeled.q3_threshold)),
+        ("records_labeled", str(len(labeled))),
+        ("records_discarded", str(labeled.discarded_count)),
+        ("effective", str(eff)),
+        ("non_effective", str(len(labeled) - eff)),
+        ("features", ",".join(m.column for m in config.feature_ids())),
+        ("correlation_population", config.population),
+        ("correlation_threshold", repr(config.threshold)),
+        ("k", str(config.k)),
+    ] + [  # every hyperparameter but bootstrap, a test hook no run sets
+        (key, " ".join(f"{f.name}={getattr(p, f.name)!r}" for f in fields(p)
+                       if f.name != "bootstrap"))
+        for key, p in params
+    ])
+    run_hash = reports.manifest_hash(text)
+    reports.write_text_atomic(
+        os.path.join(config.out, "manifest.txt"),
+        text + f"manifest_hash: {run_hash}\n",
+    )
+    return run_hash
 
 
 def cmd_extract(config: RunConfig) -> int:
     if not config.src:
         raise CliError(EXIT_INPUT, "no source directories given (--src)")
-    files = javasrc.find_java_files(config.src)
-    if not files:
-        raise CliError(EXIT_INPUT, "no classes found")
-    trees = []
-    failures = []
-    for path in files:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                trees.append(javasrc.parse_source(handle.read(), path))
-        except (OSError, javasrc.ParseError) as exc:
-            failures.append(str(exc))
-    if failures:
-        for failure in failures:
-            print(f"error: {failure}", file=sys.stderr)
-        raise CliError(EXIT_INPUT, f"{len(failures)} source file(s) failed to parse")
     try:
-        index = javasrc.build_corpus_index(trees)
+        corpus = javasrc.parse_corpus(config.src)
+    except javasrc.CorpusParseError as exc:
+        for failure in exc.failures:
+            print(f"error: {failure}", file=sys.stderr)
+        raise CliError(EXIT_INPUT, str(exc))
     except (javasrc.DuplicateClass, javasrc.CyclicHierarchy) as exc:
         raise CliError(EXIT_INPUT, str(exc))
-    if not index.class_names():
+    if not corpus.index.class_names():
         raise CliError(EXIT_INPUT, "no classes found")
     explicit = None
     if config.pairs:
@@ -290,7 +284,7 @@ def cmd_extract(config: RunConfig) -> int:
         except (OSError, javasrc.PairingError) as exc:
             raise CliError(EXIT_INPUT, f"bad pairing file: {exc}")
     try:
-        pairs = javasrc.pair_classes(index, explicit)
+        pairs = javasrc.pair_classes(corpus.index, explicit)
     except javasrc.PairingError as exc:
         raise CliError(EXIT_INPUT, str(exc))
     if not pairs:
@@ -302,48 +296,18 @@ def cmd_extract(config: RunConfig) -> int:
         except (OSError, classfile.MalformedClassFile,
                 classfile.UnsupportedMajorVersion) as exc:
             raise CliError(EXIT_INPUT, f"bad class files: {exc}")
-    corpus = javasrc.ParsedCorpus(trees=trees, index=index)
+        missing = [name for name in dict.fromkeys(p for p, _ in pairs) if name not in nbi]
+        if missing:
+            raise CliError(EXIT_INPUT, f"no class file for: {', '.join(missing)}")
     records = javasrc.extract_records(corpus, pairs, nbi_by_class=nbi)
     columns = [m for m in INDEPENDENT_VARIABLES
                if m is not MetricId.NBI or nbi is not None]
     buffer = io.StringIO()
     dataset.write_records_csv(buffer, records, columns)
-    out_path = config.out if config.out.endswith(".csv") else os.path.join(
-        config.out, "metrics.csv")
+    out_path = _output_path(config, "metrics.csv")
     reports.write_text_atomic(out_path, buffer.getvalue())
     print(f"extracted {len(records)} paired classes -> {out_path}")
     return EXIT_OK
-
-
-def _manifest_common(config: RunConfig, command: str, raw, labeled) -> list[tuple[str, str]]:
-    eff = sum(1 for _, l in labeled.records if l is EffectivenessLabel.EFFECTIVE)
-    non = len(labeled) - eff
-    return [
-        ("command", command),
-        ("dataset", config.dataset or ""),
-        ("seed", str(config.seed)),
-        ("records_ingested", str(len(raw))),
-        ("q1_threshold", repr(labeled.q1_threshold)),
-        ("q3_threshold", repr(labeled.q3_threshold)),
-        ("records_labeled", str(len(labeled))),
-        ("records_discarded", str(labeled.discarded_count)),
-        ("effective", str(eff)),
-        ("non_effective", str(non)),
-        ("features", ",".join(m.column for m in config.feature_ids())),
-        ("correlation_population", config.population),
-        ("correlation_threshold", repr(config.threshold)),
-        ("k", str(config.k)),
-    ] + _params_echo(config)
-
-
-def _write_manifest(config: RunConfig, entries: list[tuple[str, str]]) -> str:
-    text = reports.manifest_text(entries)
-    run_hash = reports.manifest_hash(text)
-    reports.write_text_atomic(
-        os.path.join(config.out, "manifest.txt"),
-        text + f"manifest_hash: {run_hash}\n",
-    )
-    return run_hash
 
 
 def cmd_label(config: RunConfig) -> int:
@@ -355,10 +319,7 @@ def cmd_label(config: RunConfig) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["class_id", "test_id"] + [m.column for m in columns] + ["label"])
     for record, label in labeled.records:
-        writer.writerow(
-            dataset.record_to_row(record, columns)
-            + ["Effective" if label is EffectivenessLabel.EFFECTIVE else "NonEffective"]
-        )
+        writer.writerow(dataset.record_to_row(record, columns) + [_LABEL_TEXT[label]])
     out_path = os.path.join(config.out, "labeled.csv")
     reports.write_text_atomic(out_path, buffer.getvalue())
     print(
@@ -369,116 +330,21 @@ def cmd_label(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _correlation_population(config: RunConfig, raw, labeled):
-    return labeled if config.population == "labeled" else raw
-
-
-def cmd_correlate(config: RunConfig) -> int:
-    raw = _ingest(config)
-    labeled = _label(config, raw)
-    try:
-        report = correlation_table(
-            _correlation_population(config, raw, labeled),
-            threshold=config.threshold,
-            features=config.feature_ids(),
-        )
-    except DegenerateInput as exc:
-        raise CliError(EXIT_INPUT, str(exc))
-    run_hash = _write_manifest(config, _manifest_common(config, "correlate", raw, labeled))
-    reports.write_text_atomic(
-        os.path.join(config.out, "correlations.csv"),
-        reports.correlation_csv(report, run_hash),
-    )
-    reports.write_text_atomic(
-        os.path.join(config.out, "correlations.md"),
-        reports.correlation_md(report, run_hash),
-    )
-    print(f"correlations over {report.population} {report.population_kind} records; "
-          f"{len(report.entries)} metrics above |rho| >= {config.threshold:g}")
-    return EXIT_OK
-
-
 def cmd_train(config: RunConfig) -> int:
     seed = _require_seed(config)
-    kinds = _classifier_kinds(config)
-    if len(kinds) != 1:
+    kind, *others = _classifier_kinds(config)
+    if others:
         raise CliError(EXIT_INPUT, "train needs exactly one --classifier")
     raw = _ingest(config)
     labeled = _label(config, raw)
     matrix = to_feature_matrix(labeled, config.feature_ids())
-    kind = kinds[0]
     try:
-        if kind is ModelKind.DECISION_TREE:
-            model = train_decision_tree(matrix, config.tree_params(), seed=seed)
-        elif kind is ModelKind.RANDOM_FOREST:
-            model = train_random_forest(matrix, config.forest_params(), seed=seed)
-        else:
-            model = train_mlp(matrix, config.mlp_params(), seed=seed)
+        model = train_model(matrix, kind, config.params(kind), seed=seed)
     except (SingleClassInput, NonFiniteLoss) as exc:
         raise CliError(EXIT_TRAINING, f"training failed: {exc}")
-    out_path = config.out if config.out.endswith(".txt") else os.path.join(
-        config.out, "model.txt")
+    out_path = _output_path(config, "model.txt")
     reports.write_text_atomic(out_path, dump_model(model))
     print(f"trained {kind.value} on {matrix.n_rows} records -> {out_path}")
-    return EXIT_OK
-
-
-def _evaluate_all(config: RunConfig, matrix, kinds) -> list[EvalReport]:
-    seed = _require_seed(config)
-    out = []
-    for kind in kinds:
-        try:
-            out.append(
-                evaluate(matrix, kind, _params_for(config, kind), k=config.k, seed=seed)
-            )
-        except (FoldTrainingError, SingleClassInput, TooFewPerClass, NonFiniteLoss) as exc:
-            raise CliError(EXIT_TRAINING, f"{kind.value}: {exc}")
-    return out
-
-
-def cmd_evaluate(config: RunConfig) -> int:
-    raw = _ingest(config)
-    labeled = _label(config, raw)
-    matrix = to_feature_matrix(labeled, config.feature_ids())
-    results = _evaluate_all(config, matrix, _classifier_kinds(config))
-    run_hash = _write_manifest(config, _manifest_common(config, "evaluate", raw, labeled))
-    reports.write_text_atomic(
-        os.path.join(config.out, "classification.csv"),
-        reports.classification_csv(results, run_hash),
-    )
-    reports.write_text_atomic(
-        os.path.join(config.out, "classification.md"),
-        reports.classification_md(results, run_hash),
-    )
-    for r in results:
-        print(f"{r.classifier.value}: accuracy={r.accuracy:.3f} auc={r.auc:.3f}")
-    return EXIT_OK
-
-
-_ALL_RANKERS = (
-    RankingAlgorithm.GAIN_RATIO,
-    RankingAlgorithm.INFO_GAIN,
-    RankingAlgorithm.SYMMETRIC_UNCERTAINTY,
-    RankingAlgorithm.ONE_R,
-)
-
-
-def cmd_rank(config: RunConfig) -> int:
-    raw = _ingest(config)
-    labeled = _label(config, raw)
-    matrix = to_feature_matrix(labeled, config.feature_ids())
-    tables = [rank_features(matrix, algorithm) for algorithm in _ALL_RANKERS]
-    run_hash = _write_manifest(config, _manifest_common(config, "rank", raw, labeled))
-    reports.write_text_atomic(
-        os.path.join(config.out, "ranking.csv"), reports.ranking_csv(tables, run_hash)
-    )
-    reports.write_text_atomic(
-        os.path.join(config.out, "ranking.md"), reports.ranking_md(tables, run_hash)
-    )
-    top = ", ".join(
-        f"{t.algorithm.value}: {t.entries[0][0].column}" for t in tables if t.entries
-    )
-    print(f"rank-1 features -> {top}")
     return EXIT_OK
 
 
@@ -490,19 +356,7 @@ def cmd_predict(config: RunConfig, model_path: str) -> int:
         raise CliError(EXIT_INPUT, f"cannot read model: {exc}")
     except ModelFormatError as exc:
         raise CliError(EXIT_INPUT, f"bad model file: {exc}")
-    if not config.dataset:
-        raise CliError(EXIT_INPUT, "no metrics CSV given (--dataset)")
-    try:
-        with open(config.dataset, "r", encoding="utf-8", newline="") as handle:
-            data = ingest_csv(handle, require=model.feature_ids)
-    except MissingColumn as exc:
-        raise CliError(
-            EXIT_PREDICT, f"metrics CSV lacks model features: {', '.join(exc.columns)}"
-        )
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read metrics CSV: {exc}")
-    except IngestError as exc:
-        raise CliError(EXIT_INPUT, f"bad metrics CSV: {exc}")
+    data = _ingest(config, require=model.feature_ids, missing_exit=EXIT_PREDICT)
     rows = np.array(
         [[r[m] for m in model.feature_ids] for r in data.records], dtype=np.float64
     )
@@ -510,54 +364,106 @@ def cmd_predict(config: RunConfig, model_path: str) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["class_id", "score", "label"])
-    counts = {"Effective": 0, "NonEffective": 0}
-    for record, score in zip(data.records, scores):
-        label = "Effective" if score >= 0.5 else "NonEffective"
-        counts[label] += 1
-        writer.writerow([record.class_id, repr(float(score)), label])
-    out_path = config.out if config.out.endswith(".csv") else os.path.join(
-        config.out, "predictions.csv")
+    labels = [label_from_score(score) for score in scores]
+    for record, score, label in zip(data.records, scores, labels):
+        writer.writerow([record.class_id, repr(float(score)), _LABEL_TEXT[label]])
+    out_path = _output_path(config, "predictions.csv")
     reports.write_text_atomic(out_path, buffer.getvalue())
+    effective = labels.count(EffectivenessLabel.EFFECTIVE)
     print(
-        f"predicted {len(data)} rows: {counts['Effective']} Effective, "
-        f"{counts['NonEffective']} NonEffective -> {out_path}"
+        f"predicted {len(data)} rows: {effective} Effective, "
+        f"{len(data) - effective} NonEffective -> {out_path}"
     )
     return EXIT_OK
 
 
-def cmd_pipeline(config: RunConfig) -> int:
-    raw = _ingest(config)
-    labeled = _label(config, raw)
-    matrix = to_feature_matrix(labeled, config.feature_ids())
+# ---- analysis stages -------------------------------------------------------------
+
+
+def _correlate(config: RunConfig, raw, labeled, matrix):
+    population = labeled if config.population == "labeled" else raw
     try:
-        correlation = correlation_table(
-            _correlation_population(config, raw, labeled),
-            threshold=config.threshold,
-            features=config.feature_ids(),
+        return correlation_table(
+            population, threshold=config.threshold, features=config.feature_ids()
         )
     except DegenerateInput as exc:
         raise CliError(EXIT_INPUT, str(exc))
-    results = _evaluate_all(config, matrix, _classifier_kinds(config))
-    tables = [rank_features(matrix, algorithm) for algorithm in _ALL_RANKERS]
-    run_hash = _write_manifest(config, _manifest_common(config, "pipeline", raw, labeled))
-    out = config.out
-    reports.write_text_atomic(
-        os.path.join(out, "correlations.csv"), reports.correlation_csv(correlation, run_hash))
-    reports.write_text_atomic(
-        os.path.join(out, "correlations.md"), reports.correlation_md(correlation, run_hash))
-    reports.write_text_atomic(
-        os.path.join(out, "classification.csv"), reports.classification_csv(results, run_hash))
-    reports.write_text_atomic(
-        os.path.join(out, "classification.md"), reports.classification_md(results, run_hash))
-    reports.write_text_atomic(
-        os.path.join(out, "ranking.csv"), reports.ranking_csv(tables, run_hash))
-    reports.write_text_atomic(
-        os.path.join(out, "ranking.md"), reports.ranking_md(tables, run_hash))
-    print(
-        f"pipeline: {len(raw)} ingested, {len(labeled)} labeled "
-        f"(thresholds {labeled.q1_threshold:g}/{labeled.q3_threshold:g}); "
-        f"reports in {out} (manifest {run_hash[:12]})"
-    )
+
+
+def _evaluate(config: RunConfig, raw, labeled, matrix):
+    kinds = _classifier_kinds(config)
+    seed = _require_seed(config)
+    results = []
+    for kind in kinds:
+        try:
+            results.append(evaluate(matrix, kind, config.params(kind), k=config.k, seed=seed))
+        except (FoldTrainingError, SingleClassInput, TooFewPerClass, NonFiniteLoss) as exc:
+            raise CliError(EXIT_TRAINING, f"{kind.value}: {exc}")
+    return results
+
+
+def _rank(config: RunConfig, raw, labeled, matrix):
+    return [rank_features(matrix, algorithm) for algorithm in RankingAlgorithm]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One analysis step: compute(config, raw, labeled, matrix) gives a result
+    (matrix is None unless the stage needs it), each artefact renders it to a
+    report file, and summary is the line printed when the stage runs alone."""
+
+    compute: Callable[[RunConfig, RawDataset, LabeledDataset, FeatureMatrix | None], object]
+    needs_matrix: bool
+    artefacts: tuple[tuple[str, Callable[[object, str], str]], ...]  # file name, renderer
+    summary: Callable[[RunConfig, object], str]
+
+
+STAGES = {
+    "correlate": Stage(
+        _correlate, False,
+        (("correlations.csv", reports.correlation_csv),
+         ("correlations.md", reports.correlation_md)),
+        lambda config, report: (
+            f"correlations over {report.population} {report.population_kind} records; "
+            f"{len(report.entries)} metrics above |rho| >= {config.threshold:g}"),
+    ),
+    "evaluate": Stage(
+        _evaluate, True,
+        (("classification.csv", reports.classification_csv),
+         ("classification.md", reports.classification_md)),
+        lambda config, results: "\n".join(
+            f"{r.classifier.value}: accuracy={r.accuracy:.3f} auc={r.auc:.3f}"
+            for r in results),
+    ),
+    "rank": Stage(
+        _rank, True,
+        (("ranking.csv", reports.ranking_csv), ("ranking.md", reports.ranking_md)),
+        lambda config, tables: "rank-1 features -> " + ", ".join(
+            f"{t.algorithm.value}: {t.entries[0][0].column}" for t in tables if t.entries),
+    ),
+}
+
+
+def run_analysis(config: RunConfig, command: str) -> int:
+    """Run one stage, or all of them for ``pipeline``, then write the reports."""
+    stages = list(STAGES.values()) if command == "pipeline" else [STAGES[command]]
+    raw = _ingest(config)
+    labeled = _label(config, raw)
+    needs_matrix = any(stage.needs_matrix for stage in stages)
+    matrix = to_feature_matrix(labeled, config.feature_ids()) if needs_matrix else None
+    results = [stage.compute(config, raw, labeled, matrix) for stage in stages]
+    run_hash = _write_manifest(config, command, raw, labeled)
+    for stage, result in zip(stages, results):
+        for name, render in stage.artefacts:
+            reports.write_text_atomic(os.path.join(config.out, name), render(result, run_hash))
+    if command == "pipeline":
+        print(
+            f"pipeline: {len(raw)} ingested, {len(labeled)} labeled "
+            f"(thresholds {labeled.q1_threshold:g}/{labeled.q3_threshold:g}); "
+            f"reports in {config.out} (manifest {run_hash[:12]})"
+        )
+    else:
+        print(stages[0].summary(config, results[0]))
     return EXIT_OK
 
 
@@ -609,24 +515,15 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         config = build_config(args)
-        handler = {
-            "extract": cmd_extract,
-            "label": cmd_label,
-            "correlate": cmd_correlate,
-            "train": cmd_train,
-            "evaluate": cmd_evaluate,
-            "rank": cmd_rank,
-            "pipeline": cmd_pipeline,
-        }
         if args.command == "predict":
             return cmd_predict(config, args.model)
-        return handler[args.command](config)
-    except CliError as exc:
+        handler = {"extract": cmd_extract, "label": cmd_label, "train": cmd_train}
+        if args.command in handler:
+            return handler[args.command](config)
+        return run_analysis(config, args.command)
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return getattr(exc, "exit_code", EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .records import (
     FeatureMatrix,
     LabeledDataset,
     RawDataset,
+    label_array,
     validate_record,
 )
 
@@ -216,14 +217,13 @@ def to_feature_matrix(
         )
     features = tuple(features)
     rows = np.empty((len(data), len(features)), dtype=np.float64)
-    y = np.empty(len(data), dtype=np.int8)
-    for i, (record, label) in enumerate(data.records):
+    for i, (record, _) in enumerate(data.records):
         for j, metric in enumerate(features):
             value = record.get(metric)
             if value is None:
                 raise MissingColumn([metric.column])
             rows[i, j] = value
-        y[i] = label.value
+    y = label_array(label for _, label in data.records)
     return FeatureMatrix(feature_ids=features, X=rows, y=y)
 
 

@@ -8,7 +8,7 @@ from .corpus import (
     build_corpus_index,
 )
 from .extract import (
-    NoClassesFound,
+    CorpusParseError,
     PairingError,
     ParsedCorpus,
     compute_cohesion_metrics,
@@ -33,9 +33,9 @@ from .tree import SyntaxTree, TypeDecl
 __all__ = [
     "ClassEntry",
     "CorpusIndex",
+    "CorpusParseError",
     "CyclicHierarchy",
     "DuplicateClass",
-    "NoClassesFound",
     "PairingError",
     "ParseError",
     "ParsedCorpus",

@@ -285,8 +285,12 @@ class ParsedCorpus:
     index: CorpusIndex
 
 
-class NoClassesFound(Exception):
-    pass
+class CorpusParseError(Exception):
+    """Source files that could not be read or parsed, one message per file."""
+
+    def __init__(self, failures: list[str]):
+        self.failures = failures
+        super().__init__(f"{len(failures)} source file(s) failed to parse")
 
 
 class PairingError(Exception):
@@ -308,11 +312,20 @@ def find_java_files(roots: list[str]) -> list[str]:
 
 
 def parse_corpus(roots: list[str]) -> ParsedCorpus:
-    files = find_java_files(roots)
+    """Parse and index every Java file under ``roots``; CorpusParseError
+    lists every file that cannot be read, decoded or parsed, by path."""
     trees = []
-    for path in files:
-        with open(path, "r", encoding="utf-8") as handle:
-            trees.append(parse_source(handle.read(), path))
+    failures = []
+    for path in find_java_files(roots):
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                trees.append(parse_source(handle.read(), path))
+        except (OSError, ParseError) as exc:
+            failures.append(str(exc))
+        except (UnicodeDecodeError, RecursionError) as exc:  # bad encoding, deep nesting
+            failures.append(f"{path}: cannot parse: {exc}")
+    if failures:
+        raise CorpusParseError(failures)
     return ParsedCorpus(trees=trees, index=build_corpus_index(trees))
 
 

@@ -19,6 +19,7 @@ from .evaluation import (
     auc,
     evaluate,
     stratified_kfold,
+    train_model,
 )
 from .forest import ForestParams, RandomForestModel, train_random_forest
 from .mlp import MLPModel, MLPParams, train_mlp
@@ -56,5 +57,6 @@ __all__ = [
     "stratified_kfold",
     "train_decision_tree",
     "train_mlp",
+    "train_model",
     "train_random_forest",
 ]

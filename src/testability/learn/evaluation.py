@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..records import EffectivenessLabel, FeatureMatrix
+from ..records import EffectivenessLabel, FeatureMatrix, label_array
 from .base import ModelKind, SingleClassInput
 from .forest import ForestParams, train_random_forest
 from .mlp import MLPParams, train_mlp
@@ -84,10 +84,7 @@ def auc(scores: Sequence[float], labels: Sequence[EffectivenessLabel | int]) -> 
     equals the probability-of-correct-ranking statistic.
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = np.array(
-        [l.value if isinstance(l, EffectivenessLabel) else int(l) for l in labels],
-        dtype=np.int8,
-    )
+    y = label_array(labels)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -104,14 +101,13 @@ def auc(scores: Sequence[float], labels: Sequence[EffectivenessLabel | int]) -> 
     return float(np.trapezoid(tpr, fpr))
 
 
-def _train(matrix: FeatureMatrix, kind: ModelKind, params, seed: int):
+def train_model(matrix: FeatureMatrix, kind: ModelKind, params=None, seed: int = 0):
+    """Train one classifier of ``kind``; ``params`` None means its defaults."""
     if kind is ModelKind.DECISION_TREE:
         return train_decision_tree(matrix, params or TreeParams(), seed=seed)
     if kind is ModelKind.RANDOM_FOREST:
         return train_random_forest(matrix, params or ForestParams(), seed=seed)
-    if kind is ModelKind.MULTILAYER_PERCEPTRON:
-        return train_mlp(matrix, params or MLPParams(), seed=seed)
-    raise ValueError(f"unknown classifier kind: {kind}")
+    return train_mlp(matrix, params or MLPParams(), seed=seed)
 
 
 def evaluate(
@@ -131,7 +127,7 @@ def evaluate(
             y=matrix.y[train_idx],
         )
         try:
-            model = _train(sub, kind, params, seed=seed)
+            model = train_model(sub, kind, params, seed=seed)
         except Exception as exc:
             raise FoldTrainingError(fold_no, exc) from exc
         scores[test_idx] = model.predict_scores(matrix.X[test_idx])

@@ -1,7 +1,8 @@
 """Random forest: gain-ratio trees over bootstrap samples, majority vote.
 
-Every tree derives its own RNG from the master seed via spawned seed
-sequences, so parallel and serial training produce identical forests.
+Trees are grown one after another. Each derives its own RNG from the
+master seed via spawned seed sequences, so tree i depends only on the
+seed, i and the data.
 """
 
 from __future__ import annotations

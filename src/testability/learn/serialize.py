@@ -48,24 +48,33 @@ def _tree_lines(root: TreeNode) -> Iterator[str]:
             )
 
 
-def _parse_tree(lines: list[str], at: int) -> tuple[TreeNode, int]:
+def _parse_tree(lines: list[str], at: int, n_features: int) -> tuple[TreeNode, int]:
+    """Rebuild one tree; every split must link forward to nodes inside it."""
     head = lines[at].split()
     if head[0] != "nodes":
         raise ModelFormatError(f"expected node count, got {lines[at]!r}")
     count = int(head[1])
+    if not 0 < count < len(lines) - at:
+        raise ModelFormatError(f"node count {count} does not fit the file")
     nodes = [TreeNode() for _ in range(count)]
     links: list[tuple[int, int, int]] = []
     for i in range(count):
         parts = lines[at + 1 + i].split()
         if parts[0] == "leaf":
             nodes[i].counts = (int(parts[1]), int(parts[2]))
+            if min(nodes[i].counts) < 0 or sum(nodes[i].counts) == 0:
+                raise ModelFormatError(f"bad leaf counts: {lines[at + 1 + i]!r}")
         elif parts[0] == "split":
             nodes[i].feature = int(parts[1])
             nodes[i].threshold = float(parts[2])
             links.append((i, int(parts[3]), int(parts[4])))
+            if not 0 <= nodes[i].feature < n_features:
+                raise ModelFormatError(f"feature index out of range: {lines[at + 1 + i]!r}")
         else:
             raise ModelFormatError(f"bad node line: {lines[at + 1 + i]!r}")
     for i, left, right in links:
+        if not (i < left < count and i < right < count):
+            raise ModelFormatError(f"split {i} links outside the nodes after it")
         nodes[i].left = nodes[left]
         nodes[i].right = nodes[right]
     return nodes[0], at + 1 + count
@@ -75,10 +84,12 @@ def _vector_line(name: str, arr: np.ndarray) -> str:
     return f"{name} " + " ".join(repr(float(v)) for v in np.asarray(arr).ravel())
 
 
-def _parse_vector(line: str, name: str) -> np.ndarray:
+def _parse_vector(line: str, name: str, size: int) -> np.ndarray:
     parts = line.split()
     if parts[0] != name:
         raise ModelFormatError(f"expected {name} line, got {line!r}")
+    if len(parts) - 1 != size:
+        raise ModelFormatError(f"{name} has {len(parts) - 1} values, shape needs {size}")
     return np.array([float(p) for p in parts[1:]], dtype=np.float64)
 
 
@@ -125,18 +136,24 @@ def _parse_params(line: str) -> dict[str, str]:
 
 
 def load_model(text: str) -> TrainedModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse a dump_model text; any malformed text raises ModelFormatError."""
+    try:
+        return _parse_model([ln for ln in text.splitlines() if ln.strip()])
+    except ModelFormatError:
+        raise
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ModelFormatError(f"malformed model: {exc!r}") from exc
+
+
+def _parse_model(lines: list[str]) -> TrainedModel:
     if not lines or lines[0] != MAGIC:
         raise ModelFormatError("not a testability model file")
     header: dict[str, str] = {}
     for ln in lines[1:4]:
         key, _, value = ln.partition(" ")
         header[key] = value
-    try:
-        kind = ModelKind(header["kind"])
-        seed = int(header["seed"])
-    except (KeyError, ValueError) as exc:
-        raise ModelFormatError(f"bad header: {exc}") from exc
+    kind = ModelKind(header["kind"])
+    seed = int(header["seed"])
     feature_ids: list[MetricId] = []
     for name in header.get("features", "").split(","):
         metric = metric_for_column(name)
@@ -147,7 +164,7 @@ def load_model(text: str) -> TrainedModel:
 
     if kind is ModelKind.DECISION_TREE:
         max_depth = None if params["max_depth"] == "none" else int(params["max_depth"])
-        root, _ = _parse_tree(lines, 5)
+        root, _ = _parse_tree(lines, 5, len(feature_ids))
         return DecisionTreeModel(
             kind=kind,
             feature_ids=tuple(feature_ids),
@@ -166,7 +183,7 @@ def load_model(text: str) -> TrainedModel:
         roots = []
         at = 5
         for _ in range(forest_params.trees):
-            root, at = _parse_tree(lines, at)
+            root, at = _parse_tree(lines, at, len(feature_ids))
             roots.append(root)
         return RandomForestModel(
             kind=kind,
@@ -187,12 +204,14 @@ def load_model(text: str) -> TrainedModel:
     if shape[0] != "shape":
         raise ModelFormatError(f"expected shape line, got {lines[5]!r}")
     d, h = int(shape[1]), int(shape[2])
-    mean = _parse_vector(lines[6], "mean")
-    scale = _parse_vector(lines[7], "scale")
-    w1 = _parse_vector(lines[8], "w1").reshape(d, h)
-    b1 = _parse_vector(lines[9], "b1")
-    w2 = _parse_vector(lines[10], "w2").reshape(h, 2)
-    b2 = _parse_vector(lines[11], "b2")
+    if d != len(feature_ids):
+        raise ModelFormatError(f"shape has {d} inputs for {len(feature_ids)} features")
+    mean = _parse_vector(lines[6], "mean", d)
+    scale = _parse_vector(lines[7], "scale", d)
+    w1 = _parse_vector(lines[8], "w1", d * h).reshape(d, h)
+    b1 = _parse_vector(lines[9], "b1", h)
+    w2 = _parse_vector(lines[10], "w2", h * 2).reshape(h, 2)
+    b2 = _parse_vector(lines[11], "b2", 2)
     return MLPModel(
         kind=kind,
         feature_ids=tuple(feature_ids),

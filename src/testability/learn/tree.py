@@ -86,7 +86,7 @@ def _xlog2x(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropy_bits(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
+def entropy_bits(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Binary class entropy of groups with `pos` positives out of `n`."""
     p = np.divide(pos, n, out=np.zeros_like(pos, dtype=np.float64), where=n > 0)
     return -(_xlog2x(p) + _xlog2x(1.0 - p))
@@ -105,7 +105,7 @@ def best_split(
     """
     n = y.size
     total_pos = int(y.sum())
-    h_parent = float(_entropy_bits(np.array([total_pos]), np.array([n]))[0])
+    h_parent = float(entropy_bits(np.array([total_pos]), np.array([n]))[0])
     best: tuple[float, int, float] | None = None  # (-gain_ratio, feature, threshold)
     for j in candidates:
         col = X[:, j]
@@ -122,8 +122,8 @@ def best_split(
         n_right = n - n_left
         pos_right = total_pos - pos_left
         h_children = (
-            n_left / n * _entropy_bits(pos_left, n_left)
-            + n_right / n * _entropy_bits(pos_right, n_right)
+            n_left / n * entropy_bits(pos_left, n_left)
+            + n_right / n * entropy_bits(pos_right, n_right)
         )
         gain = np.maximum(h_parent - h_children, 0.0)
         p_l = n_left / n

@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .learn.tree import entropy_bits
 from .metrics import MetricId
-from .records import EffectivenessLabel, FeatureMatrix
+from .records import EffectivenessLabel, FeatureMatrix, label_array
 
 
 class RankingAlgorithm(enum.Enum):
@@ -37,7 +38,6 @@ class Discretization:
     """
 
     cut_points: tuple[float, ...]
-    method: str = "MDL"
 
     def __post_init__(self) -> None:
         pts = tuple(float(c) for c in self.cut_points)
@@ -58,13 +58,6 @@ class RankingTable:
     entries: tuple[tuple[MetricId, float], ...]  # sorted by score descending
 
 
-def _as_class_array(labels: Sequence[EffectivenessLabel | int]) -> np.ndarray:
-    return np.array(
-        [l.value if isinstance(l, EffectivenessLabel) else int(l) for l in labels],
-        dtype=np.intp,
-    )
-
-
 def _entropy(counts: np.ndarray) -> float:
     """Shannon entropy in bits of a non-negative count vector."""
     total = counts.sum()
@@ -72,19 +65,6 @@ def _entropy(counts: np.ndarray) -> float:
         return 0.0
     p = counts[counts > 0] / total
     return float(-(p * np.log2(p)).sum())
-
-
-def _row_entropies(counts: np.ndarray) -> np.ndarray:
-    """Binary entropy in bits per row of a (g, 2) count array."""
-    n = counts.sum(axis=1).astype(np.float64)
-    out = np.zeros(counts.shape[0], dtype=np.float64)
-    nz = n > 0
-    p = np.zeros_like(out)
-    p[nz] = counts[nz, 1] / n[nz]
-    for q in (p, 1.0 - p):
-        pos = nz & (q > 0)
-        out[pos] -= q[pos] * np.log2(q[pos])
-    return out
 
 
 def mdl_discretize(
@@ -100,7 +80,7 @@ def mdl_discretize(
     an empty discretization.
     """
     x = np.asarray(feature, dtype=np.float64)
-    y = _as_class_array(labels)
+    y = label_array(labels)
     if x.shape != y.shape:
         raise ValueError("feature and labels must have equal length")
     order = np.argsort(x, kind="stable")
@@ -134,7 +114,10 @@ def mdl_discretize(
         right = total - left
         n_left = left.sum(axis=1).astype(np.float64)
         n_right = n - n_left
-        weighted = (n_left * _row_entropies(left) + n_right * _row_entropies(right)) / n
+        weighted = (
+            n_left * entropy_bits(left[:, 1], n_left)
+            + n_right * entropy_bits(right[:, 1], n_right)
+        ) / n
         i = int(np.argmin(np.where(candidates, weighted, np.inf)))
         h_parent = _entropy(total)
         gain = h_parent - float(weighted[i])
@@ -151,33 +134,20 @@ def mdl_discretize(
         stack.append((lo, b))
         stack.append((b, hi))
 
-    return Discretization(cut_points=tuple(sorted(cuts)), method="MDL")
+    return Discretization(cut_points=tuple(sorted(cuts)))
 
 
-def equal_frequency_discretize(feature: Sequence[float], bins: int) -> Discretization:
-    """Unsupervised fallback: cut points at equal-count quantile boundaries."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    values = np.sort(np.asarray(feature, dtype=np.float64))
-    cuts: list[float] = []
-    for i in range(1, bins):
-        pos = round(i * values.size / bins)
-        if 0 < pos < values.size and values[pos - 1] < values[pos]:
-            cuts.append((values[pos - 1] + values[pos]) / 2.0)
-    return Discretization(cut_points=tuple(dict.fromkeys(cuts)), method=f"EqualFrequency({bins})")
-
-
-def _contingency(bins: np.ndarray, y: np.ndarray) -> np.ndarray:
-    table = np.zeros((int(bins.max()) + 1 if bins.size else 1, 2), dtype=np.int64)
-    np.add.at(table, (bins, y), 1)
+def _contingency(bins: Sequence[int], labels: Sequence[EffectivenessLabel | int]) -> np.ndarray:
+    """Per-bin class counts: row b holds (NonEffective, Effective) in bin b."""
+    b = np.asarray(bins, dtype=np.intp)
+    table = np.zeros((int(b.max()) + 1 if b.size else 1, 2), dtype=np.int64)
+    np.add.at(table, (b, label_array(labels)), 1)
     return table
 
 
 def info_gain(bins: Sequence[int], labels: Sequence[EffectivenessLabel | int]) -> float:
     """H(class) - H(class | binned feature), in bits; never negative."""
-    b = np.asarray(bins, dtype=np.intp)
-    y = _as_class_array(labels)
-    table = _contingency(b, y)
+    table = _contingency(bins, labels)
     n = table.sum()
     h_class = _entropy(table.sum(axis=0))
     conditional = sum(
@@ -188,25 +158,21 @@ def info_gain(bins: Sequence[int], labels: Sequence[EffectivenessLabel | int]) -
 
 def gain_ratio(bins: Sequence[int], labels: Sequence[EffectivenessLabel | int]) -> float:
     """Information gain normalized by the binned feature's own entropy."""
-    b = np.asarray(bins, dtype=np.intp)
-    y = _as_class_array(labels)
-    h_feature = _entropy(_contingency(b, y).sum(axis=1))
+    h_feature = _entropy(_contingency(bins, labels).sum(axis=1))
     if h_feature == 0.0:
         return 0.0
-    return info_gain(b, y) / h_feature
+    return info_gain(bins, labels) / h_feature
 
 
 def symmetric_uncertainty(
     bins: Sequence[int], labels: Sequence[EffectivenessLabel | int]
 ) -> float:
     """2*IG / (H(class) + H(feature)), in [0, 1]."""
-    b = np.asarray(bins, dtype=np.intp)
-    y = _as_class_array(labels)
-    table = _contingency(b, y)
+    table = _contingency(bins, labels)
     denom = _entropy(table.sum(axis=1)) + _entropy(table.sum(axis=0))
     if denom == 0.0:
         return 0.0
-    return 2.0 * info_gain(b, y) / denom
+    return 2.0 * info_gain(bins, labels) / denom
 
 
 def oner_score(
@@ -221,7 +187,7 @@ def oner_score(
     merged backwards. Each bucket predicts its majority class.
     """
     x = np.asarray(feature, dtype=np.float64)
-    y = _as_class_array(labels)
+    y = label_array(labels)
     if x.size < 2:
         raise ValueError("need at least 2 rows")
     order = np.argsort(x, kind="stable")

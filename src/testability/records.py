@@ -26,6 +26,14 @@ class EffectivenessLabel(enum.Enum):
     EFFECTIVE = 1
 
 
+def label_array(labels: Iterable[EffectivenessLabel | int]) -> np.ndarray:
+    """Class indices, 1 for Effective and 0 for NonEffective, of labels or ints."""
+    return np.array(
+        [l.value if isinstance(l, EffectivenessLabel) else int(l) for l in labels],
+        dtype=np.intp,
+    )
+
+
 @dataclass(frozen=True)
 class ClassRecord:
     """One production class paired with its test class.
@@ -120,9 +128,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return self.X.shape[1]
-
-    def labels(self) -> list[EffectivenessLabel]:
-        return [EffectivenessLabel(int(v)) for v in self.y]
 
 
 @dataclass(frozen=True)

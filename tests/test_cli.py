@@ -1,0 +1,223 @@
+"""Golden test of the command-line front end.
+
+Every command runs in-process under a temporary working directory with
+relative paths, because the run manifest records the ``--dataset`` text
+as given. Each output file and each command's stdout is checked by sha256
+against values recorded from an earlier release, so a change to report
+bytes, manifest hashes or serialized models fails here.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+
+import pytest
+
+from classfile_builder import IMPLICIT_CTOR, NOP, RETURN, build_class
+from conftest import CORPUS_DIR, FIXTURES
+from testability.cli import main
+from testability.learn import ModelKind
+
+DATA = ["--dataset", "metrics.csv", "--config", "run.cfg"]
+PAIRED = ("fix.Box", "fix.Circle", "fix.Empty", "fix.Mixed", "fix.Util")
+
+#: (output directory, argv without --out), in the order they run.
+COMMANDS = [
+    ("extract", ["extract", "--src", "corpus"]),
+    ("extract-nbi", ["extract", "--src", "corpus", "--classes", "classes"]),
+    ("label", ["label", *DATA]),
+    ("correlate", ["correlate", *DATA]),
+    ("evaluate", ["evaluate", *DATA, "--seed", "1"]),
+    ("rank", ["rank", *DATA]),
+    ("pipeline", ["pipeline", *DATA, "--seed", "1"]),
+    *((f"train-{c}", ["train", *DATA, "--classifier", c, "--seed", "1"])
+      for c in ("tree", "forest", "mlp")),
+    *((f"predict-{c}", ["predict", f"train-{c}/model.txt", *DATA])
+      for c in ("tree", "forest", "mlp")),
+]
+
+GOLDEN = {
+    "extract/<stdout>":
+        "0e00abdbfc129665dd3bae66673651ad9c083672daf652381df278a55806c324",
+    "extract/metrics.csv":
+        "3ad67a6cb72043571cc5ca4f5b37e14f7e99caf2eec2b1694c62e1fd6f7a9b88",
+    "extract-nbi/<stdout>":
+        "e03c2f57f3914eef6858f2570da172dc0fbcfd81df9dde4b1512923f96e7b1c5",
+    "extract-nbi/metrics.csv":
+        "0472555cea024ea6175d0c8f8925a9f0ca83e39dc7821ca0180e92600a1f7271",
+    "label/<stdout>":
+        "e5ba641db0ec3e00b54f984656d22b57a712f697e8cd87eebc45ac733ff0a38b",
+    "label/labeled.csv":
+        "b6b50e6ead87c3f93be56ae5dab41225d7385ff8439e5e924477a642a878ae07",
+    "correlate/<stdout>":
+        "d913dcfb085a5346d2b94cc55eb54db2a2636da7ed570f8028b31dfc4da41e2e",
+    "correlate/correlations.csv":
+        "724dd2d769d3c965d37f0d03735913fb6db558411c60cfd4b571cf7cb513a5b5",
+    "correlate/correlations.md":
+        "f2535f72ed767e7b25babadc0ce1c48a713eae64a1d88f7410f325da75a18cf9",
+    "correlate/manifest.txt":
+        "042c43cf298a42bd276886d0b5c24fafd8856547ac7c7e374bdaa85e8f803a1a",
+    "evaluate/<stdout>":
+        "fde1bc7ea5ffbbd76102bd437ca7c7d134ebdc3bae43fa27a4af39e2d8e9fce3",
+    "evaluate/classification.csv":
+        "e4992e2545384977fb9abcd23f5f18ea966a43937987ff36d008726a9f69f186",
+    "evaluate/classification.md":
+        "d1d3de3bb07a886fc9929cc13799728456be3bd22a48182773baed36cc4944fa",
+    "evaluate/manifest.txt":
+        "2606638a42c3b342720cedd2e90ca2104c3a3fd38a477a2549e00f5d0662f898",
+    "rank/<stdout>":
+        "d44410218fea2d340157517c66cf2ff70167ea28beed65e9f689e64c3c0fd406",
+    "rank/manifest.txt":
+        "f9b1a3db1aff7a9cabebea96f3ec569c88059272d68fe2f4de133a988ebef33b",
+    "rank/ranking.csv":
+        "0ef00d41f3a49016181381e6306c7c6cfcb5af661bc85f978120f66ec6f868b4",
+    "rank/ranking.md":
+        "c3f11bae269ef8e1ddff10e83661eb726958a5620c780b7cc933037e2d9c2a72",
+    "pipeline/<stdout>":
+        "c5d51cdda8e6460bcebc88ad954b4c9dc367f73b65c012592f92d23ce0da7864",
+    "pipeline/classification.csv":
+        "6a617e99c2cc550dc6db81d69530d950817dfe5e5e45d6358a08f50c6b365a4c",
+    "pipeline/classification.md":
+        "953969606b30ac3bc7da5938ad65c384c75f51b30ee8400bb09816e4e98ab992",
+    "pipeline/correlations.csv":
+        "a487424260b084aba66bdb07dd44f85271851e609e623941ce2d468936fa2fc7",
+    "pipeline/correlations.md":
+        "06b3729b69b49257cbebb576a984559daf7aa47e91d905b1ad846259f183f31a",
+    "pipeline/manifest.txt":
+        "5d8371db2e0dae51968dc0c356e864cd6fb9ab4730dfb477e9d006168b0b0139",
+    "pipeline/ranking.csv":
+        "608f09ae80b387ecc233ef05c21dab1e991ddc143bf46bb21ace270adaefc7e1",
+    "pipeline/ranking.md":
+        "ec386bf6780a2bed4db54b8597eaefc8b6b568ef857b8b54f47b7ab6e59debe9",
+    "train-tree/<stdout>":
+        "c2340a37a68b0cce3f598690f182a36399f24fa6f2b01d2ea1888f2c41b54d81",
+    "train-tree/model.txt":
+        "d888823ca336fc5b45a586cf3ec462346427826bc457e13deedd7befcf478be0",
+    "train-forest/<stdout>":
+        "9c0174fdc51fcc9fdffb317ecae587b18da9fedb9cec0656b862853537db4338",
+    "train-forest/model.txt":
+        "8651d05de82eb4139ed835e75797332de4331d7551ff7d2dfab9a9469ce2b910",
+    "train-mlp/<stdout>":
+        "4e875bc27400741c5f08f13625088d541ca5de7ba06a0a6ac01d0af802b841eb",
+    "train-mlp/model.txt":
+        "b6a27d5a875e5873e7c0da125195a87e4bd9519147139cdcefec1833ed3625fe",
+    "predict-tree/<stdout>":
+        "9eb182f1d647e863c63f8e300534b3b2e51f650878a784fd3a4c2a1b728e04cb",
+    "predict-tree/predictions.csv":
+        "70d7ffb2cb9dd0046bc929b35f2f4cedf0ccaa867480952ee0d77411a3c9fdfb",
+    "predict-forest/<stdout>":
+        "820c91dbf6231d603504db05e1d339867f272ae754d022cca1caffeaa2e7989a",
+    "predict-forest/predictions.csv":
+        "954c2d2c49cbaf4b8e5f76cb66d8df4a742000900de82ad6fd8c6a0c0a709cc6",
+    "predict-mlp/<stdout>":
+        "7a08068c25fc1797c099c7ed015ac6485c85b5650a40c013f270354970ea26ae",
+    "predict-mlp/predictions.csv":
+        "dd509bcac61658de3f45c4ab54b7ee5e8c34aba8ed04470a8b8a931648855420",
+}
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_classes(directory, names):
+    os.makedirs(directory, exist_ok=True)
+    for i, name in enumerate(names):
+        data = build_class(name, [("<init>", "()V", IMPLICIT_CTOR),
+                                  ("m", "()V", [NOP] * i + [RETURN])])
+        with open(os.path.join(directory, name.rsplit(".", 1)[1] + ".class"), "wb") as out:
+            out.write(data)
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    shutil.copy(os.path.join(FIXTURES, "metrics.csv"), tmp_path / "metrics.csv")
+    shutil.copytree(CORPUS_DIR, tmp_path / "corpus")
+    (tmp_path / "run.cfg").write_text("trees = 5\nepochs = 30\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def run_all():
+    """Run COMMANDS in the working directory; sha256 of every output and stdout."""
+    write_classes("classes", PAIRED)
+    digests = {}
+    for out, argv in COMMANDS:
+        code, stdout, stderr = run(*argv, "--out", out)
+        assert code == 0, (out, stderr)
+        digests[f"{out}/<stdout>"] = sha(stdout.encode("utf-8"))
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as handle:
+                digests[f"{out}/{name}"] = sha(handle.read())
+    return digests
+
+
+def test_outputs_match_golden_digests(workdir):
+    assert run_all() == GOLDEN
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["label"], 2, "--dataset"),
+    (["correlate", *DATA, "--features", "NOPE"], 2, "NOPE"),
+    (["evaluate", *DATA, "--seed", "1", "--classifier", "bogus"], 2, "bogus"),
+    (["label", *DATA, "--q1", "0.5", "--q3", "0.5"], 3, "degenerate"),
+    (["evaluate", *DATA, "--seed", "1", "--classifier", "tree", "--k", "100"], 4,
+     ModelKind.DECISION_TREE.value),
+])
+def test_error_exit_codes(workdir, argv, code, message):
+    got, _, stderr = run(*argv, "--out", "out")
+    assert got == code
+    assert message in stderr
+
+
+def test_predict_on_csv_missing_a_model_feature_exits_5(workdir):
+    assert run("train", *DATA, "--classifier", "tree", "--seed", "1", "--out", "m")[0] == 0
+    with open("metrics.csv", encoding="utf-8") as src, \
+            open("short.csv", "w", encoding="utf-8") as dst:
+        for line in src:
+            cells = line.split(",")
+            dst.write(",".join(cells[:2] + cells[3:]))
+    code, _, stderr = run("predict", "m/model.txt", "--dataset", "short.csv", "--out", "p")
+    assert code == 5
+    assert "LOC" in stderr
+
+
+def test_extract_names_production_classes_without_a_class_file(workdir):
+    write_classes("classes", PAIRED[:1])
+    code, _, stderr = run("extract", "--src", "corpus", "--classes", "classes", "--out", "x")
+    assert code == 2
+    assert "no class file for: fix.Circle, fix.Empty, fix.Mixed, fix.Util" in stderr
+
+
+@pytest.mark.parametrize("name, data", [
+    ("Deep.java", b"class Deep { int f() { return " + b"(" * 3000 + b"1" + b")" * 3000
+     + b"; } }"),
+    ("Latin.java", "// caf\xe9\nclass Latin {}\n".encode("latin-1")),
+], ids=["deep-nesting", "latin-1"])
+def test_extract_names_a_source_file_it_cannot_parse(workdir, name, data):
+    path = os.path.join("corpus", "fix", name)
+    with open(path, "wb") as out:
+        out.write(data)
+    code, _, stderr = run("extract", "--src", "corpus", "--out", "x")
+    assert code == 2
+    assert f"error: {path}: cannot parse" in stderr
+
+
+def test_predict_with_a_truncated_model_exits_2(workdir):
+    assert run("train", *DATA, "--classifier", "tree", "--seed", "1", "--out", "m")[0] == 0
+    with open("m/model.txt", encoding="utf-8") as handle:
+        lines = handle.readlines()
+    with open("cut.txt", "w", encoding="utf-8") as out:
+        out.writelines(lines[: len(lines) // 2])
+    code, _, stderr = run("predict", "cut.txt", *DATA, "--out", "p")
+    assert code == 2
+    assert "bad model file" in stderr

@@ -1,10 +1,12 @@
 import pytest
 
 from testability.javasrc import (
+    CorpusParseError,
     CyclicHierarchy,
     DuplicateClass,
     ParseError,
     build_corpus_index,
+    parse_corpus,
     parse_source,
 )
 from testability.javasrc.extract import (
@@ -147,6 +149,18 @@ def test_parse_error_has_location():
 def test_unterminated_comment_is_parse_error():
     with pytest.raises(ParseError, match="unterminated"):
         parse_source("class A{} /* dangling", "X.java")
+
+
+def test_parse_corpus_lists_every_failing_file(tmp_path):
+    (tmp_path / "A.java").write_text("class A{ void m( { }", encoding="utf-8")
+    (tmp_path / "B.java").write_text("class B{}", encoding="utf-8")
+    (tmp_path / "C.java").write_text("class C{} /* dangling", encoding="utf-8")
+    with pytest.raises(CorpusParseError) as info:
+        parse_corpus([str(tmp_path)])
+    failures = info.value.failures
+    assert len(failures) == 2
+    assert failures[0].startswith(str(tmp_path / "A.java"))
+    assert failures[1].startswith(str(tmp_path / "C.java"))
 
 
 def test_duplicate_class_rejected():

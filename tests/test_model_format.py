@@ -1,0 +1,97 @@
+"""load_model on malformed text: a ModelFormatError, never a crash or a hang."""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from testability.learn import (
+    ForestParams,
+    MLPParams,
+    TreeParams,
+    dump_model,
+    load_model,
+    train_decision_tree,
+    train_mlp,
+    train_random_forest,
+)
+from testability.learn.serialize import ModelFormatError
+from testability.metrics import MetricId
+from testability.records import FeatureMatrix
+
+
+def _matrix():
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0, 10, size=(40, 2))
+    y = (X[:, 0] + rng.normal(0, 2, 40) > 5).astype(int)
+    return FeatureMatrix(feature_ids=(MetricId.LOC, MetricId.WMC), X=X, y=y)
+
+
+MATRIX = _matrix()
+TREE = dump_model(train_decision_tree(MATRIX, TreeParams(min_leaf=2), seed=1))
+DUMPS = [
+    TREE,
+    dump_model(train_random_forest(MATRIX, ForestParams(trees=3), seed=1)),
+    dump_model(train_mlp(MATRIX, MLPParams(hidden=2, epochs=5), seed=1)),
+]
+
+
+def _replace_line(text, prefix, new):
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    return "\n".join(lines[:at] + [new] + lines[at + 1:]) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    TREE[: len(TREE) // 2],
+    _replace_line(TREE, "split", "split 0 5.0 0 2"),
+    _replace_line(TREE, "split", "split 0 5.0 1 99"),
+    _replace_line(TREE, "split", "split 2 5.0 1 2"),
+    _replace_line(TREE, "split", "split -1 5.0 1 2"),
+    _replace_line(TREE, "leaf", "leaf 0 0"),
+    _replace_line(TREE, "leaf", "leaf -1 2"),
+    _replace_line(TREE, "nodes", "nodes 999999999"),
+    _replace_line(DUMPS[2], "b1", "b1 0.5"),
+    _replace_line(DUMPS[2], "shape", "shape 3 2"),
+    _replace_line(DUMPS[2], "kind", "kind Perceptron"),
+], ids=["truncated", "self-link", "link-past-end", "feature-past-end", "negative-feature",
+        "empty-leaf", "negative-leaf", "huge-node-count", "short-vector", "wrong-shape",
+        "unknown-kind"])
+def test_malformed_text_raises_model_format_error(text):
+    with pytest.raises(ModelFormatError):
+        load_model(text)
+
+
+def _mutations():
+    """A dump cut at any character, or with one token replaced."""
+    cut = st.builds(lambda text, at: text[: int(at * len(text))],
+                    st.sampled_from(DUMPS), st.floats(0, 1))
+    token = st.one_of(
+        st.integers(-3, 60).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["", "x", "nan", "leaf", "split", "nodes", "none", "auto", "1e308"]),
+    )
+
+    def replace(text, which, new):
+        parts = re.split(r"(\s+)", text)
+        words = [i for i, part in enumerate(parts) if part and not part.isspace()]
+        parts[words[int(which * (len(words) - 1))]] = new
+        return "".join(parts)
+
+    swapped = st.builds(replace, st.sampled_from(DUMPS), st.floats(0, 1), token)
+    return st.one_of(cut, swapped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutations())
+def test_mutated_dumps_fail_cleanly_or_load_a_usable_model(text):
+    try:
+        model = load_model(text)
+    except ModelFormatError:
+        return
+    rows = np.tile(MATRIX.X[:5, :1], (1, len(model.feature_ids)))
+    with np.errstate(all="ignore"):
+        scores = model.predict_scores(rows)
+    assert scores.shape == (5,)

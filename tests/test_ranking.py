@@ -1,0 +1,101 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import entropy
+
+from testability.learn.tree import entropy_bits
+from testability.ranking import (
+    gain_ratio,
+    info_gain,
+    mdl_discretize,
+    oner_score,
+    symmetric_uncertainty,
+)
+
+
+# -- MDL discretization ------------------------------------------------------------
+
+
+def test_mdl_cuts_once_between_two_pure_halves():
+    # gain 1 bit > (log2(7) + log2(7) - 2) / 8 = 0.452, and both halves are pure
+    assert mdl_discretize(range(1, 9), [0] * 4 + [1] * 4).cut_points == (4.5,)
+
+
+def test_mdl_rejects_a_cut_on_alternating_labels():
+    # best cut gains 0.311 bits, under the MDL bar of 1.057 bits for n = 4
+    assert mdl_discretize([1, 2, 3, 4], [0, 1, 0, 1]).cut_points == ()
+
+
+def test_mdl_recurses_into_the_mixed_side():
+    # three runs of 20: NonEffective, Effective, NonEffective. The first cut
+    # ties between 20.5 and 40.5 (weighted entropy 2/3) and the lower wins;
+    # it gains 0.252 bits against a bar of 0.148, and the mixed right half
+    # then splits at 40.5 (gain 1 bit against 0.152).
+    x = np.arange(1, 61)
+    y = [0] * 20 + [1] * 20 + [0] * 20
+    assert mdl_discretize(x, y).cut_points == (20.5, 40.5)
+
+
+def test_mdl_cuts_at_the_midpoint_between_distinct_values():
+    x = [1, 1, 1, 1, 3, 3, 3, 3]
+    assert mdl_discretize(x, [0] * 4 + [1] * 4).cut_points == (2.0,)
+
+
+# -- OneR --------------------------------------------------------------------------
+
+
+def test_oner_buckets_of_six_vote_by_majority():
+    # buckets {1..6} -> 5 NonEffective of 6, {7..12} -> 5 Effective of 6
+    y = [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0]
+    assert oner_score(range(1, 13), y) == 10 / 12
+
+
+def test_oner_merges_a_short_tail_into_the_last_bucket():
+    # the run of seven 1s closes a bucket; the five 2s are too few for their
+    # own, so they join it and the single bucket predicts NonEffective
+    x = [1] * 7 + [2] * 5
+    y = [0] * 7 + [1] * 5
+    assert oner_score(x, y) == 7 / 12
+    assert oner_score(x, y, min_bucket=5) == 1.0
+
+
+def test_oner_keeps_equal_values_in_one_bucket():
+    # min_bucket 2 would split after the second row, but rows 1-3 share a value
+    x = [1, 1, 1, 2, 2, 3]
+    y = [0, 1, 0, 1, 1, 1]
+    assert oner_score(x, y, min_bucket=2) == 5 / 6
+
+
+# -- entropy measures against scipy ------------------------------------------------
+
+
+def _oracle(bins, labels):
+    bins, labels = np.asarray(bins), np.asarray(labels)
+    table = np.array([[np.sum((bins == b) & (labels == c)) for c in (0, 1)]
+                      for b in range(bins.max() + 1)])
+    h_class = entropy(table.sum(axis=0), base=2)
+    h_bins = entropy(table.sum(axis=1), base=2)
+    n = table.sum()
+    conditional = sum(row.sum() / n * entropy(row, base=2) for row in table if row.sum())
+    return h_class, h_bins, h_class - conditional
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=2, max_size=60))
+def test_entropy_measures_match_scipy(pairs):
+    bins, labels = zip(*pairs)
+    h_class, h_bins, gain = _oracle(bins, labels)
+    assert info_gain(bins, labels) == pytest.approx(max(gain, 0.0), abs=1e-12)
+    expected_ratio = gain / h_bins if h_bins > 0 else 0.0
+    assert gain_ratio(bins, labels) == pytest.approx(expected_ratio, abs=1e-9)
+    denom = h_class + h_bins
+    expected_su = 2 * gain / denom if denom > 0 else 0.0
+    assert symmetric_uncertainty(bins, labels) == pytest.approx(expected_su, abs=1e-9)
+
+
+def test_binary_entropy_matches_scipy():
+    pos = np.array([0, 1, 3, 5, 7, 0])
+    n = np.array([7, 7, 7, 10, 7, 0])
+    expected = [entropy([p, m - p], base=2) if m else 0.0 for p, m in zip(pos, n)]
+    assert np.allclose(entropy_bits(pos, n), expected, rtol=0, atol=1e-15)
