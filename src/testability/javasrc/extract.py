@@ -25,7 +25,7 @@ from ..records import ClassRecord
 from .corpus import CorpusIndex, build_corpus_index
 from .lexer import PRIMITIVE_TYPES, ParseError
 from .parser import parse_source
-from .tree import MethodDecl, SyntaxTree, TypeDecl
+from .tree import EventSink, MethodDecl, SyntaxTree, TypeDecl
 
 
 def _declared_methods(decl: TypeDecl) -> list[MethodDecl]:
@@ -42,15 +42,25 @@ def cyclomatic_complexity(method: MethodDecl) -> int:
     return 1 + len(method.events.decisions)
 
 
+def _loc(decl: TypeDecl, tree: SyntaxTree) -> int:
+    start, end = decl.line_span
+    return sum(1 for line in tree.code_lines if start <= line <= end)
+
+
+def _weighted_methods(methods: list[MethodDecl]) -> tuple[int, float]:
+    """WMC and AMC: the summed and the mean cyclomatic complexity."""
+    wmc = sum(cyclomatic_complexity(m) for m in methods)
+    return wmc, wmc / len(methods) if methods else 0.0
+
+
 def compute_size_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, float]:
     start, end = decl.line_span
-    loc = sum(1 for line in tree.code_lines if start <= line <= end)
     loccom_lines: set[int] = set()
     for span in tree.comments:
         lo = max(span.start_line, start)
         hi = min(span.end_line, end)
         loccom_lines.update(range(lo, hi + 1))
-    npm = nstam = 0
+    npm = nstam = nstaf = nof = 0
     for owner in decl._flatten():
         for m in owner.methods:
             if m.is_constructor:
@@ -59,9 +69,7 @@ def compute_size_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, flo
                 npm += 1
             if "static" in m.modifiers:
                 nstam += 1
-    fields = decl.all_fields()
-    nstaf = 0
-    for owner in decl._flatten():
+        nof += len(owner.fields)
         for f in owner.fields:
             if "static" in f.modifiers or owner.kind in ("interface", "annotation"):
                 nstaf += 1
@@ -74,11 +82,11 @@ def compute_size_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, flo
     )
     nmc = len(events.calls)
     return {
-        MetricId.LOC: loc,
+        MetricId.LOC: _loc(decl, tree),
         MetricId.LOCCOM: len(loccom_lines),
         MetricId.NPM: npm,
         MetricId.NSTAM: nstam,
-        MetricId.NOF: len(fields),
+        MetricId.NOF: nof,
         MetricId.NSTAF: nstaf,
         MetricId.NMC: nmc,
         MetricId.NMCI: nmci,
@@ -88,8 +96,7 @@ def compute_size_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, flo
 
 def compute_complexity_metrics(decl: TypeDecl) -> dict[MetricId, float]:
     methods = _declared_methods(decl)
-    wmc = sum(cyclomatic_complexity(m) for m in methods)
-    amc = wmc / len(methods) if methods else 0.0
+    wmc, amc = _weighted_methods(methods)
     signatures = {m.signature for m in methods}
     invoked = {
         (c.name, c.argc)
@@ -128,20 +135,18 @@ def compute_inheritance_metrics(
     if external is not None and external.rsplit(".", 1)[-1] != "Object":
         depth += 1
     noc = len(entry.children)
-    own = {m.signature for m in _declared_methods(decl)}
-    inherited: set[tuple[str, int]] = set()
-    for signatures in _ancestor_signatures(index, qname):
-        inherited.update(signatures)
-    inherited -= own
-    declared_count = len(_declared_methods(decl))
-    denom = len(inherited) + declared_count
-    mfa = len(inherited) / denom if denom and index.ancestors(qname) else 0.0
+    methods = _declared_methods(decl)
+    ancestors = _ancestor_signatures(index, qname)
+    inherited: set[tuple[str, int]] = set().union(*ancestors)
+    inherited -= {m.signature for m in methods}
+    denom = len(inherited) + len(methods)
+    mfa = len(inherited) / denom if denom and ancestors else 0.0
     return {MetricId.DIT: depth, MetricId.NOC: noc, MetricId.MFA: mfa}
 
 
-def _referenced_type_names(decl: TypeDecl) -> set[str]:
+def _referenced_type_names(decl: TypeDecl, events: EventSink) -> set[str]:
     own_names = {t.name for t in decl._flatten()}
-    names = set(decl.declared_type_names()) | set(decl.all_events().type_refs)
+    names = set(decl.declared_type_names()) | set(events.type_refs)
     return {
         n for n in names
         if n not in own_names and n not in PRIMITIVE_TYPES and n != "void"
@@ -151,29 +156,29 @@ def _referenced_type_names(decl: TypeDecl) -> set[str]:
 def compute_coupling_metrics(decl: TypeDecl, index: CorpusIndex) -> dict[MetricId, float]:
     qname = decl.qualified_name
     entry = index[qname]
-    ce = len(_referenced_type_names(decl))
+    events = decl.all_events()
+    ce = len(_referenced_type_names(decl, events))
     ca = len(entry.referenced_by)
     cbo = len(entry.references | entry.referenced_by)
 
-    own = {m.signature for m in _declared_methods(decl)}
-    calls = decl.all_events().calls
+    methods = _declared_methods(decl)
+    own = {m.signature for m in methods}
     internal_style = {
-        (c.name, c.argc) for c in calls if c.receiver in (None, "this", "super")
+        (c.name, c.argc) for c in events.calls if c.receiver in (None, "this", "super")
     }
+    ancestors = _ancestor_signatures(index, qname)
     ic = 0
-    for signatures in _ancestor_signatures(index, qname):
+    for signatures in ancestors:
         overrides = bool(own & signatures)
         calls_inherited = any(
             sig in signatures and sig not in own for sig in internal_style
         )
         if overrides or calls_inherited:
             ic += 1
-    ancestor_union: set[tuple[str, int]] = set()
-    for signatures in _ancestor_signatures(index, qname):
-        ancestor_union.update(signatures)
+    ancestor_union: set[tuple[str, int]] = set().union(*ancestors)
     cbm = sum(
         1
-        for m in _declared_methods(decl)
+        for m in methods
         if m.signature in ancestor_union
         or any(c.receiver == "super" for c in m.events.calls)
     )
@@ -239,9 +244,9 @@ def compute_encapsulation_metrics(decl: TypeDecl) -> dict[MetricId, float]:
 
 
 def compute_test_effort_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, float]:
-    size = compute_size_metrics(decl, tree)
-    complexity = compute_complexity_metrics(decl)
     methods = _declared_methods(decl)
+    calls = decl.all_events().calls
+    wmc, amc = _weighted_methods(methods)
     t_not = sum(
         1
         for m in methods
@@ -249,16 +254,16 @@ def compute_test_effort_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[Metric
     )
     t_noa = sum(
         1
-        for c in decl.all_events().calls
+        for c in calls
         if c.name.startswith("assert") or c.name == "fail"
     )
     return {
-        MetricId.T_LOC: size[MetricId.LOC],
+        MetricId.T_LOC: _loc(decl, tree),
         MetricId.T_NOT: t_not,
         MetricId.T_NOA: t_noa,
-        MetricId.T_NMC: size[MetricId.NMC],
-        MetricId.T_WMC: complexity[MetricId.WMC],
-        MetricId.T_AMC: complexity[MetricId.AMC],
+        MetricId.T_NMC: len(calls),
+        MetricId.T_WMC: wmc,
+        MetricId.T_AMC: amc,
     }
 
 

@@ -5,10 +5,15 @@ holding at least one token (the substrate for LOC/LOCCOM). '>' is always
 lexed as a single token so that nested generics like ``List<List<String>>``
 stay parseable; the expression parser re-merges adjacent '>' tokens into
 shift operators, which metrics never look at anyway.
+
+``_TOKEN`` is the whole token table, one regex group per kind tried in
+order. A numeric code point that is not a decimal digit (``²``, ``½``,
+``Ⅻ``) lexes as a letter, as javac treats ``Ⅻ``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -35,12 +40,23 @@ MODIFIER_KEYWORDS = frozenset(
     transient volatile strictfp default""".split()
 )
 
-# multi-char operators, longest first; none start with '>' except '>='
-_OPERATORS = (
-    "<<=", "...", "<<", "<=", ">=", "==", "!=", "&&", "||", "++", "--",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "->", "::",
+_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\r\n\f]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*[\s\S]*?\*/)
+    | (?P<word>(?:[^\W\d]|\$)[\w$]*)
+    | (?P<number>0[xXbB]\w*  # decimal: one '.' at most, none before a letter, '_', '$' or '.'
+        | (?=\.?\d)(?:[\d_]|[eE][\d+-])*(?:\.(?=\d|[^\w$.]))?(?:[\d_]|[eE][\d+-])*[fFdDlL]?)
+    | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+    | (?P<char>'(?:[^'\\\n]|\\[\s\S])*')
+    | (?P<unterminated>/\*|"|')
+    | (?P<op><<=|\.\.\.|<<|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->|::
+        | [-+*/%=<>!~&|^?:;,.(){}\[\]@])
+    """,
+    re.VERBOSE,
 )
-_SINGLE = set("+-*/%=<>!~&|^?:;,.(){}[]@")
+_UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "char literal"}
 
 
 @dataclass(frozen=True)
@@ -65,140 +81,35 @@ class LexResult:
     n_lines: int
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c in "_$"
-
-
-def _is_ident_part(c: str) -> bool:
-    return c.isalnum() or c in "_$"
-
-
 def tokenize(text: str, path: str = "<string>") -> LexResult:
     tokens: list[Token] = []
     comments: list[CommentSpan] = []
     code_lines: set[int] = set()
-    i = 0
+    pos = line_start = 0
     line = 1
-    col = 1
-    n = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    def emit(kind: str, start: int, start_line: int, start_col: int) -> None:
-        tokens.append(Token(kind, text[start:i], start_line, start_col))
-        code_lines.add(start_line)
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n\f":
-            advance(1)
-            continue
-        start, start_line, start_col = i, line, col
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                advance(1)
-            comments.append(CommentSpan(start_line, start_line))
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "*":
-            advance(2)
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                advance(1)
-            if i >= n:
-                raise ParseError(path, start_line, start_col, "unterminated block comment")
-            advance(2)
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        if m is None:
+            raise ParseError(path, line, col, f"unexpected character {text[pos]!r}")
+        kind, word, start_line = m.lastgroup, m.group(), line
+        if "\n" in word:  # whitespace, block comments and escaped newlines in literals
+            line += word.count("\n")
+            line_start = pos + word.rindex("\n") + 1
+        if kind.endswith("comment"):
             comments.append(CommentSpan(start_line, line))
-            continue
-        if _is_ident_start(c):
-            while i < n and _is_ident_part(text[i]):
-                advance(1)
-            word = text[start:i]
-            emit("keyword" if word in KEYWORDS else "ident", start, start_line, start_col)
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            _lex_number(text, advance, lambda: i)
-            emit("number", start, start_line, start_col)
-            continue
-        if c == '"':
-            advance(1)
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise ParseError(path, start_line, start_col, "unterminated string literal")
-                advance(2 if text[i] == "\\" and i + 1 < n else 1)
-            if i >= n:
-                raise ParseError(path, start_line, start_col, "unterminated string literal")
-            advance(1)
-            emit("string", start, start_line, start_col)
-            continue
-        if c == "'":
-            advance(1)
-            while i < n and text[i] != "'":
-                if text[i] == "\n":
-                    raise ParseError(path, start_line, start_col, "unterminated char literal")
-                advance(2 if text[i] == "\\" and i + 1 < n else 1)
-            if i >= n:
-                raise ParseError(path, start_line, start_col, "unterminated char literal")
-            advance(1)
-            emit("char", start, start_line, start_col)
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                advance(len(op))
-                emit("op", start, start_line, start_col)
-                matched = True
-                break
-        if matched:
-            continue
-        if c in _SINGLE:
-            advance(1)
-            emit("op", start, start_line, start_col)
-            continue
-        raise ParseError(path, line, col, f"unexpected character {c!r}")
-
-    tokens.append(Token("eof", "", line, col))
+        elif kind == "unterminated":
+            raise ParseError(path, line, col, f"unterminated {_UNTERMINATED[word]}")
+        elif kind != "space":
+            if kind == "word":
+                kind = "keyword" if word in KEYWORDS else "ident"
+            tokens.append(Token(kind, word, start_line, col))
+            code_lines.add(start_line)
+        pos += len(word)
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return LexResult(
         tokens=tokens,
         comments=comments,
         code_lines=frozenset(code_lines),
         n_lines=text.count("\n") + (1 if text and not text.endswith("\n") else 0),
     )
-
-
-def _lex_number(text: str, advance, pos) -> None:
-    n = len(text)
-    i = pos()
-    if text[i] == "0" and i + 1 < n and text[i + 1] in "xXbB":
-        advance(2)
-        while pos() < n and (text[pos()].isalnum() or text[pos()] == "_"):
-            advance(1)
-        return
-    seen_dot = False
-    while pos() < n:
-        ch = text[pos()]
-        if ch.isdigit() or ch == "_":
-            advance(1)
-        elif ch == "." and not seen_dot and pos() + 1 < n and (
-            text[pos() + 1].isdigit() or not _is_ident_start(text[pos() + 1])
-        ):
-            # a trailing dot like `1.` is a float; `1.foo` is not expected here
-            if pos() + 1 < n and text[pos() + 1] == ".":
-                break  # `1..` would be `1` followed by range-ish ops; not Java anyway
-            seen_dot = True
-            advance(1)
-        elif ch in "eE" and pos() + 1 < n and (
-            text[pos() + 1].isdigit() or text[pos() + 1] in "+-"
-        ):
-            advance(2)
-        elif ch in "fFdDlL":
-            advance(1)
-            return
-        else:
-            return

@@ -145,10 +145,7 @@ class _Parser:
         package = ""
         imports: list[str] = []
         while self.at("@") and self.peek().kind == "ident" and self._package_ahead():
-            self.pos += 1  # package annotations
-            self.qualified_name_text()
-            if self.at("("):
-                self.skip_balanced("(", ")")
+            self.annotation()  # package annotations
         if self.at("package"):
             self.pos += 1
             package = self.qualified_name_text()
@@ -207,6 +204,14 @@ class _Parser:
             parts.append(self.expect_ident().text)
         return ".".join(parts)
 
+    def annotation(self) -> str:
+        """Parse '@Name' or '@Name(...)' at cur; returns the dotted name."""
+        self.pos += 1
+        name = self.qualified_name_text()
+        if self.at("("):
+            self.skip_balanced("(", ")")
+        return name
+
     # ---- declarations -------------------------------------------------------
 
     def modifiers_and_annotations(self) -> tuple[set[str], list[str], int]:
@@ -216,11 +221,7 @@ class _Parser:
         start_line = self.cur.line
         while True:
             if self.at("@") and self.peek().kind == "ident":
-                self.pos += 1
-                name = self.qualified_name_text()
-                annos.append(name.rsplit(".", 1)[-1])
-                if self.at("("):
-                    self.skip_balanced("(", ")")
+                annos.append(self.annotation().rsplit(".", 1)[-1])
                 continue
             if self.cur.kind == "keyword" and self.cur.text in MODIFIER_KEYWORDS:
                 mods.add(self.cur.text)
@@ -278,15 +279,12 @@ class _Parser:
         if self.at("<"):
             self.skip_type_params()
         extends: list[str] = []
-        implements: list[str] = []
         if self.accept("extends"):
-            extends.append(self.type_base_name())
-            while kind in ("interface", "annotation") and self.accept(","):
-                extends.append(self.type_base_name())
-        if self.accept("implements"):
-            implements.append(self.type_base_name())
-            while self.accept(","):
-                implements.append(self.type_base_name())
+            if kind in ("interface", "annotation"):
+                extends = self.type_name_list()
+            else:
+                extends = [self.type_base_name()]
+        implements = self.type_name_list() if self.accept("implements") else []
         decl = TypeDecl(
             kind=kind,
             name=name,
@@ -306,13 +304,16 @@ class _Parser:
             self.skip_type_params()
         return name
 
+    def type_name_list(self) -> list[str]:
+        """Comma-separated supertype or exception names."""
+        names = [self.type_base_name()]
+        while self.accept(","):
+            names.append(self.type_base_name())
+        return names
+
     def enum_declaration(self, mods: set[str], annos: list[str], start_line: int) -> TypeDecl:
         name = self.expect_ident().text
-        implements: list[str] = []
-        if self.accept("implements"):
-            implements.append(self.type_base_name())
-            while self.accept(","):
-                implements.append(self.type_base_name())
+        implements = self.type_name_list() if self.accept("implements") else []
         decl = TypeDecl(
             kind="enum",
             name=name,
@@ -327,26 +328,13 @@ class _Parser:
             constant_init = EventSink()
             while self.at("@") or self.at_ident():
                 while self.at("@"):
-                    self.pos += 1
-                    self.qualified_name_text()
-                    if self.at("("):
-                        self.skip_balanced("(", ")")
+                    self.annotation()
                 self.expect_ident()
                 if self.at("("):
                     with self.sink(constant_init):
-                        self.call_arguments_no_event()
+                        self.call_arguments()
                 if self.at("{"):
-                    body = TypeDecl(
-                        kind="class",
-                        name=f"{name}$const",
-                        modifiers=frozenset(),
-                        annotations=(),
-                        extends_names=(),
-                        implements_names=(),
-                    )
-                    body_start = self.cur.line
-                    body.line_span = (body_start, self.class_body(body))
-                    decl.anonymous.append(body)
+                    decl.anonymous.append(self.anonymous_class(f"{name}$const"))
                 if not self.accept(","):
                     break
             if constant_init.calls or constant_init.decisions or constant_init.var_uses:
@@ -361,6 +349,20 @@ class _Parser:
         finally:
             self.type_stack.pop()
         decl.line_span = (start_line, end_line)
+        return decl
+
+    def anonymous_class(self, name: str) -> TypeDecl:
+        """The class body at cur of an enum constant or an anonymous class."""
+        decl = TypeDecl(
+            kind="class",
+            name=name,
+            modifiers=frozenset(),
+            annotations=(),
+            extends_names=(),
+            implements_names=(),
+        )
+        start_line = self.cur.line
+        decl.line_span = (start_line, self.class_body(decl))
         return decl
 
     def class_body(self, decl: TypeDecl) -> int:
@@ -434,13 +436,9 @@ class _Parser:
         is_constructor: bool,
     ) -> MethodDecl:
         param_types, param_names = self.parameter_list()
-        while self.at("["):  # archaic `int m()[]`
-            self.pos += 1
-            self.expect("]")
+        self.declarator_dims()  # archaic `int m()[]`
         if self.accept("throws"):
-            self.type_base_name()
-            while self.accept(","):
-                self.type_base_name()
+            self.type_name_list()
         method = MethodDecl(
             name=name,
             modifiers=frozenset(mods),
@@ -479,11 +477,7 @@ class _Parser:
                 if self.accept("..."):
                     type_text += "[]"
                 self.expect_ident()
-                while self.at("["):
-                    self.pos += 1
-                    self.expect("]")
-                    type_text += "[]"
-                types.append(type_text)
+                types.append(type_text + self.declarator_dims())
                 names.extend(type_names)
                 if not self.accept(","):
                     break
@@ -502,14 +496,9 @@ class _Parser:
     ) -> None:
         name = first_name
         while True:
-            dims = ""
-            while self.at("["):
-                self.pos += 1
-                self.expect("]")
-                dims += "[]"
             fld = FieldDecl(
                 name=name,
-                type_text=type_text + dims,
+                type_text=type_text + self.declarator_dims(),
                 type_names=type_names,
                 modifiers=frozenset(mods),
                 annotations=tuple(annos),
@@ -524,6 +513,15 @@ class _Parser:
                 continue
             self.expect(";")
             return
+
+    def declarator_dims(self) -> str:
+        """'[]' pairs after a declared name, as in `int a[][]`."""
+        dims = ""
+        while self.at("["):
+            self.pos += 1
+            self.expect("]")
+            dims += "[]"
+        return dims
 
     def variable_initializer(self) -> None:
         if self.at("{"):
@@ -624,27 +622,21 @@ class _Parser:
             return
         if self.accept("if"):
             self.emit_decision("if", tok.line)
-            self.expect("(")
-            self.expression()
-            self.expect(")")
+            self.paren_expression()
             self.statement()
             if self.accept("else"):
                 self.statement()
             return
         if self.accept("while"):
             self.emit_decision("while", tok.line)
-            self.expect("(")
-            self.expression()
-            self.expect(")")
+            self.paren_expression()
             self.statement()
             return
         if self.accept("do"):
             self.emit_decision("do", tok.line)
             self.statement()
             self.expect("while")
-            self.expect("(")
-            self.expression()
-            self.expect(")")
+            self.paren_expression()
             self.expect(";")
             return
         if self.accept("for"):
@@ -652,9 +644,7 @@ class _Parser:
             self.for_rest()
             return
         if self.accept("switch"):
-            self.expect("(")
-            self.expression()
-            self.expect(")")
+            self.paren_expression()
             self.expect("{")
             while not self.at("}"):
                 if self.at("case"):
@@ -703,9 +693,7 @@ class _Parser:
             self.expect(";")
             return
         if self.accept("synchronized"):
-            self.expect("(")
-            self.expression()
-            self.expect(")")
+            self.paren_expression()
             self.block()
             return
         if self.accept("assert"):
@@ -727,6 +715,11 @@ class _Parser:
             return
         self.expression()
         self.expect(";")
+
+    def paren_expression(self) -> None:
+        self.expect("(")
+        self.expression()
+        self.expect(")")
 
     def resource_spec(self) -> None:
         self.expect("(")
@@ -765,9 +758,7 @@ class _Parser:
             return False
         self.emit_type_refs(type_names)
         while True:
-            while self.at("["):
-                self.pos += 1
-                self.expect("]")
+            self.declarator_dims()
             if self.accept("="):
                 self.variable_initializer()
             if self.accept(","):
@@ -1005,9 +996,7 @@ class _Parser:
         if self.at("("):
             if self._try_lambda():
                 return "<expr>"
-            self.pos += 1
-            self.expression()
-            self.expect(")")
+            self.paren_expression()
             return "<expr>"
         if tok.kind in ("number", "string", "char"):
             self.pos += 1
@@ -1018,14 +1007,14 @@ class _Parser:
                 return "<expr>"
             if tok.text == "this":
                 self.pos += 1
-                if self.at("("):  # explicit constructor invocation
-                    self.call_arguments_no_event()
+                if self.at("("):  # explicit constructor invocation: not a call event
+                    self.call_arguments()
                     return "<expr>"
                 return "this"
             if tok.text == "super":
                 self.pos += 1
-                if self.at("("):  # super constructor invocation
-                    self.call_arguments_no_event()
+                if self.at("("):  # super constructor invocation: not a call event
+                    self.call_arguments()
                     return "<expr>"
                 return "super"
             if tok.text == "new":
@@ -1064,11 +1053,6 @@ class _Parser:
         self.expect(")")
         return argc
 
-    def call_arguments_no_event(self) -> int:
-        # explicit constructor invocations (this(...)/super(...)) are not
-        # method-call events, but their arguments still are parsed normally
-        return self.call_arguments()
-
     def creator(self) -> None:
         """new Foo(...), new int[5], new Foo[]{...}, anonymous class bodies."""
         if self.cur.kind == "keyword" and self.cur.text in PRIMITIVE_TYPES:
@@ -1091,18 +1075,9 @@ class _Parser:
         if self.at("["):
             self._creator_array_rest()
             return
-        self.call_arguments_no_event()
+        self.call_arguments()
         if self.at("{"):
-            anon = TypeDecl(
-                kind="class",
-                name=f"{parts[-1]}$anon",
-                modifiers=frozenset(),
-                annotations=(),
-                extends_names=(),
-                implements_names=(),
-            )
-            start_line = self.cur.line
-            anon.line_span = (start_line, self.class_body(anon))
+            anon = self.anonymous_class(f"{parts[-1]}$anon")
             if self.type_stack:
                 self.type_stack[-1].anonymous.append(anon)
 

@@ -57,6 +57,8 @@ def stratified_kfold(
     Each class's indices are dealt across the k folds, so per-fold class
     counts differ from exact proportionality by at most one instance.
     """
+    if k < 2:
+        raise ValueError(f"k (cross-validation folds) must be at least 2, got {k}")
     y = matrix.y
     rng = np.random.default_rng(seed)
     fold_members: list[list[np.ndarray]] = [[] for _ in range(k)]

@@ -25,6 +25,14 @@ class ForestParams:
     min_leaf: int = 1
     bootstrap: bool = True  # test hook; disabling gives plain bagging-free trees
 
+    def __post_init__(self):
+        if self.trees < 1:
+            raise ValueError(f"trees must be at least 1, got {self.trees}")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise ValueError(
+                f"features_per_split must be at least 1 or auto, got {self.features_per_split}"
+            )
+
 
 @dataclass
 class RandomForestModel:

@@ -15,6 +15,7 @@ from testability.learn import (
     train_mlp,
     train_random_forest,
 )
+from testability.learn.evaluation import stratified_kfold
 from testability.learn.mlp import loss_and_gradients
 from testability.metrics import MetricId
 from testability.records import EffectivenessLabel, FeatureMatrix
@@ -134,6 +135,38 @@ def test_forest_vote_fraction_is_score():
     scores = model.predict_scores(fm.X)
     assert np.all((scores * 10) == np.round(scores * 10))  # multiples of 1/10
     assert np.all((0 <= scores) & (scores <= 1))
+
+
+@pytest.mark.parametrize("settings", [
+    {"trees": 0}, {"trees": -2}, {"features_per_split": 0}, {"features_per_split": -1},
+])
+def test_forest_params_reject_out_of_range_settings(settings):
+    with pytest.raises(ValueError, match=next(iter(settings))):
+        ForestParams(**settings)
+    assert ForestParams(features_per_split=None).features_per_split is None  # auto
+
+
+# -- cross-validation folds ------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_stratified_kfold_needs_at_least_two_folds(k):
+    with pytest.raises(ValueError, match="at least 2"):
+        stratified_kfold(separable_1d(), k=k)
+
+
+def test_stratified_kfold_partitions_rows_and_deals_each_class():
+    fm = separable_1d(n=40)
+    folds = stratified_kfold(fm, k=4, seed=2)
+    tests = np.sort(np.concatenate([test for _, test in folds]))
+    assert np.array_equal(tests, np.arange(40))
+    per_class = [np.bincount(fm.y[test], minlength=2) for _, test in folds]
+    for cls in (0, 1):
+        counts = [c[cls] for c in per_class]
+        assert max(counts) - min(counts) <= 1
+    for train, test in folds:
+        assert np.intersect1d(train, test).size == 0
+        assert train.size + test.size == 40
 
 
 # -- multilayer perceptron ------------------------------------------------------

@@ -179,6 +179,25 @@ def test_error_exit_codes(workdir, argv, code, message):
     assert message in stderr
 
 
+@pytest.mark.parametrize("command, settings, message", [
+    ("evaluate", ["--k", "0"], "k (cross-validation folds) must be at least 2, got 0"),
+    ("evaluate", ["--k", "1"], "k (cross-validation folds) must be at least 2, got 1"),
+    ("pipeline", ["--k", "-1"], "k (cross-validation folds) must be at least 2, got -1"),
+    ("evaluate", ["--config", "bad.cfg", "trees = 0"], "trees must be at least 1, got 0"),
+    ("pipeline", ["--config", "bad.cfg", "trees = -2"], "trees must be at least 1, got -2"),
+    ("evaluate", ["--config", "bad.cfg", "features_per_split = -1"],
+     "features_per_split must be at least 1 or auto, got -1"),
+])
+def test_out_of_range_settings_exit_2_and_write_no_report(workdir, command, settings, message):
+    if settings[0] == "--config":
+        (workdir / "bad.cfg").write_text(settings.pop() + "\n", encoding="utf-8")
+    code, _, stderr = run(command, "--dataset", "metrics.csv", "--seed", "1", *settings,
+                          "--out", "out")
+    assert code == 2
+    assert message in stderr
+    assert not os.path.exists("out") or os.listdir("out") == []
+
+
 def test_predict_on_csv_missing_a_model_feature_exits_5(workdir):
     assert run("train", *DATA, "--classifier", "tree", "--seed", "1", "--out", "m")[0] == 0
     with open("metrics.csv", encoding="utf-8") as src, \

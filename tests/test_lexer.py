@@ -1,0 +1,122 @@
+"""Golden token tables for the Java lexer.
+
+Every expected value below was recorded from the character-scanner lexer
+that the regex token table replaced, except the one case marked as the
+documented difference (non-decimal numeric code points).
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from testability.javasrc.lexer import CommentSpan, ParseError, tokenize
+
+
+def lex(source):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(source).tokens]
+
+
+TOKENS = [
+    # numbers
+    ("0x1F", [("number", "0x1F", 1, 1), ("eof", "", 1, 5)]),
+    ("0b101", [("number", "0b101", 1, 1), ("eof", "", 1, 6)]),
+    ("1_000L", [("number", "1_000L", 1, 1), ("eof", "", 1, 7)]),
+    ("1.5e-3f", [("number", "1.5e-3f", 1, 1), ("eof", "", 1, 8)]),
+    ("1e+5", [("number", "1e+5", 1, 1), ("eof", "", 1, 5)]),
+    (".5", [("number", ".5", 1, 1), ("eof", "", 1, 3)]),
+    ("1.", [("number", "1", 1, 1), ("op", ".", 1, 2), ("eof", "", 1, 3)]),
+    ("1.)", [("number", "1.", 1, 1), ("op", ")", 1, 3), ("eof", "", 1, 4)]),
+    ("1..2", [("number", "1", 1, 1), ("op", ".", 1, 2), ("number", ".2", 1, 3),
+              ("eof", "", 1, 5)]),
+    ("1.foo", [("number", "1", 1, 1), ("op", ".", 1, 2), ("ident", "foo", 1, 3),
+               ("eof", "", 1, 6)]),
+    # '>' never merges, so generics close one token at a time
+    ("a >>= b", [("ident", "a", 1, 1), ("op", ">", 1, 3), ("op", ">=", 1, 4),
+                 ("ident", "b", 1, 7), ("eof", "", 1, 8)]),
+    (">>>", [("op", ">", 1, 1), ("op", ">", 1, 2), ("op", ">", 1, 3), ("eof", "", 1, 4)]),
+    ("f(a...)", [("ident", "f", 1, 1), ("op", "(", 1, 2), ("ident", "a", 1, 3),
+                 ("op", "...", 1, 4), ("op", ")", 1, 7), ("eof", "", 1, 8)]),
+    ("x -> y", [("ident", "x", 1, 1), ("op", "->", 1, 3), ("ident", "y", 1, 6),
+                ("eof", "", 1, 7)]),
+    ("A::b", [("ident", "A", 1, 1), ("op", "::", 1, 2), ("ident", "b", 1, 4),
+              ("eof", "", 1, 5)]),
+    ("a <<= 2", [("ident", "a", 1, 1), ("op", "<<=", 1, 3), ("number", "2", 1, 7),
+                 ("eof", "", 1, 8)]),
+    # string and char literals
+    ('"a\\"b" "c\\\\"', [("string", '"a\\"b"', 1, 1), ("string", '"c\\\\"', 1, 8),
+                         ("eof", "", 1, 13)]),
+    ('"a\\\nb" x', [("string", '"a\\\nb"', 1, 1), ("ident", "x", 2, 4), ("eof", "", 2, 5)]),
+    ("'\\''", [("char", "'\\''", 1, 1), ("eof", "", 1, 5)]),
+    # identifiers and keywords
+    ("$x _y é", [("ident", "$x", 1, 1), ("ident", "_y", 1, 4), ("ident", "é", 1, 7),
+                 ("eof", "", 1, 8)]),
+    ("class Foo", [("keyword", "class", 1, 1), ("ident", "Foo", 1, 7), ("eof", "", 1, 10)]),
+    # CRLF, tabs and the eof position
+    ("a\r\n\tb c\r\n", [("ident", "a", 1, 1), ("ident", "b", 2, 2), ("ident", "c", 2, 4),
+                        ("eof", "", 3, 1)]),
+    ("  x\n\n", [("ident", "x", 1, 3), ("eof", "", 3, 1)]),
+    ("// c\nx /* a\nb */ y", [("ident", "x", 2, 1), ("ident", "y", 3, 6), ("eof", "", 3, 7)]),
+    # the documented difference: a letter number lexes as an identifier, as in
+    # javac; the character scanner rejected it as an unexpected character
+    ("Ⅻ", [("ident", "Ⅻ", 1, 1), ("eof", "", 1, 2)]),
+]
+
+
+@pytest.mark.parametrize("source, expected", TOKENS, ids=[repr(s) for s, _ in TOKENS])
+def test_token_table(source, expected):
+    assert lex(source) == expected
+
+
+ERRORS = [
+    ('"abc\n"', "<string>:1:1: unterminated string literal"),
+    ('x = "abc', "<string>:1:5: unterminated string literal"),
+    ("'a\n'", "<string>:1:1: unterminated char literal"),
+    ("c = 'a", "<string>:1:5: unterminated char literal"),
+    ("x /* y\n z", "<string>:1:3: unterminated block comment"),
+    ("a\n  #", "<string>:2:3: unexpected character '#'"),
+    ("a\vb", "<string>:1:2: unexpected character '\\x0b'"),
+    ("a\xa0b", "<string>:1:2: unexpected character '\\xa0'"),
+]
+
+
+@pytest.mark.parametrize("source, message", ERRORS, ids=[repr(s) for s, _ in ERRORS])
+def test_lex_errors(source, message):
+    with pytest.raises(ParseError) as info:
+        tokenize(source)
+    assert str(info.value) == message
+
+
+def test_comment_spans_and_code_lines():
+    result = tokenize("// c\nx /* a\nb */ y")
+    assert result.comments == [CommentSpan(1, 1), CommentSpan(2, 3)]
+    assert result.code_lines == frozenset({2, 3})
+
+
+@pytest.mark.parametrize(
+    "source, n_lines",
+    [("", 0), ("a", 1), ("a\n", 1), ("a\nb", 2), ("a\n\n", 2), ("\n", 1)],
+)
+def test_n_lines_with_and_without_trailing_newline(source, n_lines):
+    assert tokenize(source).n_lines == n_lines
+
+
+_PIECES = [
+    "a", "x1", "$y", "_z", "é", "class", "0x1F", "1.5e-3f", ".5", "1.", "1_0L",
+    " ", "\t", "\n", "\r\n", ">", ">=", "<<=", "...", "->", "::", ".", "(", ")",
+    '"s"', '"a\\"b"', '"a\\\nb"', "'c'", "'\\''", "// c\n", "/* a\nb */", '"', "'",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+def test_each_token_starts_at_its_line_and_column(source):
+    try:
+        tokens = tokenize(source).tokens
+    except ParseError:
+        return
+    line_starts = [0]
+    line_starts += [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    for tok in tokens:
+        offset = line_starts[tok.line - 1] + tok.col - 1
+        assert source[offset:offset + len(tok.text)] == tok.text
+    eof = tokens[-1]
+    assert line_starts[eof.line - 1] + eof.col - 1 == len(source)
