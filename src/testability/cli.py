@@ -99,6 +99,12 @@ class RunConfig:
     momentum: float = 0.2
     epochs: int = 500
 
+    def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:  # NaN fails too
+            raise CliError(EXIT_INPUT, f"threshold must be in [0, 1], got {self.threshold!r}")
+        if self.population not in ("raw", "labeled"):
+            raise CliError(EXIT_INPUT, f"population must be raw or labeled, got {self.population!r}")
+
     def feature_ids(self) -> tuple[MetricId, ...]:
         if not self.features:
             return INDEPENDENT_VARIABLES

@@ -33,15 +33,12 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
     if v.size == 0:
         raise ValueError("cannot rank an empty sequence")
     order = np.argsort(v, kind="stable")
+    s = v[order]
+    # sorted positions start..end-1 (0-based) hold one value; mean 1-based rank
+    start = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    end = np.append(start[1:], v.size)
     ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        # positions i..j (0-based) hold equal values; mean 1-based rank
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((start + end - 1) / 2.0 + 1.0, end - start)
     return ranks
 
 

@@ -121,6 +121,8 @@ def evaluate(
 ) -> EvalReport:
     """k-fold CV: train on each fold's complement, pool out-of-fold scores."""
     folds = stratified_kfold(matrix, k=k, seed=seed)
+    if isinstance(params, ForestParams):  # a bad setting is not a fold's failure
+        params.candidates_per_split(len(matrix.feature_ids))
     scores = np.empty(matrix.n_rows, dtype=np.float64)
     for fold_no, (train_idx, test_idx) in enumerate(folds):
         sub = FeatureMatrix(

@@ -32,6 +32,15 @@ class ForestParams:
             raise ValueError(
                 f"features_per_split must be at least 1 or auto, got {self.features_per_split}"
             )
+        if self.min_leaf < 1:
+            raise ValueError(f"forest_min_leaf must be at least 1, got {self.min_leaf}")
+
+    def candidates_per_split(self, d: int) -> int:
+        """Features sampled at each split out of d: the setting, or ceil(sqrt(d))."""
+        fps = self.features_per_split or math.isqrt(d - 1) + 1
+        if fps > d:
+            raise ValueError(f"features_per_split must be at most the {d} features, got {fps}")
+        return fps
 
 
 @dataclass
@@ -59,8 +68,7 @@ def train_random_forest(
 ) -> RandomForestModel:
     check_two_classes(matrix.y)
     n, d = matrix.X.shape
-    fps = params.features_per_split or math.isqrt(d - 1) + 1  # ceil(sqrt(d))
-    fps = min(fps, d)
+    fps = params.candidates_per_split(d)
     roots: list[TreeNode] = []
     for seq in np.random.SeedSequence(seed).spawn(params.trees):
         rng = np.random.default_rng(seq)

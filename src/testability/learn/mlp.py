@@ -27,6 +27,12 @@ class MLPParams:
     momentum: float = 0.2
     epochs: int = 500
 
+    def __post_init__(self):
+        if self.hidden is not None and self.hidden < 1:
+            raise ValueError(f"hidden must be at least 1 or auto, got {self.hidden}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be at least 0, got {self.epochs}")
+
 
 @dataclass
 class MLPModel:

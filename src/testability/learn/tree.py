@@ -43,7 +43,13 @@ class TreeNode:
 @dataclass(frozen=True)
 class TreeParams:
     min_leaf: int = 2
-    max_depth: int | None = None
+    max_depth: int | None = None  # None means unlimited
+
+    def __post_init__(self):
+        if self.min_leaf < 1:
+            raise ValueError(f"min_leaf must be at least 1, got {self.min_leaf}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError(f"max_depth must be at least 0 or none, got {self.max_depth}")
 
 
 @dataclass
@@ -100,43 +106,38 @@ def best_split(
 ) -> tuple[int, float] | None:
     """Pick (feature, threshold) maximizing gain ratio over midpoints.
 
-    Ties break on smaller feature index, then smaller threshold; returns
-    None when no split keeps min_leaf rows on both sides.
+    All candidate columns are sorted and scored in one array pass: cell
+    (i, c) is the cut after sorted row i of candidate c, valid where the
+    value changes and both sides keep min_leaf rows; other cells score
+    -inf. The first maximum in (candidate, row) order wins, so ties break
+    on the earlier candidate (the smaller feature index, as candidates are
+    sorted), then the smaller threshold. Returns None when no cut is valid.
     """
     n = y.size
     total_pos = int(y.sum())
     h_parent = float(entropy_bits(np.array([total_pos]), np.array([n]))[0])
-    best: tuple[float, int, float] | None = None  # (-gain_ratio, feature, threshold)
-    for j in candidates:
-        col = X[:, j]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        lab = y[order].astype(np.float64)
-        cut = np.nonzero(v[1:] != v[:-1])[0] + 1  # left side sizes
-        if cut.size:
-            cut = cut[(cut >= min_leaf) & (n - cut >= min_leaf)]
-        if cut.size == 0:
-            continue
-        pos_left = np.cumsum(lab)[cut - 1]
-        n_left = cut.astype(np.float64)
-        n_right = n - n_left
-        pos_right = total_pos - pos_left
-        h_children = (
-            n_left / n * entropy_bits(pos_left, n_left)
-            + n_right / n * entropy_bits(pos_right, n_right)
-        )
-        gain = np.maximum(h_parent - h_children, 0.0)
-        p_l = n_left / n
-        intrinsic = -(_xlog2x(p_l) + _xlog2x(1.0 - p_l))
-        ratio = gain / intrinsic
-        thresholds = (v[cut - 1] + v[cut]) / 2.0
-        k = int(np.lexsort((thresholds, -ratio))[0])
-        entry = (-float(ratio[k]), j, float(thresholds[k]))
-        if best is None or entry < best:
-            best = entry
-    if best is None:
+    cols = X[:, candidates]
+    order = np.argsort(cols, axis=0, kind="stable")
+    v = np.take_along_axis(cols, order, axis=0)
+    sizes = np.arange(1.0, n)[:, None]  # left side size of the cut after each row
+    valid = (v[1:] != v[:-1]) & (sizes >= min_leaf) & (n - sizes >= min_leaf)
+    if not valid.any():
         return None
-    return best[1], best[2]
+    pos_left = np.cumsum(y[order], axis=0, dtype=np.float64)[:-1][valid]
+    n_left = np.broadcast_to(sizes, valid.shape)[valid]
+    n_right = n - n_left
+    pos_right = total_pos - pos_left
+    h_children = (
+        n_left / n * entropy_bits(pos_left, n_left)
+        + n_right / n * entropy_bits(pos_right, n_right)
+    )
+    gain = np.maximum(h_parent - h_children, 0.0)
+    p_l = n_left / n
+    intrinsic = -(_xlog2x(p_l) + _xlog2x(1.0 - p_l))
+    ratio = np.full(valid.shape, -np.inf)
+    ratio[valid] = gain / intrinsic
+    c, row = divmod(int(np.argmax(ratio.T)), n - 1)
+    return candidates[c], float((v[row, c] + v[row + 1, c]) / 2.0)
 
 
 def grow_tree(

@@ -192,29 +192,16 @@ def oner_score(
         raise ValueError("need at least 2 rows")
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
-    buckets: list[np.ndarray] = []
-    current = np.zeros(2, dtype=np.int64)
-    size = 0
-    i = 0
-    while i < xs.size:
-        j = i
-        while j + 1 < xs.size and xs[j + 1] == xs[i]:
-            j += 1
-        run = ys[i : j + 1]
-        current += np.bincount(run, minlength=2)
-        size += run.size
-        if size >= min_bucket:
-            buckets.append(current)
-            current = np.zeros(2, dtype=np.int64)
-            size = 0
-        i = j + 1
-    if size > 0:
-        if buckets:
-            buckets[-1] = buckets[-1] + current
-        else:
-            buckets.append(current)
-    correct = sum(int(b.max()) for b in buckets)
-    return correct / x.size
+    bounds = [0]  # bucket edges in sorted order
+    for end in np.append(np.flatnonzero(xs[1:] != xs[:-1]) + 1, x.size).tolist():
+        if end - bounds[-1] >= min_bucket:
+            bounds.append(end)
+    if len(bounds) == 1:
+        bounds.append(x.size)
+    bounds[-1] = x.size  # a short tail joins the last bucket
+    effective = np.diff(np.concatenate(([0], np.cumsum(ys)))[bounds])
+    correct = np.maximum(effective, np.diff(bounds) - effective).sum()
+    return int(correct) / x.size
 
 
 def rank_features(matrix: FeatureMatrix, algorithm: RankingAlgorithm) -> RankingTable:

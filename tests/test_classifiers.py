@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import mannwhitneyu
 
 from testability.learn import (
     DimensionMismatch,
@@ -8,6 +11,7 @@ from testability.learn import (
     ModelKind,
     SingleClassInput,
     TreeParams,
+    auc,
     dump_model,
     load_model,
     predict,
@@ -17,6 +21,7 @@ from testability.learn import (
 )
 from testability.learn.evaluation import stratified_kfold
 from testability.learn.mlp import loss_and_gradients
+from testability.learn.tree import _xlog2x, best_split, entropy_bits
 from testability.metrics import MetricId
 from testability.records import EffectivenessLabel, FeatureMatrix
 
@@ -98,6 +103,77 @@ def test_tree_monotone_transform_invariance():
     )
 
 
+# -- split search ---------------------------------------------------------------
+
+
+def reference_best_split(X, y, candidates, min_leaf):
+    """The earlier per-feature loop of ``best_split``, kept as its oracle."""
+    n = y.size
+    total_pos = int(y.sum())
+    h_parent = float(entropy_bits(np.array([total_pos]), np.array([n]))[0])
+    best = None  # (-gain_ratio, feature, threshold)
+    for j in candidates:
+        col = X[:, j]
+        order = np.argsort(col, kind="stable")
+        v = col[order]
+        lab = y[order].astype(np.float64)
+        cut = np.nonzero(v[1:] != v[:-1])[0] + 1  # left side sizes
+        if cut.size:
+            cut = cut[(cut >= min_leaf) & (n - cut >= min_leaf)]
+        if cut.size == 0:
+            continue
+        pos_left = np.cumsum(lab)[cut - 1]
+        n_left = cut.astype(np.float64)
+        n_right = n - n_left
+        pos_right = total_pos - pos_left
+        h_children = (
+            n_left / n * entropy_bits(pos_left, n_left)
+            + n_right / n * entropy_bits(pos_right, n_right)
+        )
+        gain = np.maximum(h_parent - h_children, 0.0)
+        p_l = n_left / n
+        intrinsic = -(_xlog2x(p_l) + _xlog2x(1.0 - p_l))
+        ratio = gain / intrinsic
+        thresholds = (v[cut - 1] + v[cut]) / 2.0
+        k = int(np.lexsort((thresholds, -ratio))[0])
+        entry = (-float(ratio[k]), j, float(thresholds[k]))
+        if best is None or entry < best:
+            best = entry
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+@st.composite
+def split_problems(draw):
+    """Small tie-heavy integer matrices, a sorted candidate subset, min_leaf 1-4."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    candidates = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    min_leaf = draw(st.integers(1, 4))
+    X = np.array(cells, dtype=np.float64).reshape(n, d)
+    return X, np.array(labels, dtype=np.intp), candidates, min_leaf
+
+
+@settings(max_examples=500, deadline=None)
+@given(split_problems())
+def test_best_split_matches_the_per_feature_reference(problem):
+    assert best_split(*problem) == reference_best_split(*problem)
+
+
+def test_best_split_ties_go_to_the_smaller_feature_then_the_smaller_threshold():
+    # features 0 and 2 are copies, and each separates the labels at 1.5 and
+    # at 2.5 with the same gain ratio
+    X = np.array([[1, 9, 1], [2, 9, 2], [2, 9, 2], [3, 9, 3]], dtype=float)
+    y = np.array([0, 1, 1, 0])
+    assert best_split(X, y, [0, 1, 2], 1) == (0, 1.5)
+    assert best_split(X, y, [1, 2], 1) == (2, 1.5)
+    assert best_split(X, y, [1], 1) is None  # a constant column has no cut
+    assert best_split(X, y, [0, 2], 3) is None  # no cut keeps 3 rows a side
+
+
 # -- random forest ------------------------------------------------------------
 
 
@@ -139,11 +215,52 @@ def test_forest_vote_fraction_is_score():
 
 @pytest.mark.parametrize("settings", [
     {"trees": 0}, {"trees": -2}, {"features_per_split": 0}, {"features_per_split": -1},
+    {"min_leaf": 0}, {"min_leaf": -1},
 ])
 def test_forest_params_reject_out_of_range_settings(settings):
     with pytest.raises(ValueError, match=next(iter(settings))):
         ForestParams(**settings)
     assert ForestParams(features_per_split=None).features_per_split is None  # auto
+
+
+def test_forest_rejects_more_features_per_split_than_features():
+    fm = separable_1d()
+    with pytest.raises(ValueError, match="features_per_split must be at most the 2 features"):
+        train_random_forest(fm, ForestParams(trees=1, features_per_split=3))
+    assert train_random_forest(fm, ForestParams(trees=1, features_per_split=2)).roots
+
+
+@pytest.mark.parametrize("params, settings", [
+    (TreeParams, {"min_leaf": 0}), (TreeParams, {"min_leaf": -3}),
+    (TreeParams, {"max_depth": -1}),
+    (MLPParams, {"hidden": 0}), (MLPParams, {"hidden": -2}), (MLPParams, {"epochs": -1}),
+])
+def test_tree_and_mlp_params_reject_out_of_range_settings(params, settings):
+    with pytest.raises(ValueError, match=next(iter(settings))):
+        params(**settings)
+
+
+def test_unlimited_depth_auto_hidden_and_zero_epochs_stay_valid():
+    assert TreeParams(max_depth=None).max_depth is None
+    assert TreeParams(max_depth=0).max_depth == 0
+    assert MLPParams(hidden=None, epochs=0).epochs == 0
+
+
+# -- AUC ------------------------------------------------------------------------
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=2, max_size=60))
+def test_auc_is_the_mann_whitney_statistic_over_tied_scores(pairs):
+    scores = np.array([s / 5 for s, _ in pairs])
+    labels = np.array([label for _, label in pairs])
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    if pos.size == 0 or neg.size == 0:
+        with pytest.raises(SingleClassInput):
+            auc(scores, labels)
+        return
+    expected = mannwhitneyu(pos, neg).statistic / (pos.size * neg.size)
+    assert abs(auc(scores, labels) - expected) <= 1e-12
 
 
 # -- cross-validation folds ------------------------------------------------------

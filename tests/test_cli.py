@@ -187,9 +187,27 @@ def test_error_exit_codes(workdir, argv, code, message):
     ("pipeline", ["--config", "bad.cfg", "trees = -2"], "trees must be at least 1, got -2"),
     ("evaluate", ["--config", "bad.cfg", "features_per_split = -1"],
      "features_per_split must be at least 1 or auto, got -1"),
+    ("evaluate", ["--config", "bad.cfg", "min_leaf = 0"], "min_leaf must be at least 1, got 0"),
+    ("evaluate", ["--config", "bad.cfg", "max_depth = -1"],
+     "max_depth must be at least 0 or none, got -1"),
+    ("evaluate", ["--config", "bad.cfg", "forest_min_leaf = 0"],
+     "forest_min_leaf must be at least 1, got 0"),
+    ("evaluate", ["--config", "bad.cfg", "hidden = 0"], "hidden must be at least 1 or auto, got 0"),
+    ("evaluate", ["--config", "bad.cfg", "epochs = -1"], "epochs must be at least 0, got -1"),
+    ("evaluate", ["--config", "bad.cfg", "features_per_split = 100"],
+     "features_per_split must be at most the 34 features, got 100"),
+    ("pipeline", ["--config", "bad.cfg", "features_per_split = 35"],
+     "features_per_split must be at most the 34 features, got 35"),
+    ("train", ["--classifier", "forest", "--config", "bad.cfg", "features_per_split = 100"],
+     "features_per_split must be at most the 34 features, got 100"),
+    ("correlate", ["--threshold", "nan"], "threshold must be in [0, 1], got nan"),
+    ("correlate", ["--threshold", "-1"], "threshold must be in [0, 1], got -1.0"),
+    ("pipeline", ["--threshold", "2"], "threshold must be in [0, 1], got 2.0"),
+    ("correlate", ["--config", "bad.cfg", "population = bogus"],
+     "population must be raw or labeled, got 'bogus'"),
 ])
 def test_out_of_range_settings_exit_2_and_write_no_report(workdir, command, settings, message):
-    if settings[0] == "--config":
+    if "--config" in settings:
         (workdir / "bad.cfg").write_text(settings.pop() + "\n", encoding="utf-8")
     code, _, stderr = run(command, "--dataset", "metrics.csv", "--seed", "1", *settings,
                           "--out", "out")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from testability.correlation import (
     DegenerateInput,
@@ -50,6 +51,21 @@ def test_ranks_tie_average():
 
 def test_ranks_hand_case():
     assert list(average_ranks([3, 1, 3, 2])) == [3.5, 1, 3.5, 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=80),
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+))
+def test_ranks_equal_scipy_average_ranks(values):
+    ranks = average_ranks(values)
+    assert ranks.tolist() == rankdata(values, method="average").tolist()
+
+
+def test_ranks_reject_an_empty_sequence():
+    with pytest.raises(ValueError, match="empty"):
+        average_ranks([])
 
 
 def test_spearman_monotone():

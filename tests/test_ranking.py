@@ -67,6 +67,37 @@ def test_oner_keeps_equal_values_in_one_bucket():
     assert oner_score(x, y, min_bucket=2) == 5 / 6
 
 
+def reference_oner(x, y, min_bucket):
+    """Row-by-row OneR buckets: close at a value change once min_bucket rows are in."""
+    rows = sorted(zip(x, y), key=lambda row: row[0])
+    buckets, current = [], [0, 0]
+    for i, (value, label) in enumerate(rows):
+        current[label] += 1
+        run_ends = i + 1 == len(rows) or rows[i + 1][0] != value
+        if run_ends and sum(current) >= min_bucket:
+            buckets.append(current)
+            current = [0, 0]
+    if sum(current):  # a short tail joins the last bucket
+        if buckets:
+            buckets[-1] = [a + b for a, b in zip(buckets[-1], current)]
+        else:
+            buckets.append(current)
+    return sum(max(b) for b in buckets) / len(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)), min_size=2, max_size=60),
+       st.integers(1, 8))
+def test_oner_matches_a_row_by_row_reference(pairs, min_bucket):
+    x, y = zip(*pairs)
+    assert oner_score(x, y, min_bucket=min_bucket) == reference_oner(x, y, min_bucket)
+
+
+def test_oner_needs_two_rows():
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        oner_score([1.0], [1])
+
+
 # -- entropy measures against scipy ------------------------------------------------
 
 
