@@ -27,8 +27,13 @@ class NonFiniteLoss(RuntimeError):
     """Training diverged; carries the epoch where the loss left the reals."""
 
     def __init__(self, epoch: int):
+        # args stays (epoch,): unpickling calls cls(*args), as when a
+        # cross-validation worker sends this error back
+        super().__init__(epoch)
         self.epoch = epoch
-        super().__init__(f"non-finite loss at epoch {epoch}")
+
+    def __str__(self) -> str:
+        return f"non-finite loss at epoch {self.epoch}"
 
 
 def check_two_classes(y: np.ndarray) -> None:

@@ -5,10 +5,16 @@ standardization) is fit on the training split only; predictions for all
 test folds are pooled before accuracy, class-weighted precision/recall/F,
 and AUC are computed. Pooling rather than per-fold averaging is recorded
 in the report so the choice stays auditable.
+
+The k folds train in parallel worker processes, one per available CPU up
+to k. Reports do not depend on the worker count or on which fold finishes
+first: a fold's model depends only on the seed and the fold's rows, and
+each fold's scores are written back to that fold's test rows.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -112,6 +118,17 @@ def train_model(matrix: FeatureMatrix, kind: ModelKind, params=None, seed: int =
     return train_mlp(matrix, params or MLPParams(), seed=seed)
 
 
+def _fold_scores(matrix: FeatureMatrix, kind: ModelKind, params, seed: int,
+                 train_idx: np.ndarray, test_idx: np.ndarray) -> np.ndarray:
+    """Train on one fold's training rows and score its test rows (runs in a worker)."""
+    sub = FeatureMatrix(
+        feature_ids=matrix.feature_ids,
+        X=matrix.X[train_idx],
+        y=matrix.y[train_idx],
+    )
+    return train_model(sub, kind, params, seed=seed).predict_scores(matrix.X[test_idx])
+
+
 def evaluate(
     matrix: FeatureMatrix,
     kind: ModelKind,
@@ -119,24 +136,43 @@ def evaluate(
     k: int = 10,
     seed: int = 0,
 ) -> EvalReport:
-    """k-fold CV: train on each fold's complement, pool out-of-fold scores."""
+    """k-fold CV: train on each fold's complement, pool out-of-fold scores.
+
+    Raises FoldTrainingError for the first fold, in fold order, whose
+    training failed or whose worker process died.
+    """
+    # imported here, not at module top: importing them lengthens every CLI start
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     folds = stratified_kfold(matrix, k=k, seed=seed)
     if isinstance(params, ForestParams):  # a bad setting is not a fold's failure
         params.candidates_per_split(len(matrix.feature_ids))
     scores = np.empty(matrix.n_rows, dtype=np.float64)
-    for fold_no, (train_idx, test_idx) in enumerate(folds):
-        sub = FeatureMatrix(
-            feature_ids=matrix.feature_ids,
-            X=matrix.X[train_idx],
-            y=matrix.y[train_idx],
-        )
-        try:
-            model = train_model(sub, kind, params, seed=seed)
-        except Exception as exc:
-            raise FoldTrainingError(fold_no, exc) from exc
-        scores[test_idx] = model.predict_scores(matrix.X[test_idx])
+    # fork: a worker starts with the package imported, where spawn would import it again
+    pool = ProcessPoolExecutor(
+        max_workers=min(k, len(os.sched_getaffinity(0))),
+        mp_context=multiprocessing.get_context("fork"),
+    )
+    try:
+        futures = [
+            pool.submit(_fold_scores, matrix, kind, params, seed, train_idx, test_idx)
+            for train_idx, test_idx in folds
+        ]
+        for fold_no, ((_, test_idx), future) in enumerate(zip(folds, futures)):
+            try:
+                scores[test_idx] = future.result()
+            except Exception as exc:  # includes BrokenProcessPool when a worker dies
+                raise FoldTrainingError(fold_no, exc) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return pooled_report(kind, matrix.y, scores, k, seed)
 
-    y = matrix.y.astype(np.int8)
+
+def pooled_report(kind: ModelKind, labels: np.ndarray, scores: np.ndarray,
+                  k: int, seed: int) -> EvalReport:
+    """The five measures and the confusion counts of pooled out-of-fold scores."""
+    y = labels.astype(np.int8)
     predicted = (scores >= 0.5).astype(np.int8)
     tp = int(((predicted == 1) & (y == 1)).sum())
     fp = int(((predicted == 1) & (y == 0)).sum())

@@ -112,10 +112,14 @@ def best_split(
     -inf. The first maximum in (candidate, row) order wins, so ties break
     on the earlier candidate (the smaller feature index, as candidates are
     sorted), then the smaller threshold. Returns None when no cut is valid.
+
+    Every binary entropy the scores need (parent, each left and right side,
+    and each cut's left share for the intrinsic information) comes from
+    one ``_xlog2x`` pass over a single vector of probabilities followed by
+    their complements, with the same float expressions as ``entropy_bits``.
     """
     n = y.size
     total_pos = int(y.sum())
-    h_parent = float(entropy_bits(np.array([total_pos]), np.array([n]))[0])
     cols = X[:, candidates]
     order = np.argsort(cols, axis=0, kind="stable")
     v = np.take_along_axis(cols, order, axis=0)
@@ -126,14 +130,19 @@ def best_split(
     pos_left = np.cumsum(y[order], axis=0, dtype=np.float64)[:-1][valid]
     n_left = np.broadcast_to(sizes, valid.shape)[valid]
     n_right = n - n_left
-    pos_right = total_pos - pos_left
-    h_children = (
-        n_left / n * entropy_bits(pos_left, n_left)
-        + n_right / n * entropy_bits(pos_right, n_right)
-    )
-    gain = np.maximum(h_parent - h_children, 0.0)
-    p_l = n_left / n
-    intrinsic = -(_xlog2x(p_l) + _xlog2x(1.0 - p_l))
+    m = n_left.size
+    half = 1 + 3 * m
+    p = np.empty(2 * half)  # [parent, left p's, right p's, left shares, 1 - each]
+    p[0] = total_pos / n
+    np.divide(pos_left, n_left, out=p[1 : 1 + m])
+    np.divide(total_pos - pos_left, n_right, out=p[1 + m : 1 + 2 * m])
+    np.divide(n_left, n, out=p[1 + 2 * m : half])
+    np.subtract(1.0, p[:half], out=p[half:])
+    terms = _xlog2x(p)
+    bits = -(terms[:half] + terms[half:])
+    h_children = n_left / n * bits[1 : 1 + m] + n_right / n * bits[1 + m : 1 + 2 * m]
+    gain = np.maximum(bits[0] - h_children, 0.0)
+    intrinsic = bits[1 + 2 * m :]
     ratio = np.full(valid.shape, -np.inf)
     ratio[valid] = gain / intrinsic
     c, row = divmod(int(np.argmax(ratio.T)), n - 1)

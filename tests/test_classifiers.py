@@ -1,25 +1,35 @@
+import os
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu
 
+from conftest import FIXTURES
+from testability.dataset import ingest_csv, label_by_quartiles, to_feature_matrix
 from testability.learn import (
     DimensionMismatch,
+    FoldTrainingError,
     ForestParams,
     MLPParams,
     ModelKind,
+    NonFiniteLoss,
     SingleClassInput,
     TreeParams,
     auc,
     dump_model,
+    evaluate,
+    evaluation,
     load_model,
     predict,
     train_decision_tree,
     train_mlp,
+    train_model,
     train_random_forest,
 )
-from testability.learn.evaluation import stratified_kfold
+from testability.learn.evaluation import pooled_report, stratified_kfold
 from testability.learn.mlp import loss_and_gradients
 from testability.learn.tree import _xlog2x, best_split, entropy_bits
 from testability.metrics import MetricId
@@ -284,6 +294,63 @@ def test_stratified_kfold_partitions_rows_and_deals_each_class():
     for train, test in folds:
         assert np.intersect1d(train, test).size == 0
         assert train.size + test.size == 40
+
+
+# -- cross-validation across worker processes ------------------------------------
+
+CV_PARAMS = {
+    ModelKind.DECISION_TREE: TreeParams(),
+    ModelKind.RANDOM_FOREST: ForestParams(trees=5),
+    ModelKind.MULTILAYER_PERCEPTRON: MLPParams(epochs=30),
+}
+
+
+def fixture_matrix():
+    with open(os.path.join(FIXTURES, "metrics.csv"), encoding="utf-8", newline="") as handle:
+        return to_feature_matrix(label_by_quartiles(ingest_csv(handle)))
+
+
+def serial_report(fm, kind, params, k, seed):
+    """Every fold trained in this process, one after another: the reference."""
+    scores = np.empty(fm.n_rows)
+    for train, test in stratified_kfold(fm, k=k, seed=seed):
+        sub = FeatureMatrix(feature_ids=fm.feature_ids, X=fm.X[train], y=fm.y[train])
+        scores[test] = train_model(sub, kind, params, seed=seed).predict_scores(fm.X[test])
+    return pooled_report(kind, fm.y, scores, k, seed)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_a_pool_of_one_worker_gives_the_serial_report(kind, monkeypatch):
+    fm = fixture_matrix()
+    params = CV_PARAMS[kind]
+    default = evaluate(fm, kind, params, k=5, seed=3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert evaluate(fm, kind, params, k=5, seed=3) == default
+    assert default == serial_report(fm, kind, params, k=5, seed=3)
+
+
+def test_a_dead_worker_is_a_fold_training_error(monkeypatch):
+    monkeypatch.setattr(evaluation, "train_model", lambda *args, **kwargs: os._exit(1))
+    with pytest.raises(FoldTrainingError) as caught:
+        evaluate(fixture_matrix(), ModelKind.DECISION_TREE, k=3, seed=1)
+    assert caught.value.fold == 0
+    assert "terminated abruptly" in str(caught.value)
+
+
+def test_a_worker_error_keeps_its_message(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise NonFiniteLoss(12)
+
+    monkeypatch.setattr(evaluation, "train_model", diverge)
+    with pytest.raises(FoldTrainingError, match="^training failed on fold 0: "
+                                                "non-finite loss at epoch 12$"):
+        evaluate(fixture_matrix(), ModelKind.MULTILAYER_PERCEPTRON, k=3, seed=1)
+
+
+def test_non_finite_loss_survives_a_pickle_round_trip():
+    clone = pickle.loads(pickle.dumps(NonFiniteLoss(12)))
+    assert str(clone) == "non-finite loss at epoch 12"
+    assert clone.epoch == 12
 
 
 # -- multilayer perceptron ------------------------------------------------------

@@ -12,13 +12,15 @@ import hashlib
 import io
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from classfile_builder import IMPLICIT_CTOR, NOP, RETURN, build_class
 from conftest import CORPUS_DIR, FIXTURES
 from testability.cli import main
-from testability.learn import ModelKind
+from testability.learn import ModelKind, evaluation
 
 DATA = ["--dataset", "metrics.csv", "--config", "run.cfg"]
 PAIRED = ("fix.Box", "fix.Circle", "fix.Empty", "fix.Mixed", "fix.Util")
@@ -258,3 +260,22 @@ def test_predict_with_a_truncated_model_exits_2(workdir):
     code, _, stderr = run("predict", "cut.txt", *DATA, "--out", "p")
     assert code == 2
     assert "bad model file" in stderr
+
+
+def test_a_dead_cross_validation_worker_exits_4_naming_the_classifier(workdir, monkeypatch):
+    monkeypatch.setattr(evaluation, "train_model", lambda *args, **kwargs: os._exit(1))
+    code, _, stderr = run("evaluate", *DATA, "--seed", "1", "--classifier", "forest",
+                          "--out", "out")
+    assert code == 4
+    assert f"{ModelKind.RANDOM_FOREST.value}: training failed on fold 0" in stderr
+
+
+def test_importing_the_cli_loads_no_process_pool_modules():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = ("import sys, testability.cli; "
+              "print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
