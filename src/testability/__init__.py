@@ -25,21 +25,14 @@ from .metrics import (
     MetricId,
     metric_for_column,
 )
-from .records import (
-    ClassRecord,
-    EffectivenessLabel,
-    FeatureMatrix,
-    LabeledDataset,
-    RawDataset,
-    validate_record,
-)
+from .dataset import LabeledDataset, RawDataset
+from .records import EffectivenessLabel, FeatureMatrix
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALL_METRICS",
     "CODE_METRICS",
-    "ClassRecord",
     "DesignProperty",
     "EffectivenessLabel",
     "FeatureMatrix",
@@ -51,5 +44,4 @@ __all__ = [
     "TEST_QUALITY_METRICS",
     "__version__",
     "metric_for_column",
-    "validate_record",
 ]

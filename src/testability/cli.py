@@ -29,7 +29,9 @@ from .correlation import DegenerateInput, correlation_table
 from .dataset import (
     DegenerateSplit,
     IngestError,
+    LabeledDataset,
     MissingColumn,
+    RawDataset,
     TooFewValues,
     ingest_csv,
     label_by_quartiles,
@@ -51,9 +53,9 @@ from .learn import (
 )
 from .learn.base import label_from_score
 from .learn.serialize import ModelFormatError
-from .metrics import INDEPENDENT_VARIABLES, MetricId, metric_for_column
+from .metrics import ALL_METRICS, INDEPENDENT_VARIABLES, MetricId, metric_for_column
 from .ranking import RankingAlgorithm, rank_features
-from .records import EffectivenessLabel, FeatureMatrix, LabeledDataset, RawDataset
+from .records import EffectivenessLabel, FeatureMatrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -240,7 +242,7 @@ def _output_path(config: RunConfig, default_name: str) -> str:
 
 
 def _write_manifest(config: RunConfig, command: str, raw, labeled) -> str:
-    eff = sum(1 for _, l in labeled.records if l is EffectivenessLabel.EFFECTIVE)
+    eff = int(labeled.y.sum())
     params = zip(("tree_params", "forest_params", "mlp_params"), map(config.params, ModelKind))
     text = reports.manifest_text([
         ("command", command),
@@ -302,30 +304,26 @@ def cmd_extract(config: RunConfig) -> int:
         except (OSError, classfile.MalformedClassFile,
                 classfile.UnsupportedMajorVersion) as exc:
             raise CliError(EXIT_INPUT, f"bad class files: {exc}")
-        missing = [name for name in dict.fromkeys(p for p, _ in pairs) if name not in nbi]
-        if missing:
-            raise CliError(EXIT_INPUT, f"no class file for: {', '.join(missing)}")
-    records = javasrc.extract_records(corpus, pairs, nbi_by_class=nbi)
-    columns = [m for m in INDEPENDENT_VARIABLES
-               if m is not MetricId.NBI or nbi is not None]
+    data = javasrc.extract_records(corpus, pairs, nbi_by_class=nbi)  # ValueError: exit 2
     buffer = io.StringIO()
-    dataset.write_records_csv(buffer, records, columns)
+    dataset.write_records_csv(buffer, data, data.columns)
     out_path = _output_path(config, "metrics.csv")
     reports.write_text_atomic(out_path, buffer.getvalue())
-    print(f"extracted {len(records)} paired classes -> {out_path}")
+    print(f"extracted {len(data)} paired classes -> {out_path}")
     return EXIT_OK
 
 
 def cmd_label(config: RunConfig) -> int:
     raw = _ingest(config)
     labeled = _label(config, raw)
-    columns = [m for m in INDEPENDENT_VARIABLES
-               if all(m in r.metrics for r, _ in labeled.records)] + [MetricId.M]
+    kept = labeled.kept
+    if not len(kept):  # with no row kept, no row lacks a variable: all are listed
+        kept = RawDataset((), (), ALL_METRICS, np.empty((0, len(ALL_METRICS))))
+    columns = [m for m in INDEPENDENT_VARIABLES if m in kept.columns] + [MetricId.M]
+    cells = dataset.cell_columns(kept, columns)
+    cells.append(["label", *map(_LABEL_TEXT.get, map(EffectivenessLabel, labeled.y.tolist()))])
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["class_id", "test_id"] + [m.column for m in columns] + ["label"])
-    for record, label in labeled.records:
-        writer.writerow(dataset.record_to_row(record, columns) + [_LABEL_TEXT[label]])
+    csv.writer(buffer, lineterminator="\n").writerows(zip(*cells))
     out_path = os.path.join(config.out, "labeled.csv")
     reports.write_text_atomic(out_path, buffer.getvalue())
     print(
@@ -363,16 +361,12 @@ def cmd_predict(config: RunConfig, model_path: str) -> int:
     except ModelFormatError as exc:
         raise CliError(EXIT_INPUT, f"bad model file: {exc}")
     data = _ingest(config, require=model.feature_ids, missing_exit=EXIT_PREDICT)
-    rows = np.array(
-        [[r[m] for m in model.feature_ids] for r in data.records], dtype=np.float64
-    )
-    scores = model.predict_scores(rows) if len(data) else np.empty(0)
+    scores = model.predict_scores(data.column(model.feature_ids)).tolist() if len(data) else []
+    labels = list(map(label_from_score, scores))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["class_id", "score", "label"])
-    labels = [label_from_score(score) for score in scores]
-    for record, score, label in zip(data.records, scores, labels):
-        writer.writerow([record.class_id, repr(float(score)), _LABEL_TEXT[label]])
+    writer.writerows(zip(data.class_ids, map(repr, scores), map(_LABEL_TEXT.get, labels)))
     out_path = _output_path(config, "predictions.csv")
     reports.write_text_atomic(out_path, buffer.getvalue())
     effective = labels.count(EffectivenessLabel.EFFECTIVE)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import INDEPENDENT_VARIABLES, MetricId
-from .records import LabeledDataset, RawDataset
+from .dataset import LabeledDataset, RawDataset
 
 
 class LengthMismatch(ValueError):
@@ -91,18 +91,15 @@ def correlation_table(
     coefficients.
     """
     if isinstance(data, LabeledDataset):
-        records = [r for r, _ in data.records]
-        kind = "labeled"
+        data, kind = data.kept, "labeled"
     else:
-        records = list(data.records)
         kind = "raw"
-    if len(records) < 3:
+    if len(data) < 3:
         raise DegenerateInput("need at least 3 records")
-    target_values = [r[target] for r in records]
+    target_values = data.column(target)
     full: list[tuple[MetricId, float]] = []
     skipped: list[tuple[MetricId, str]] = []
-    for metric in features:
-        values = [r[metric] for r in records]
+    for metric, values in zip(features, data.column(features).T):
         try:
             rho = spearman(values, target_values)
         except DegenerateInput as exc:
@@ -118,6 +115,6 @@ def correlation_table(
         full_table=tuple(full),
         skipped=tuple(skipped),
         threshold=threshold,
-        population=len(records),
+        population=len(data),
         population_kind=kind,
     )

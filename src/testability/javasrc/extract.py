@@ -20,8 +20,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..metrics import MetricId
-from ..records import ClassRecord
+import numpy as np
+
+from ..dataset import RawDataset
+from ..metrics import INDEPENDENT_VARIABLES, MetricId
 from .corpus import CorpusIndex, build_corpus_index
 from .lexer import PRIMITIVE_TYPES, ParseError
 from .parser import parse_source
@@ -379,20 +381,28 @@ def extract_records(
     corpus: ParsedCorpus,
     pairs: list[tuple[str, str]],
     nbi_by_class: dict[str, int] | None = None,
-) -> list[ClassRecord]:
-    """One record per (production, test) pair.
+) -> RawDataset:
+    """One row per (production, test) pair, columns in INDEPENDENT_VARIABLES order.
 
-    NBI joins in from compiled class files when supplied; otherwise the
-    record simply lacks the column (source-only corpora must still work).
+    NBI joins in from compiled class files when supplied, and then every
+    paired production class needs one; otherwise the NBI column is absent
+    (source-only corpora must still work).
     """
-    records = []
+    columns = [m for m in INDEPENDENT_VARIABLES
+               if m is not MetricId.NBI or nbi_by_class is not None]
+    if nbi_by_class is not None:
+        missing = [name for name in dict.fromkeys(p for p, _ in pairs)
+                   if name not in nbi_by_class]
+        if missing:
+            raise ValueError(f"no class file for: {', '.join(missing)}")
+    rows = []
     for prod, test in pairs:
         prod_entry = corpus.index[prod]
         test_entry = corpus.index[test]
         metrics = compute_code_metrics(prod_entry.decl, prod_entry.unit, corpus.index)
         if nbi_by_class is not None:
-            if prod in nbi_by_class:
-                metrics[MetricId.NBI] = nbi_by_class[prod]
+            metrics[MetricId.NBI] = nbi_by_class[prod]
         metrics.update(compute_test_effort_metrics(test_entry.decl, test_entry.unit))
-        records.append(ClassRecord(class_id=prod, test_id=test, metrics=metrics))
-    return records
+        rows.append([metrics[m] for m in columns])
+    values = np.array(rows, dtype=np.float64).reshape(len(pairs), len(columns))
+    return RawDataset([p for p, _ in pairs], [t for _, t in pairs], columns, values)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..records import EffectivenessLabel, FeatureMatrix, label_array
+from ..records import FeatureMatrix
 from .base import ModelKind, SingleClassInput
 from .forest import ForestParams, train_random_forest
 from .mlp import MLPParams, train_mlp
@@ -33,8 +33,12 @@ class TooFewPerClass(ValueError):
 
 class FoldTrainingError(RuntimeError):
     def __init__(self, fold: int, cause: Exception):
-        self.fold = fold
-        super().__init__(f"training failed on fold {fold}: {cause}")
+        # args stays (fold, cause) so that unpickling can call cls(*args)
+        super().__init__(fold, cause)
+        self.fold, self.cause = fold, cause
+
+    def __str__(self) -> str:
+        return f"training failed on fold {self.fold}: {self.cause}"
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ def stratified_kfold(
     return folds
 
 
-def auc(scores: Sequence[float], labels: Sequence[EffectivenessLabel | int]) -> float:
+def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Area under the ROC curve by the trapezoidal rule.
 
     Sweeping thresholds over the unique scores and joining the resulting
@@ -92,7 +96,7 @@ def auc(scores: Sequence[float], labels: Sequence[EffectivenessLabel | int]) -> 
     equals the probability-of-correct-ranking statistic.
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = label_array(labels)
+    y = np.asarray(labels, dtype=np.intp)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .learn.tree import entropy_bits
 from .metrics import MetricId
-from .records import EffectivenessLabel, FeatureMatrix, label_array
+from .records import FeatureMatrix
 
 
 class RankingAlgorithm(enum.Enum):
@@ -68,7 +68,7 @@ def _entropy(counts: np.ndarray) -> float:
 
 
 def mdl_discretize(
-    feature: Sequence[float], labels: Sequence[EffectivenessLabel | int]
+    feature: Sequence[float], labels: Sequence[int]
 ) -> Discretization:
     """Recursive entropy-minimization binning with the MDL acceptance test.
 
@@ -80,7 +80,7 @@ def mdl_discretize(
     an empty discretization.
     """
     x = np.asarray(feature, dtype=np.float64)
-    y = label_array(labels)
+    y = np.asarray(labels, dtype=np.intp)
     if x.shape != y.shape:
         raise ValueError("feature and labels must have equal length")
     order = np.argsort(x, kind="stable")
@@ -137,15 +137,15 @@ def mdl_discretize(
     return Discretization(cut_points=tuple(sorted(cuts)))
 
 
-def _contingency(bins: Sequence[int], labels: Sequence[EffectivenessLabel | int]) -> np.ndarray:
+def _contingency(bins: Sequence[int], labels: Sequence[int]) -> np.ndarray:
     """Per-bin class counts: row b holds (NonEffective, Effective) in bin b."""
     b = np.asarray(bins, dtype=np.intp)
     table = np.zeros((int(b.max()) + 1 if b.size else 1, 2), dtype=np.int64)
-    np.add.at(table, (b, label_array(labels)), 1)
+    np.add.at(table, (b, np.asarray(labels, dtype=np.intp)), 1)
     return table
 
 
-def info_gain(bins: Sequence[int], labels: Sequence[EffectivenessLabel | int]) -> float:
+def info_gain(bins: Sequence[int], labels: Sequence[int]) -> float:
     """H(class) - H(class | binned feature), in bits; never negative."""
     table = _contingency(bins, labels)
     n = table.sum()
@@ -156,7 +156,7 @@ def info_gain(bins: Sequence[int], labels: Sequence[EffectivenessLabel | int]) -
     return max(0.0, h_class - float(conditional))
 
 
-def gain_ratio(bins: Sequence[int], labels: Sequence[EffectivenessLabel | int]) -> float:
+def gain_ratio(bins: Sequence[int], labels: Sequence[int]) -> float:
     """Information gain normalized by the binned feature's own entropy."""
     h_feature = _entropy(_contingency(bins, labels).sum(axis=1))
     if h_feature == 0.0:
@@ -165,7 +165,7 @@ def gain_ratio(bins: Sequence[int], labels: Sequence[EffectivenessLabel | int]) 
 
 
 def symmetric_uncertainty(
-    bins: Sequence[int], labels: Sequence[EffectivenessLabel | int]
+    bins: Sequence[int], labels: Sequence[int]
 ) -> float:
     """2*IG / (H(class) + H(feature)), in [0, 1]."""
     table = _contingency(bins, labels)
@@ -177,7 +177,7 @@ def symmetric_uncertainty(
 
 def oner_score(
     feature: Sequence[float],
-    labels: Sequence[EffectivenessLabel | int],
+    labels: Sequence[int],
     min_bucket: int = 6,
 ) -> float:
     """Training accuracy of the one-rule built on this feature alone.
@@ -187,7 +187,7 @@ def oner_score(
     merged backwards. Each bucket predicts its majority class.
     """
     x = np.asarray(feature, dtype=np.float64)
-    y = label_array(labels)
+    y = np.asarray(labels, dtype=np.intp)
     if x.size < 2:
         raise ValueError("need at least 2 rows")
     order = np.argsort(x, kind="stable")

@@ -30,7 +30,7 @@ from testability.learn import (
     train_random_forest,
 )
 from testability.learn.evaluation import pooled_report, stratified_kfold
-from testability.learn.mlp import loss_and_gradients
+from testability.learn.mlp import _sigmoid, loss_and_gradients
 from testability.learn.tree import _xlog2x, best_split, entropy_bits
 from testability.metrics import MetricId
 from testability.records import EffectivenessLabel, FeatureMatrix
@@ -353,7 +353,33 @@ def test_non_finite_loss_survives_a_pickle_round_trip():
     assert clone.epoch == 12
 
 
+def test_fold_training_error_survives_a_pickle_round_trip():
+    clone = pickle.loads(pickle.dumps(FoldTrainingError(3, ValueError("x"))))
+    assert str(clone) == "training failed on fold 3: x"
+    assert clone.fold == 3
+
+
 # -- multilayer perceptron ------------------------------------------------------
+
+
+def reference_sigmoid(z):
+    """The masked form the branch-free _sigmoid replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_form():
+    rng = np.random.default_rng(11)
+    edges = [0.0, -0.0, np.inf, -np.inf, 709.8, -709.8, 745.2, -745.2, 1e-320, -1e-320]
+    for z in [rng.standard_normal((1000, 18)) * scale for scale in (0.1, 1, 30, 300)] + [
+            np.array(edges)]:
+        assert np.array_equal(_sigmoid(z).view(np.uint64), reference_sigmoid(z).view(np.uint64))
+    z = np.array([np.nan, -np.nan, 1.0])
+    assert np.array_equal(_sigmoid(z), reference_sigmoid(z), equal_nan=True)
 
 
 def test_mlp_gradients_match_central_finite_differences():

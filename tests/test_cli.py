@@ -21,6 +21,7 @@ from classfile_builder import IMPLICIT_CTOR, NOP, RETURN, build_class
 from conftest import CORPUS_DIR, FIXTURES
 from testability.cli import main
 from testability.learn import ModelKind, evaluation
+from testability.metrics import INDEPENDENT_VARIABLES
 
 DATA = ["--dataset", "metrics.csv", "--config", "run.cfg"]
 PAIRED = ("fix.Box", "fix.Circle", "fix.Empty", "fix.Mixed", "fix.Util")
@@ -174,6 +175,8 @@ def test_outputs_match_golden_digests(workdir):
     (["label", *DATA, "--q1", "0.5", "--q3", "0.5"], 3, "degenerate"),
     (["evaluate", *DATA, "--seed", "1", "--classifier", "tree", "--k", "100"], 4,
      ModelKind.DECISION_TREE.value),
+    (["label", "--features", "LOC", "--dataset", os.path.join(FIXTURES, "short-id-row.csv")],
+     2, "bad dataset: row 2, column class_path: bad cell ''"),
 ])
 def test_error_exit_codes(workdir, argv, code, message):
     got, _, stderr = run(*argv, "--out", "out")
@@ -216,6 +219,18 @@ def test_out_of_range_settings_exit_2_and_write_no_report(workdir, command, sett
     assert code == 2
     assert message in stderr
     assert not os.path.exists("out") or os.listdir("out") == []
+
+
+def test_labelling_that_keeps_no_row_writes_every_variable_in_the_header(workdir):
+    with open("mid.csv", "w", encoding="utf-8") as out:
+        out.write("class_path,test_path,LOC,M\na,b,1,0.5\nc,d,2,0.6\n")
+    code, stdout, _ = run("label", "--features", "LOC", "--dataset", "mid.csv",
+                          "--q1", "0.1", "--q3", "0.9", "--out", "out")
+    assert code == 0 and "labeled 0" in stdout
+    with open("out/labeled.csv", encoding="utf-8") as handle:
+        assert handle.read() == ",".join(
+            ["class_id", "test_id", *(m.column for m in INDEPENDENT_VARIABLES), "M", "label"]
+        ) + "\n"
 
 
 def test_predict_on_csv_missing_a_model_feature_exits_5(workdir):

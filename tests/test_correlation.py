@@ -13,7 +13,7 @@ from testability.correlation import (
     spearman,
 )
 from testability.metrics import MetricId
-from testability.records import ClassRecord, RawDataset
+from testability.dataset import RawDataset
 
 
 # -- independent oracle: explicit rank assignment + textbook Pearson ---------
@@ -116,11 +116,8 @@ def test_spearman_invariant_under_strictly_increasing_transforms(n, rnd):
 
 def _dataset(columns: dict[MetricId, list[float]]):
     n = len(next(iter(columns.values())))
-    records = []
-    for i in range(n):
-        metrics = {m: values[i] for m, values in columns.items()}
-        records.append(ClassRecord(f"c{i}", f"t{i}", metrics))
-    return RawDataset(records=tuple(records))
+    return RawDataset([f"c{i}" for i in range(n)], [f"t{i}" for i in range(n)],
+                      tuple(columns), np.column_stack(list(columns.values())))
 
 
 def test_correlation_table_perfect_feature():

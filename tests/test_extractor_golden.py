@@ -32,7 +32,7 @@ from testability.javasrc.extract import (
     compute_code_metrics,
     compute_test_effort_metrics,
 )
-from testability.metrics import MetricId as M
+from testability.metrics import INDEPENDENT_VARIABLES, MetricId as M
 
 # (LOC, LOCCOM, NPM, NSTAM, NOF, NSTAF, NMC, NMCI, NMCE) then
 # (WMC, AMC, RFC), (DIT, NOC, MFA), (CBO, IC, CBM, Ca, Ce),
@@ -211,9 +211,10 @@ def test_pairing_convention(corpus_index):
 
 
 def test_extracted_records_cover_pairs_with_nbi(corpus):
-    records = extract_records(corpus, pair_classes(corpus.index), fixture_nbi_map())
-    assert [(r.class_id, r.test_id) for r in records] == EXPECTED_PAIRS
-    by_class = {r.class_id: r for r in records}
+    data = extract_records(corpus, pair_classes(corpus.index), fixture_nbi_map())
+    assert list(zip(data.class_ids, data.test_ids)) == EXPECTED_PAIRS
+    assert data.columns == INDEPENDENT_VARIABLES
+    by_class = dict(zip(data.class_ids, data.records))
     for qname, expected_nbi in EXPECTED_NBI.items():
         assert by_class[qname][M.NBI] == expected_nbi
     record = by_class["fix.Mixed"]
@@ -223,11 +224,21 @@ def test_extracted_records_cover_pairs_with_nbi(corpus):
         assert record[metric] == pytest.approx(value, abs=1e-9)
 
 
+def test_extraction_without_class_files_has_no_nbi_column(corpus):
+    data = extract_records(corpus, pair_classes(corpus.index))
+    assert data.columns == tuple(m for m in INDEPENDENT_VARIABLES if m is not M.NBI)
+
+
+def test_extraction_needs_a_class_file_for_every_paired_class(corpus):
+    nbi = {name: n for name, n in fixture_nbi_map().items() if name != "fix.Box"}
+    with pytest.raises(ValueError, match="^no class file for: fix.Box$"):
+        extract_records(corpus, pair_classes(corpus.index), nbi)
+
+
 def test_nmc_identity_holds_for_all_extracted(corpus):
-    records = extract_records(corpus, pair_classes(corpus.index))
-    for record in records:
-        assert record[M.NMC] == record[M.NMCI] + record[M.NMCE]
-        assert record[M.WMC] >= 0 and record[M.RFC] >= 0
+    data = extract_records(corpus, pair_classes(corpus.index))
+    assert (data.column(M.NMC) == data.column(M.NMCI) + data.column(M.NMCE)).all()
+    assert (data.column(M.WMC) >= 0).all() and (data.column(M.RFC) >= 0).all()
 
 
 def test_reextraction_is_bit_identical(corpus):
@@ -237,9 +248,9 @@ def test_reextraction_is_bit_identical(corpus):
 
     first = extract_records(corpus, pair_classes(corpus.index))
     again = extract_records(parse_corpus([CORPUS_DIR]), pair_classes(corpus.index))
-    assert [(r.class_id, r.test_id, dict(r.metrics)) for r in first] == [
-        (r.class_id, r.test_id, dict(r.metrics)) for r in again
-    ]
+    assert (first.class_ids, first.test_ids, first.columns) == (
+        again.class_ids, again.test_ids, again.columns)
+    assert first.values.tobytes() == again.values.tobytes()
 
 
 def test_index_is_order_independent(corpus):

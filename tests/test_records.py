@@ -4,55 +4,84 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from testability.dataset import ingest_csv, record_to_row, write_records_csv
-from testability.metrics import ALL_METRICS, INDEPENDENT_VARIABLES, MetricId
-from testability.records import (
-    ClassRecord,
-    EffectivenessLabel,
-    FeatureMatrix,
-    validate_record,
-)
+from testability.dataset import InvalidRecord, RawDataset, ingest_csv, write_records_csv
+from testability.metrics import COUNT_METRICS, INDEPENDENT_VARIABLES, MetricId
+from testability.records import EffectivenessLabel, FeatureMatrix
+
+RECORD = {
+    MetricId.NMC: 5.0, MetricId.NMCI: 2.0, MetricId.NMCE: 3.0,
+    MetricId.DAM: 0.5, MetricId.MFA: 0.0, MetricId.CAM: 1.0,
+    MetricId.LCOM3: 1.2, MetricId.M: 0.7, MetricId.LOC: 10.0,
+}
 
 
 def make_record(**overrides):
-    metrics = {
-        MetricId.NMC: 5.0, MetricId.NMCI: 2.0, MetricId.NMCE: 3.0,
-        MetricId.DAM: 0.5, MetricId.MFA: 0.0, MetricId.CAM: 1.0,
-        MetricId.LCOM3: 1.2, MetricId.M: 0.7, MetricId.LOC: 10.0,
-    }
+    """A one-row dataset of RECORD with some columns replaced."""
+    metrics = dict(RECORD)
     for key, value in overrides.items():
         metrics[MetricId(key)] = value
-    return ClassRecord("a.B", "a.BTest", metrics)
+    return RawDataset(("a.B",), ("a.BTest",), tuple(metrics), [list(metrics.values())])
+
+
+def ingest_violations(data):
+    """The violations ingest reports for the dataset's one row; [] when it is valid."""
+    buffer = io.StringIO()
+    buffer.write("class_id,test_id," + ",".join(m.column for m in data.columns) + "\n")
+    buffer.write(",".join([data.class_ids[0], data.test_ids[0],
+                           *map(repr, data.values[0].tolist())]) + "\n")
+    try:
+        ingest_csv(buffer.getvalue())
+    except InvalidRecord as exc:
+        assert exc.row == 2
+        return list(exc.violations)
+    return []
 
 
 def test_valid_record_has_no_violations():
-    assert validate_record(make_record()) == []
+    assert ingest_violations(make_record()) == []
 
 
 def test_dam_range_violation():
-    violations = validate_record(make_record(DAM=1.3))
+    violations = ingest_violations(make_record(DAM=1.3))
     assert violations == ["DAM out of [0,1]"]
 
 
 def test_nmc_identity_violation():
-    violations = validate_record(make_record(NMCI=4.0, NMCE=2.0, NMC=5.0))
+    violations = ingest_violations(make_record(NMCI=4.0, NMCE=2.0, NMC=5.0))
     assert "NMC != NMCI+NMCE" in violations
 
 
 def test_count_integrality_and_sign():
-    assert "LOC is not an integer" in validate_record(make_record(LOC=1.5))
-    assert "LOC is negative" in validate_record(make_record(LOC=-1.0))
+    assert "LOC is not an integer" in ingest_violations(make_record(LOC=1.5))
+    assert "LOC is negative" in ingest_violations(make_record(LOC=-1.0))
 
 
 def test_lcom3_upper_range():
-    assert validate_record(make_record(LCOM3=2.0)) == []
-    assert "LCOM3 out of [0,2]" in validate_record(make_record(LCOM3=2.5))
+    assert ingest_violations(make_record(LCOM3=2.0)) == []
+    assert "LCOM3 out of [0,2]" in ingest_violations(make_record(LCOM3=2.5))
+
+
+def test_violations_are_listed_by_column_then_check():
+    violations = ingest_violations(make_record(NMC=-1.5, DAM=float("inf"), LOC=2.5, M=1.5))
+    assert violations == [
+        "NMC is negative", "NMC is not an integer", "DAM is not finite",
+        "M out of [0,1]", "LOC is not an integer", "NMC != NMCI+NMCE",
+    ]
 
 
 def test_records_are_immutable():
-    record = make_record()
-    with pytest.raises(TypeError):
-        record.metrics[MetricId.LOC] = 1.0
+    data = make_record()
+    with pytest.raises(ValueError, match="read-only"):
+        data.values[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        data.columns = ()
+
+
+def test_dataset_values_must_be_rows_by_columns():
+    with pytest.raises(ValueError, match="rows x columns"):
+        RawDataset(("a",), ("t",), (MetricId.LOC,), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="rows x columns"):
+        RawDataset(("a",), (), (MetricId.LOC,), np.zeros((1, 1)))
 
 
 def test_feature_matrix_rejects_test_quality_features():
@@ -84,8 +113,6 @@ def test_serialization_round_trip_is_identity(values, score):
     metrics = dict(zip(INDEPENDENT_VARIABLES, values))
     metrics[MetricId.M] = score
     # force integrality where the vocabulary demands it
-    from testability.metrics import COUNT_METRICS
-
     for metric in list(metrics):
         if metric in COUNT_METRICS:
             metrics[metric] = float(int(metrics[metric]))
@@ -94,11 +121,11 @@ def test_serialization_round_trip_is_identity(values, score):
         if metric is MetricId.LCOM3:
             metrics[metric] = min(2.0, metrics[metric] / 1e6)
     metrics[MetricId.NMC] = metrics[MetricId.NMCI] + metrics[MetricId.NMCE]
-    record = ClassRecord("p.C", "p.CTest", metrics)
+    data = RawDataset(("p.C",), ("p.CTest",), tuple(metrics), [list(metrics.values())])
     columns = list(INDEPENDENT_VARIABLES) + [MetricId.M]
     buffer = io.StringIO()
-    write_records_csv(buffer, [record], columns)
-    back = ingest_csv(buffer.getvalue()).records[0]
-    assert back.class_id == record.class_id
-    assert back.test_id == record.test_id
-    assert dict(back.metrics) == dict(record.metrics)
+    write_records_csv(buffer, data, columns)
+    back = ingest_csv(buffer.getvalue())
+    assert back.class_ids == data.class_ids
+    assert back.test_ids == data.test_ids
+    assert back.records == data.records
