@@ -123,6 +123,10 @@ class RunConfig:
             return None
         if self.q1 is None or self.q3 is None:
             raise CliError(EXIT_INPUT, "q1 and q3 must be overridden together")
+        if not self.q1 <= self.q3:  # NaN fails too; q1 == q3 is a degenerate split (exit 3)
+            raise CliError(
+                EXIT_INPUT, f"q1 must be at most q3, got q1={self.q1!r} and q3={self.q3!r}"
+            )
         return (self.q1, self.q3)
 
     def params(self, kind: ModelKind) -> TreeParams | ForestParams | MLPParams:

@@ -155,6 +155,8 @@ def ingest_csv(
         header = next(reader)
     except StopIteration:
         raise IngestError("empty input: no header row") from None
+    except csv.Error as exc:
+        raise IngestError(f"row {reader.line_num}: {exc}") from None
     header = [h.strip() for h in header]
 
     metric_cols: dict[int, MetricId] = {}
@@ -193,6 +195,8 @@ def ingest_csv(
             if (class_id, test_id) in ids:  # an id made of the row number never repeats
                 raise DuplicateRecord(class_id, test_id)
             ids[class_id, test_id] = None
+    except csv.Error as exc:  # such as a cell over the csv module's field size limit
+        raise IngestError(f"row {reader.line_num}: {exc}") from None
     finally:  # an earlier row's violation comes before whatever stopped the loop
         values = np.frombuffer(buffer, dtype=np.float64).reshape(len(row_nos), len(metric_cols))
         values = values.take([last_cell[m] for m in columns], axis=1)

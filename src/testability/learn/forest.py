@@ -1,8 +1,11 @@
 """Random forest: gain-ratio trees over bootstrap samples, majority vote.
 
-Trees are grown one after another. Each derives its own RNG from the
-master seed via spawned seed sequences, so tree i depends only on the
-seed, i and the data.
+Each tree derives its own RNG from the master seed via spawned seed
+sequences, draws its bootstrap rows and then its split candidates from it,
+so tree i depends only on the seed, i and the data. The trees grow in
+lockstep on one engine (``tree.grow_trees``): each round scores the next
+node of every tree together. A tree's bootstrap is a set of row indices
+into the training matrix, not a copy of its rows.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from ..metrics import MetricId
 from ..records import FeatureMatrix
 from .base import ModelKind, check_row_width, check_two_classes
-from .tree import TreeNode, grow_tree, tree_scores
+from .tree import TreeNode, grow_trees, tree_scores
 
 
 @dataclass(frozen=True)
@@ -69,23 +72,9 @@ def train_random_forest(
     check_two_classes(matrix.y)
     n, d = matrix.X.shape
     fps = params.candidates_per_split(d)
-    roots: list[TreeNode] = []
-    for seq in np.random.SeedSequence(seed).spawn(params.trees):
-        rng = np.random.default_rng(seq)
-        if params.bootstrap:
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
-        roots.append(
-            grow_tree(
-                matrix.X[idx],
-                matrix.y[idx],
-                min_leaf=params.min_leaf,
-                max_depth=None,
-                n_candidates=fps,
-                rng=rng,
-            )
-        )
+    rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(params.trees)]
+    rows = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n) for rng in rngs]
+    roots = grow_trees(matrix.X, matrix.y, rows, params.min_leaf, n_candidates=fps, rngs=rngs)
     return RandomForestModel(
         kind=ModelKind.RANDOM_FOREST,
         feature_ids=matrix.feature_ids,

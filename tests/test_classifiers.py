@@ -29,9 +29,18 @@ from testability.learn import (
     train_model,
     train_random_forest,
 )
+from testability.learn import tree
 from testability.learn.evaluation import pooled_report, stratified_kfold
+from testability.learn.forest import RandomForestModel
 from testability.learn.mlp import _sigmoid, loss_and_gradients
-from testability.learn.tree import _xlog2x, best_split, entropy_bits
+from testability.learn.tree import (
+    DecisionTreeModel,
+    TreeNode,
+    _xlog2x,
+    best_splits,
+    column_codes,
+    entropy_bits,
+)
 from testability.metrics import MetricId
 from testability.records import EffectivenessLabel, FeatureMatrix
 
@@ -167,21 +176,163 @@ def split_problems(draw):
     return X, np.array(labels, dtype=np.intp), candidates, min_leaf
 
 
+def score_one(X, y, candidates, min_leaf):
+    """One node over every row of X, through the batched scorer."""
+    (split,) = best_splits(column_codes(X, y), [(np.arange(y.size), np.array(candidates))],
+                           min_leaf)
+    return split
+
+
 @settings(max_examples=500, deadline=None)
 @given(split_problems())
-def test_best_split_matches_the_per_feature_reference(problem):
-    assert best_split(*problem) == reference_best_split(*problem)
+def test_split_scorer_matches_the_per_feature_reference(problem):
+    assert score_one(*problem) == reference_best_split(*problem)
 
 
-def test_best_split_ties_go_to_the_smaller_feature_then_the_smaller_threshold():
+@settings(max_examples=300, deadline=None)
+@given(st.lists(split_problems(), min_size=2, max_size=6), st.sampled_from([1, 20, 1 << 15]))
+def test_split_scorer_scores_several_problems_in_one_call(problems, slice_cells):
+    """Problems stacked as row blocks of one matrix, scored as one round of nodes."""
+    min_leaf = problems[0][3]
+    d = max(X.shape[1] for X, _, _, _ in problems)
+    X = np.vstack([np.pad(X, ((0, 0), (0, d - X.shape[1]))) for X, _, _, _ in problems])
+    y = np.concatenate([y for _, y, _, _ in problems])
+    ends = np.cumsum([y.size for _, y, _, _ in problems])
+    nodes = [(np.arange(end - y.size, end), np.array(candidates))
+             for end, (_, y, candidates, _) in zip(ends, problems)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree, "SLICE_CELLS", slice_cells)
+        got = best_splits(column_codes(X, y), nodes, min_leaf)
+    assert got == [reference_best_split(X, y, c, min_leaf) for X, y, c, _ in problems]
+
+
+def test_split_scorer_ties_go_to_the_smaller_feature_then_the_smaller_threshold():
     # features 0 and 2 are copies, and each separates the labels at 1.5 and
     # at 2.5 with the same gain ratio
     X = np.array([[1, 9, 1], [2, 9, 2], [2, 9, 2], [3, 9, 3]], dtype=float)
     y = np.array([0, 1, 1, 0])
-    assert best_split(X, y, [0, 1, 2], 1) == (0, 1.5)
-    assert best_split(X, y, [1, 2], 1) == (2, 1.5)
-    assert best_split(X, y, [1], 1) is None  # a constant column has no cut
-    assert best_split(X, y, [0, 2], 3) is None  # no cut keeps 3 rows a side
+    assert score_one(X, y, [0, 1, 2], 1) == (0, 1.5)
+    assert score_one(X, y, [1, 2], 1) == (2, 1.5)
+    assert score_one(X, y, [1], 1) is None  # a constant column has no cut
+    assert score_one(X, y, [0, 2], 3) is None  # no cut keeps 3 rows a side
+    # each side of every cut is half Effective, so every gain is exactly 0: the 4|4
+    # cut at 0.5 comes first and wins over the 6|2 cut at 1.5, whose intrinsic
+    # information is smaller
+    X = np.array([[0], [0], [0], [0], [1], [1], [2], [2]], dtype=float)
+    assert score_one(X, np.array([0, 1, 0, 1, 0, 1, 0, 1]), [0], 1) == (0, 0.5)
+
+
+# -- lockstep growth against one tree at a time -----------------------------------
+
+
+def reference_grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    min_leaf: int,
+    max_depth: int | None,
+    n_candidates: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> TreeNode:
+    """The earlier one-tree-at-a-time ``grow_tree``, kept as the oracle of
+    ``grow_trees``; only its ``best_split`` call now goes to the reference.
+
+    Grow a tree iteratively (no recursion limit on deep trees).
+
+    When ``n_candidates`` is given, that many feature indices are sampled
+    uniformly without replacement at every split (random-forest mode).
+    """
+    d = X.shape[1]
+    root = TreeNode()
+    stack: list[tuple[TreeNode, np.ndarray, int]] = [(root, np.arange(y.size), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        sub_y = y[idx]
+        pos = int(sub_y.sum())
+        node.counts = (idx.size - pos, pos)
+        if pos in (0, idx.size) or (max_depth is not None and depth >= max_depth):
+            continue
+        if n_candidates is not None and n_candidates < d:
+            assert rng is not None
+            candidates = np.sort(rng.choice(d, size=n_candidates, replace=False))
+        else:
+            candidates = np.arange(d)
+        split = reference_best_split(X[idx], sub_y, list(candidates), min_leaf)
+        if split is None:
+            continue
+        node.feature, node.threshold = split
+        mask = X[idx, node.feature] <= node.threshold
+        node.left = TreeNode()
+        node.right = TreeNode()
+        stack.append((node.right, idx[~mask], depth + 1))
+        stack.append((node.left, idx[mask], depth + 1))
+    return root
+
+
+def reference_forest(fm, params, seed):
+    """Trees grown one after another on bootstrap copies, as forests were before."""
+    n, d = fm.X.shape
+    fps = params.candidates_per_split(d)
+    roots = []
+    for seq in np.random.SeedSequence(seed).spawn(params.trees):
+        rng = np.random.default_rng(seq)
+        idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        roots.append(reference_grow_tree(fm.X[idx], fm.y[idx], min_leaf=params.min_leaf,
+                                         max_depth=None, n_candidates=fps, rng=rng))
+    return RandomForestModel(kind=ModelKind.RANDOM_FOREST, feature_ids=fm.feature_ids,
+                             seed=seed, params=params, roots=roots)
+
+
+@st.composite
+def tree_matrices(draw):
+    """Tie-heavy matrices of 2-60 rows by 1-8 columns with both classes: small
+    integers with mixed signed zeros, scaled by 1e-300, 1, -1 or 1e300, and
+    sometimes noise on top."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0]),
+                          min_size=n * d, max_size=n * d))
+    X = np.array(cells).reshape(n, d) * draw(st.sampled_from([1e-300, 1.0, -1.0, 1e300]))
+    if draw(st.booleans()):
+        noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, d))
+        X = X + noise * np.abs(X).max() * draw(st.sampled_from([1e-9, 0.3]))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[:2] = [0, 1]  # two classes, so training accepts the matrix
+    return FeatureMatrix(feature_ids=tuple(MetricId)[:d], X=X, y=np.array(labels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_matrices(), st.data())
+def test_lockstep_forest_dumps_match_trees_grown_one_at_a_time(fm, data):
+    params = ForestParams(
+        trees=data.draw(st.integers(1, 15)),
+        features_per_split=data.draw(st.integers(1, fm.n_features)),
+        min_leaf=data.draw(st.integers(1, 4)),
+        bootstrap=data.draw(st.booleans()),
+    )
+    seed = data.draw(st.integers(0, 1000))
+    with pytest.MonkeyPatch.context() as patch:  # small slices split the first rounds
+        patch.setattr(tree, "SLICE_CELLS", data.draw(st.sampled_from([1, 64, 1 << 15])))
+        got = dump_model(train_random_forest(fm, params, seed))
+    assert got == dump_model(reference_forest(fm, params, seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_matrices(), st.integers(1, 4), st.sampled_from([None, 0, 1, 2, 3]))
+def test_single_tree_dump_matches_the_tree_grown_node_by_node(fm, min_leaf, max_depth):
+    params = TreeParams(min_leaf=min_leaf, max_depth=max_depth)
+    root = reference_grow_tree(fm.X, fm.y, min_leaf, max_depth)
+    expected = DecisionTreeModel(kind=ModelKind.DECISION_TREE, feature_ids=fm.feature_ids,
+                                 seed=0, params=params, root=root)
+    assert dump_model(train_decision_tree(fm, params)) == dump_model(expected)
+
+
+def test_a_first_round_over_the_slice_is_scored_in_several_slices(monkeypatch):
+    fm = fixture_matrix()
+    params = ForestParams(trees=8)
+    expected = dump_model(reference_forest(fm, params, seed=4))
+    assert fm.n_rows * params.candidates_per_split(fm.n_features) * params.trees > 2000
+    monkeypatch.setattr(tree, "SLICE_CELLS", 2000)
+    assert dump_model(train_random_forest(fm, params, seed=4)) == expected
 
 
 # -- random forest ------------------------------------------------------------

@@ -177,8 +177,12 @@ def test_outputs_match_golden_digests(workdir):
      ModelKind.DECISION_TREE.value),
     (["label", "--features", "LOC", "--dataset", os.path.join(FIXTURES, "short-id-row.csv")],
      2, "bad dataset: row 2, column class_path: bad cell ''"),
+    (["label", "--features", "LOC", "--dataset", "big-cell.csv"],
+     2, "bad dataset: row 3: field larger than field limit (131072)"),
 ])
 def test_error_exit_codes(workdir, argv, code, message):
+    with open("big-cell.csv", "w", encoding="utf-8") as out:  # a cell over the csv field limit
+        out.write("LOC,M\n1,0.5\n" + "9" * 140_000 + ",0.5\n")
     got, _, stderr = run(*argv, "--out", "out")
     assert got == code
     assert message in stderr
@@ -210,6 +214,9 @@ def test_error_exit_codes(workdir, argv, code, message):
     ("pipeline", ["--threshold", "2"], "threshold must be in [0, 1], got 2.0"),
     ("correlate", ["--config", "bad.cfg", "population = bogus"],
      "population must be raw or labeled, got 'bogus'"),
+    ("label", ["--q1", "0.9", "--q3", "0.1"], "q1 must be at most q3, got q1=0.9 and q3=0.1"),
+    ("pipeline", ["--config", "bad.cfg", "q1 = 0.8\nq3 = 0.2"],
+     "q1 must be at most q3, got q1=0.8 and q3=0.2"),
 ])
 def test_out_of_range_settings_exit_2_and_write_no_report(workdir, command, settings, message):
     if "--config" in settings:

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, TextIO
@@ -99,6 +100,23 @@ def test_an_earlier_invalid_row_wins_over_a_later_bad_cell_or_duplicate():
     for later in ("a,b,1,x", "a,b,1,0.5"):
         with pytest.raises(InvalidRecord, match="^row 3: M out of \\[0,1\\]$"):
             ingest_csv(csv_text(["a,b,1,0.5", "c,d,1,2", later], "class_path,test_path,LOC,M"))
+
+
+#: A cell one character over the csv module's default field size limit.
+OVERSIZED_CELL = "9" * (csv.field_size_limit() + 1)
+
+
+def test_an_oversized_cell_is_an_ingest_error_naming_its_row():
+    limit = re.escape(f"field larger than field limit ({csv.field_size_limit()})")
+    with pytest.raises(IngestError, match=f"^row 3: {limit}$") as info:
+        ingest_csv(csv_text(["a,b,1,0.5", f"c,d,{OVERSIZED_CELL},0.5"],
+                            "class_path,test_path,LOC,M"))
+    assert type(info.value) is IngestError
+    with pytest.raises(IngestError, match=f"^row 1: {limit}$"):
+        ingest_csv(f"LOC,M,{OVERSIZED_CELL}\n1,0.5\n")
+    with pytest.raises(InvalidRecord, match="^row 2: M out of \\[0,1\\]$"):
+        ingest_csv(csv_text(["a,b,1,2", f"c,d,{OVERSIZED_CELL},0.5"],
+                            "class_path,test_path,LOC,M"))
 
 
 def test_a_header_without_rows_gives_an_empty_matrix():
@@ -376,8 +394,11 @@ def metrics_csv(draw):
                 cells.append(draw(st.sampled_from(ID_CELLS)))
             else:
                 cells.append("p")
-        shape = draw(st.sampled_from(["full", "full", "full", "short", "trimmed", "blank"]))
-        if shape == "short":
+        shape = draw(st.sampled_from(["full", "full", "full", "short", "trimmed", "blank",
+                                      "oversized"]))
+        if shape == "oversized" and cells:
+            cells[draw(st.integers(0, len(cells) - 1))] = OVERSIZED_CELL
+        elif shape == "short":
             cells = cells[:draw(st.integers(0, len(cells)))]
         elif shape == "trimmed":  # ends at its last metric cell
             cells = cells[:max((i + 1 for i, n in enumerate(header) if n in VALID_CELLS),
@@ -411,5 +432,8 @@ def test_ingest_matches_the_row_by_row_reference(text, require):
     if expected[0] is IndexError:  # the reference crashed on a short row's id cell
         assert got[0] is BadCell and got[1].endswith(": bad cell ''")
         assert got[1].split("column ")[1].split(":")[0] in ID_HEADERS
+    elif expected[0] is csv.Error:  # the reader refused a row, such as an oversized cell
+        assert got[0] is IngestError and got[1].startswith("row ")
+        assert got[1].endswith(f": {expected[1]}")
     else:
         assert got == expected
