@@ -27,11 +27,29 @@ from ..metrics import INDEPENDENT_VARIABLES, MetricId
 from .corpus import CorpusIndex, build_corpus_index
 from .lexer import PRIMITIVE_TYPES, ParseError
 from .parser import parse_source
-from .tree import EventSink, MethodDecl, SyntaxTree, TypeDecl
+from .tree import EventSink, FieldDecl, MethodDecl, SyntaxTree, TypeDecl
 
 
-def _declared_methods(decl: TypeDecl) -> list[MethodDecl]:
-    return [m for m in decl.all_methods() if not m.is_constructor]
+@dataclass(frozen=True)
+class ClassFacts:
+    """What several metric groups read of one class, built once per class."""
+
+    decl: TypeDecl
+    methods: list[MethodDecl]  # declared methods, nested and anonymous ones folded in
+    signatures: frozenset[tuple[str, int]]  # (name, arity) of ``methods``
+    fields: list[FieldDecl]
+    events: EventSink  # every body's events, nested and anonymous ones folded in
+
+
+def class_facts(decl: TypeDecl) -> ClassFacts:
+    methods = [m for m in decl.all_methods() if not m.is_constructor]
+    return ClassFacts(
+        decl=decl,
+        methods=methods,
+        signatures=frozenset(m.signature for m in methods),
+        fields=decl.all_fields(),
+        events=decl.all_events(),
+    )
 
 
 def _is_public(method: MethodDecl, owner_kind: str) -> bool:
@@ -55,7 +73,8 @@ def _weighted_methods(methods: list[MethodDecl]) -> tuple[int, float]:
     return wmc, wmc / len(methods) if methods else 0.0
 
 
-def compute_size_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, float]:
+def _size_metrics(facts: ClassFacts, tree: SyntaxTree) -> dict[MetricId, float]:
+    decl = facts.decl
     start, end = decl.line_span
     loccom_lines: set[int] = set()
     for span in tree.comments:
@@ -75,14 +94,13 @@ def compute_size_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, flo
         for f in owner.fields:
             if "static" in f.modifiers or owner.kind in ("interface", "annotation"):
                 nstaf += 1
-    events = decl.all_events()
-    signatures = {m.signature for m in _declared_methods(decl)}
+    calls = facts.events.calls
     nmci = sum(
         1
-        for call in events.calls
-        if call.receiver in (None, "this") and (call.name, call.argc) in signatures
+        for call in calls
+        if call.receiver in (None, "this") and (call.name, call.argc) in facts.signatures
     )
-    nmc = len(events.calls)
+    nmc = len(calls)
     return {
         MetricId.LOC: _loc(decl, tree),
         MetricId.LOCCOM: len(loccom_lines),
@@ -96,16 +114,14 @@ def compute_size_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, flo
     }
 
 
-def compute_complexity_metrics(decl: TypeDecl) -> dict[MetricId, float]:
-    methods = _declared_methods(decl)
-    wmc, amc = _weighted_methods(methods)
-    signatures = {m.signature for m in methods}
+def _complexity_metrics(facts: ClassFacts) -> dict[MetricId, float]:
+    wmc, amc = _weighted_methods(facts.methods)
     invoked = {
         (c.name, c.argc)
-        for c in decl.all_events().calls
-        if (c.name, c.argc) not in signatures
+        for c in facts.events.calls
+        if (c.name, c.argc) not in facts.signatures
     }
-    rfc = len(methods) + len(invoked)
+    rfc = len(facts.methods) + len(invoked)
     return {MetricId.WMC: wmc, MetricId.AMC: amc, MetricId.RFC: rfc}
 
 
@@ -123,11 +139,10 @@ def _ancestor_signatures(index: CorpusIndex, qname: str) -> list[set[tuple[str, 
     return out
 
 
-def compute_inheritance_metrics(
-    decl: TypeDecl, index: CorpusIndex
+def _inheritance_metrics(
+    facts: ClassFacts, index: CorpusIndex, ancestors: list[set[tuple[str, int]]]
 ) -> dict[MetricId, float]:
-    qname = decl.qualified_name
-    entry = index[qname]
+    entry = index[facts.decl.qualified_name]
     depth = 0
     cursor = entry
     while cursor.parent is not None:
@@ -137,11 +152,9 @@ def compute_inheritance_metrics(
     if external is not None and external.rsplit(".", 1)[-1] != "Object":
         depth += 1
     noc = len(entry.children)
-    methods = _declared_methods(decl)
-    ancestors = _ancestor_signatures(index, qname)
     inherited: set[tuple[str, int]] = set().union(*ancestors)
-    inherited -= {m.signature for m in methods}
-    denom = len(inherited) + len(methods)
+    inherited -= facts.signatures
+    denom = len(inherited) + len(facts.methods)
     mfa = len(inherited) / denom if denom and ancestors else 0.0
     return {MetricId.DIT: depth, MetricId.NOC: noc, MetricId.MFA: mfa}
 
@@ -155,20 +168,19 @@ def _referenced_type_names(decl: TypeDecl, events: EventSink) -> set[str]:
     }
 
 
-def compute_coupling_metrics(decl: TypeDecl, index: CorpusIndex) -> dict[MetricId, float]:
-    qname = decl.qualified_name
-    entry = index[qname]
-    events = decl.all_events()
-    ce = len(_referenced_type_names(decl, events))
+def _coupling_metrics(
+    facts: ClassFacts, index: CorpusIndex, ancestors: list[set[tuple[str, int]]]
+) -> dict[MetricId, float]:
+    entry = index[facts.decl.qualified_name]
+    events = facts.events
+    ce = len(_referenced_type_names(facts.decl, events))
     ca = len(entry.referenced_by)
     cbo = len(entry.references | entry.referenced_by)
 
-    methods = _declared_methods(decl)
-    own = {m.signature for m in methods}
+    own = facts.signatures
     internal_style = {
         (c.name, c.argc) for c in events.calls if c.receiver in (None, "this", "super")
     }
-    ancestors = _ancestor_signatures(index, qname)
     ic = 0
     for signatures in ancestors:
         overrides = bool(own & signatures)
@@ -180,7 +192,7 @@ def compute_coupling_metrics(decl: TypeDecl, index: CorpusIndex) -> dict[MetricI
     ancestor_union: set[tuple[str, int]] = set().union(*ancestors)
     cbm = sum(
         1
-        for m in methods
+        for m in facts.methods
         if m.signature in ancestor_union
         or any(c.receiver == "super" for c in m.events.calls)
     )
@@ -193,9 +205,9 @@ def compute_coupling_metrics(decl: TypeDecl, index: CorpusIndex) -> dict[MetricI
     }
 
 
-def compute_cohesion_metrics(decl: TypeDecl) -> dict[MetricId, float]:
-    methods = _declared_methods(decl)
-    field_names = {f.name for f in decl.all_fields()}
+def _cohesion_metrics(facts: ClassFacts) -> dict[MetricId, float]:
+    methods = facts.methods
+    field_names = {f.name for f in facts.fields}
     accessed = [
         {name for name in m.events.var_uses if name in field_names} for m in methods
     ]
@@ -227,16 +239,15 @@ def compute_cohesion_metrics(decl: TypeDecl) -> dict[MetricId, float]:
     return {MetricId.LCOM: lcom, MetricId.LCOM3: lcom3, MetricId.CAM: cam}
 
 
-def compute_encapsulation_metrics(decl: TypeDecl) -> dict[MetricId, float]:
-    fields = decl.all_fields()
+def _encapsulation_metrics(facts: ClassFacts) -> dict[MetricId, float]:
+    fields = facts.fields
     hidden = sum(
         1 for f in fields if "private" in f.modifiers or "protected" in f.modifiers
     )
     dam = hidden / len(fields) if fields else 1.0
     nprif = sum(1 for f in fields if "private" in f.modifiers)
-    methods = _declared_methods(decl)
-    nprim = sum(1 for m in methods if "private" in m.modifiers)
-    nprom = sum(1 for m in methods if "protected" in m.modifiers)
+    nprim = sum(1 for m in facts.methods if "private" in m.modifiers)
+    nprom = sum(1 for m in facts.methods if "protected" in m.modifiers)
     return {
         MetricId.DAM: dam,
         MetricId.NPRIF: nprif,
@@ -245,13 +256,39 @@ def compute_encapsulation_metrics(decl: TypeDecl) -> dict[MetricId, float]:
     }
 
 
+def compute_size_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, float]:
+    return _size_metrics(class_facts(decl), tree)
+
+
+def compute_complexity_metrics(decl: TypeDecl) -> dict[MetricId, float]:
+    return _complexity_metrics(class_facts(decl))
+
+
+def compute_inheritance_metrics(decl: TypeDecl, index: CorpusIndex) -> dict[MetricId, float]:
+    ancestors = _ancestor_signatures(index, decl.qualified_name)
+    return _inheritance_metrics(class_facts(decl), index, ancestors)
+
+
+def compute_coupling_metrics(decl: TypeDecl, index: CorpusIndex) -> dict[MetricId, float]:
+    ancestors = _ancestor_signatures(index, decl.qualified_name)
+    return _coupling_metrics(class_facts(decl), index, ancestors)
+
+
+def compute_cohesion_metrics(decl: TypeDecl) -> dict[MetricId, float]:
+    return _cohesion_metrics(class_facts(decl))
+
+
+def compute_encapsulation_metrics(decl: TypeDecl) -> dict[MetricId, float]:
+    return _encapsulation_metrics(class_facts(decl))
+
+
 def compute_test_effort_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, float]:
-    methods = _declared_methods(decl)
-    calls = decl.all_events().calls
-    wmc, amc = _weighted_methods(methods)
+    facts = class_facts(decl)
+    calls = facts.events.calls
+    wmc, amc = _weighted_methods(facts.methods)
     t_not = sum(
         1
-        for m in methods
+        for m in facts.methods
         if "Test" in m.annotations or m.name.startswith("test")
     )
     t_noa = sum(
@@ -273,13 +310,15 @@ def compute_code_metrics(
     decl: TypeDecl, tree: SyntaxTree, index: CorpusIndex
 ) -> dict[MetricId, float]:
     """All source-derived code metrics (everything in Table-order but NBI)."""
+    facts = class_facts(decl)
+    ancestors = _ancestor_signatures(index, decl.qualified_name)
     metrics: dict[MetricId, float] = {}
-    metrics.update(compute_size_metrics(decl, tree))
-    metrics.update(compute_complexity_metrics(decl))
-    metrics.update(compute_inheritance_metrics(decl, index))
-    metrics.update(compute_coupling_metrics(decl, index))
-    metrics.update(compute_cohesion_metrics(decl))
-    metrics.update(compute_encapsulation_metrics(decl))
+    metrics.update(_size_metrics(facts, tree))
+    metrics.update(_complexity_metrics(facts))
+    metrics.update(_inheritance_metrics(facts, index, ancestors))
+    metrics.update(_coupling_metrics(facts, index, ancestors))
+    metrics.update(_cohesion_metrics(facts))
+    metrics.update(_encapsulation_metrics(facts))
     return metrics
 
 

@@ -9,12 +9,25 @@ shift operators, which metrics never look at anyway.
 ``_TOKEN`` is the whole token table, one regex group per kind tried in
 order. A numeric code point that is not a decimal digit (``²``, ``½``,
 ``Ⅻ``) lexes as a letter, as javac treats ``Ⅻ``.
+
+``tokenize`` is one ``_TOKEN.finditer`` pass over the file. Each match
+swallows the whitespace before its token, so whitespace is never a match
+of its own. The ``end`` group takes the whitespace at the end of the file
+(without it, the last newline would backtrack into ``bad``), and ``bad``
+takes any character that no other group starts with. A Java 15 text
+block opener (three double quotes, then a line break) is an error of its
+own. A token's line is found by ``bisect`` in the file's newline offsets,
+and its column is the distance from the newline before it; only ``\\n``
+breaks a line, so CRLF counts once. ``Token`` is a ``NamedTuple``, built
+in one call.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -41,26 +54,36 @@ MODIFIER_KEYWORDS = frozenset(
 )
 
 _TOKEN = re.compile(
-    r"""
-      (?P<space>[ \t\r\n\f]+)
-    | (?P<line_comment>//[^\n]*)
+    r"""[ \t\r\n\f]*(?:
+      (?P<line_comment>//[^\n]*)
     | (?P<block_comment>/\*[\s\S]*?\*/)
     | (?P<word>(?:[^\W\d]|\$)[\w$]*)
     | (?P<number>0[xXbB]\w*  # decimal: one '.' at most, none before a letter, '_', '$' or '.'
         | (?=\.?\d)(?:[\d_]|[eE][\d+-])*(?:\.(?=\d|[^\w$.]))?(?:[\d_]|[eE][\d+-])*[fFdDlL]?)
+    | (?P<text_block>"{3}[ \t\f\r]*\n)
     | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
     | (?P<char>'(?:[^'\\\n]|\\[\s\S])*')
     | (?P<unterminated>/\*|"|')
     | (?P<op><<=|\.\.\.|<<|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->|::
         | [-+*/%=<>!~&|^?:;,.(){}\[\]@])
+    | (?P<end>\Z)
+    | (?P<bad>[\s\S]))
     """,
     re.VERBOSE,
 )
+_KEPT = frozenset({"number", "string", "char", "op"})
 _UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "char literal"}
 
 
-@dataclass(frozen=True)
-class Token:
+def _error_message(kind: str, word: str) -> str:
+    if kind == "bad":
+        return f"unexpected character {word!r}"
+    if kind == "text_block":
+        return "text blocks are not supported"
+    return f"unterminated {_UNTERMINATED[word]}"
+
+
+class Token(NamedTuple):
     kind: str  # ident | keyword | number | string | char | op | eof
     text: str
     line: int
@@ -82,34 +105,33 @@ class LexResult:
 
 
 def tokenize(text: str, path: str = "<string>") -> LexResult:
+    # nl[k] is the offset of the k-th newline; nl[0] = -1 stands for the
+    # newline before line 1, so bisect_left(nl, start) is start's line.
+    nl = [-1]
+    nl += [m.start() for m in re.finditer("\n", text)]
     tokens: list[Token] = []
     comments: list[CommentSpan] = []
-    code_lines: set[int] = set()
-    pos = line_start = 0
-    line = 1
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        col = pos - line_start + 1
-        if m is None:
-            raise ParseError(path, line, col, f"unexpected character {text[pos]!r}")
-        kind, word, start_line = m.lastgroup, m.group(), line
-        if "\n" in word:  # whitespace, block comments and escaped newlines in literals
-            line += word.count("\n")
-            line_start = pos + word.rindex("\n") + 1
-        if kind.endswith("comment"):
-            comments.append(CommentSpan(start_line, line))
-        elif kind == "unterminated":
-            raise ParseError(path, line, col, f"unterminated {_UNTERMINATED[word]}")
-        elif kind != "space":
-            if kind == "word":
-                kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, start_line, col))
-            code_lines.add(start_line)
-        pos += len(word)
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+    new = tuple.__new__  # Token(...) minus the Python-level __new__ of a NamedTuple
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start, stop = m.span(kind)
+        word = text[start:stop]
+        line = bisect_left(nl, start)
+        if kind == "word":
+            kind = "keyword" if word in KEYWORDS else "ident"
+        elif kind not in _KEPT:
+            if kind == "end":
+                break
+            if kind.endswith("comment"):
+                comments.append(CommentSpan(line, line + word.count("\n")))
+                continue
+            raise ParseError(path, line, start - nl[line - 1], _error_message(kind, word))
+        tokens.append(new(Token, (kind, word, line, start - nl[line - 1])))
+    code_lines = frozenset({tok.line for tok in tokens})  # from a set: a list sizes it larger
+    tokens.append(Token("eof", "", len(nl), len(text) - nl[-1]))
     return LexResult(
         tokens=tokens,
         comments=comments,
-        code_lines=frozenset(code_lines),
-        n_lines=text.count("\n") + (1 if text and not text.endswith("\n") else 0),
+        code_lines=code_lines,
+        n_lines=len(nl) - 1 + (1 if text and not text.endswith("\n") else 0),
     )

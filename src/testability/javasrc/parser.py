@@ -42,6 +42,7 @@ class _Backtrack(Exception):
 
 _LITERAL_KEYWORDS = {"true", "false", "null"}
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<="}
+_PREFIX_OPS = {"+", "-", "!", "~", "++", "--"}
 _BINARY_OPS = {
     "+", "-", "*", "/", "%", "<", "<=", ">=", "==", "!=", "&", "|", "^", "<<",
 }
@@ -57,6 +58,7 @@ class _Parser:
     def __init__(self, lex: LexResult, path: str):
         self.lex = lex
         self.toks = lex.tokens
+        self.texts = [tok.text for tok in lex.tokens]
         self.pos = 0
         self.path = path
         self.sinks: list[EventSink] = [EventSink()]  # bottom sink catches strays
@@ -73,21 +75,23 @@ class _Parser:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
 
     def at(self, text: str) -> bool:
-        return self.cur.text == text and self.cur.kind in ("op", "keyword")
+        # exact without the kind: every text the parser asks for is an
+        # operator or a keyword, which no other kind of token can spell
+        return self.texts[self.pos] == text
 
     def at_ident(self) -> bool:
-        return self.cur.kind == "ident"
+        return self.toks[self.pos].kind == "ident"
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        if not self.at(text):
+        if self.texts[self.pos] != text:
             self.fail(f"expected {text!r}, found {self.cur.text!r}")
-        tok = self.cur
+        tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
@@ -869,7 +873,7 @@ class _Parser:
             return
 
     def unary(self) -> None:
-        while self.cur.kind == "op" and self.cur.text in ("+", "-", "!", "~", "++", "--"):
+        while self.texts[self.pos] in _PREFIX_OPS:
             self.pos += 1
         if self.at("("):
             if self._try_lambda():

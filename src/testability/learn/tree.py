@@ -234,7 +234,12 @@ def _score_slice(coded, nodes, min_leaf):
     col = seg_col[seg]
     low = starts[col] + (key[cut] - seg * stride) // 2
     high = starts[col] + (key[cut + 1] - seg * stride) // 2
-    threshold = (values[low] + values[high]) / 2.0
+    a, b = values[low], values[high]
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2.0
+    # the midpoint overflows to +-inf beyond about 9e307 and can round up to b
+    # between adjacent floats; a still sends the left rows left and the rest right
+    threshold = np.where((a <= mid) & (mid < b), mid, a)
     for i, feature, t in zip(node[pick].tolist(), col.tolist(), threshold.tolist()):
         splits[i] = (feature, t)
     return splits

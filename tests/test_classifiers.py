@@ -1,5 +1,6 @@
 import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -333,6 +334,28 @@ def test_a_first_round_over_the_slice_is_scored_in_several_slices(monkeypatch):
     assert fm.n_rows * params.candidates_per_split(fm.n_features) * params.trees > 2000
     monkeypatch.setattr(tree, "SLICE_CELLS", 2000)
     assert dump_model(train_random_forest(fm, params, seed=4)) == expected
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[1e308, 1.7e308], [1 + 2**-52, 1 + 2**-51], [-1.7e308, -1e308]],
+    ids=["midpoint-overflows-to-inf", "midpoint-rounds-to-b", "midpoint-overflows-to-minus-inf"],
+)
+def test_a_threshold_whose_midpoint_is_off_still_splits_the_rows(column):
+    def hang(signum, frame):
+        raise TimeoutError("tree growth did not end within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        (root,) = tree.grow_trees(np.array([column]).T, np.array([0, 1]), [np.arange(2)], 1, None)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    a, b = column
+    assert a <= root.threshold < b
+    assert root.left.counts == (1, 0) and root.right.counts == (0, 1)
+    assert root.left.is_leaf and root.right.is_leaf
 
 
 # -- random forest ------------------------------------------------------------

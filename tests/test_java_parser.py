@@ -1,5 +1,9 @@
+import ast
+import inspect
+
 import pytest
 
+from testability.javasrc import parser as parser_module
 from testability.javasrc import (
     CorpusParseError,
     CyclicHierarchy,
@@ -15,6 +19,7 @@ from testability.javasrc.extract import (
     compute_size_metrics,
     cyclomatic_complexity,
 )
+from testability.javasrc.lexer import tokenize
 from testability.metrics import MetricId as M
 
 
@@ -235,3 +240,34 @@ def test_self_type_reference_excluded_from_ce():
     tree = parse_source(src)
     index = build_corpus_index([tree])
     assert compute_coupling_metrics(index["A"].decl, index)[M.CE] == 1  # only B
+
+
+def test_a_text_block_is_a_parse_error_that_names_it():
+    with pytest.raises(ParseError) as info:
+        parse_source('class A {\n  String s = """\n    hi\n    """;\n}', "A.java")
+    assert str(info.value) == "A.java:2:14: text blocks are not supported"
+
+
+_TEXT_TESTS = ("at", "accept", "expect", "skip_balanced")
+_TEXT_PARAMETERS = {"text", "open_text", "close_text"}
+
+
+def test_every_text_the_parser_tests_is_one_operator_or_keyword_token():
+    """``at`` and ``accept`` compare token text only, and ``unary`` looks its
+    prefix operators up by text. That is exact while every such text lexes
+    as one operator or keyword, which no ident, literal or eof can spell."""
+    texts = set(parser_module._PREFIX_OPS)
+    for node in ast.walk(ast.parse(inspect.getsource(parser_module))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _TEXT_TESTS):
+            continue
+        for arg in node.args:
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                texts.add(arg.value)
+            else:  # only the plumbing passes its own parameter on
+                assert isinstance(arg, ast.Name) and arg.id in _TEXT_PARAMETERS, ast.dump(arg)
+    assert {"class", "{", "::", "...", "instanceof", "++"} <= texts
+    for text in texts:
+        tokens = tokenize(text).tokens
+        assert [(t.kind, t.text) for t in tokens[:-1]] in (
+            [("op", text)], [("keyword", text)]), text

@@ -3,12 +3,25 @@
 Every expected value below was recorded from the character-scanner lexer
 that the regex token table replaced, except the one case marked as the
 documented difference (non-decimal numeric code points).
+
+``reference_tokenize`` is the lexer that matched one token at a time
+before ``tokenize`` became a single ``finditer`` pass; a differential
+test holds the two to the same output.
 """
+
+import re
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from testability.javasrc.lexer import CommentSpan, ParseError, tokenize
+from testability.javasrc.lexer import (
+    KEYWORDS,
+    CommentSpan,
+    LexResult,
+    ParseError,
+    tokenize,
+)
 
 
 def lex(source):
@@ -75,6 +88,12 @@ ERRORS = [
     ("a\n  #", "<string>:2:3: unexpected character '#'"),
     ("a\vb", "<string>:1:2: unexpected character '\\x0b'"),
     ("a\xa0b", "<string>:1:2: unexpected character '\\xa0'"),
+    # a text block opener is named, at its first quote
+    ('x = """\nabc""";', "<string>:1:5: text blocks are not supported"),
+    ('class A {\n  String s =\t""" \t\r\n  a\n  """;\n}',
+     "<string>:2:14: text blocks are not supported"),
+    # three quotes with more on the line are no opener
+    ('x = """ y', "<string>:1:7: unterminated string literal"),
 ]
 
 
@@ -120,3 +139,95 @@ def test_each_token_starts_at_its_line_and_column(source):
         assert source[offset:offset + len(tok.text)] == tok.text
     eof = tokens[-1]
     assert line_starts[eof.line - 1] + eof.col - 1 == len(source)
+
+
+# -- the lexer before the single finditer pass, kept verbatim as the oracle ---
+
+_REFERENCE_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\r\n\f]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*[\s\S]*?\*/)
+    | (?P<word>(?:[^\W\d]|\$)[\w$]*)
+    | (?P<number>0[xXbB]\w*  # decimal: one '.' at most, none before a letter, '_', '$' or '.'
+        | (?=\.?\d)(?:[\d_]|[eE][\d+-])*(?:\.(?=\d|[^\w$.]))?(?:[\d_]|[eE][\d+-])*[fFdDlL]?)
+    | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+    | (?P<char>'(?:[^'\\\n]|\\[\s\S])*')
+    | (?P<unterminated>/\*|"|')
+    | (?P<op><<=|\.\.\.|<<|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->|::
+        | [-+*/%=<>!~&|^?:;,.(){}\[\]@])
+    """,
+    re.VERBOSE,
+)
+_UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "char literal"}
+
+
+@dataclass(frozen=True)
+class ReferenceToken:
+    kind: str  # ident | keyword | number | string | char | op | eof
+    text: str
+    line: int
+    col: int
+
+
+def reference_tokenize(text: str, path: str = "<string>") -> LexResult:
+    tokens: list[ReferenceToken] = []
+    comments: list[CommentSpan] = []
+    code_lines: set[int] = set()
+    pos = line_start = 0
+    line = 1
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        if m is None:
+            raise ParseError(path, line, col, f"unexpected character {text[pos]!r}")
+        kind, word, start_line = m.lastgroup, m.group(), line
+        if "\n" in word:  # whitespace, block comments and escaped newlines in literals
+            line += word.count("\n")
+            line_start = pos + word.rindex("\n") + 1
+        if kind.endswith("comment"):
+            comments.append(CommentSpan(start_line, line))
+        elif kind == "unterminated":
+            raise ParseError(path, line, col, f"unterminated {_UNTERMINATED[word]}")
+        elif kind != "space":
+            if kind == "word":
+                kind = "keyword" if word in KEYWORDS else "ident"
+            tokens.append(ReferenceToken(kind, word, start_line, col))
+            code_lines.add(start_line)
+        pos += len(word)
+    tokens.append(ReferenceToken("eof", "", line, len(text) - line_start + 1))
+    return LexResult(
+        tokens=tokens,
+        comments=comments,
+        code_lines=frozenset(code_lines),
+        n_lines=text.count("\n") + (1 if text and not text.endswith("\n") else 0),
+    )
+
+
+def lex_outcome(lexer, source):
+    try:
+        result = lexer(source)
+    except ParseError as exc:
+        return str(exc)
+    return (
+        [(t.kind, t.text, t.line, t.col) for t in result.tokens],
+        result.comments,
+        result.code_lines,
+        result.n_lines,
+    )
+
+
+_TEXT_BLOCK_OPENER = re.compile(r'"""[ \t\f\r]*\n')  # the ERRORS rows cover these
+_DIFFERENTIAL_PIECES = _PIECES + [
+    "\v", "\xa0", "#", "²", "Ⅻ", "\r", '"', "'", "/*", '""""', "0b1", "1e", "x.5",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.sampled_from(_DIFFERENTIAL_PIECES), max_size=40)
+    .map("".join)
+    .filter(lambda source: not _TEXT_BLOCK_OPENER.search(source))
+)
+def test_tokenize_matches_the_one_token_at_a_time_reference(source):
+    assert lex_outcome(tokenize, source) == lex_outcome(reference_tokenize, source)
