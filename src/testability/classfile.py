@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 MAGIC = 0xCAFEBABE
 
-#: Highest class-file major version accepted by default (Java 21).
-DEFAULT_MAJOR_CEILING = 65
+#: Highest class-file major version accepted (Java 21).
+MAJOR_CEILING = 65
 
 
 class MalformedClassFile(ValueError):
@@ -193,16 +193,14 @@ def _skip_attributes(reader: _Reader) -> None:
         reader.take(reader.u4())
 
 
-def parse_classfile(
-    data: bytes, max_major: int = DEFAULT_MAJOR_CEILING
-) -> ClassFileSummary:
+def parse_classfile(data: bytes) -> ClassFileSummary:
     reader = _Reader(data)
     if reader.u4() != MAGIC:
         raise MalformedClassFile("bad magic: not a class file")
     reader.u2()  # minor
     major = reader.u2()
-    if major > max_major:
-        raise UnsupportedMajorVersion(major, max_major)
+    if major > MAJOR_CEILING:
+        raise UnsupportedMajorVersion(major, MAJOR_CEILING)
     pool = _read_constant_pool(reader)
     reader.u2()  # access flags
     this_class = _class_name(pool, reader.u2())
@@ -239,12 +237,12 @@ def count_nbi(summary: ClassFileSummary) -> int:
     return sum(m.instruction_count for m in summary.methods)
 
 
-def nbi_for_paths(paths: list[str], max_major: int = DEFAULT_MAJOR_CEILING) -> dict[str, int]:
+def nbi_for_paths(paths: list[str]) -> dict[str, int]:
     """Map dotted class name -> NBI for .class files, directories, and jars."""
     out: dict[str, int] = {}
 
     def add(data: bytes) -> None:
-        summary = parse_classfile(data, max_major=max_major)
+        summary = parse_classfile(data)
         out[summary.class_name] = count_nbi(summary)
 
     for path in paths:

@@ -11,13 +11,7 @@ from .extract import (
     CorpusParseError,
     PairingError,
     ParsedCorpus,
-    compute_cohesion_metrics,
-    compute_complexity_metrics,
     compute_code_metrics,
-    compute_coupling_metrics,
-    compute_encapsulation_metrics,
-    compute_inheritance_metrics,
-    compute_size_metrics,
     compute_test_effort_metrics,
     cyclomatic_complexity,
     extract_records,
@@ -42,13 +36,7 @@ __all__ = [
     "SyntaxTree",
     "TypeDecl",
     "build_corpus_index",
-    "compute_cohesion_metrics",
     "compute_code_metrics",
-    "compute_complexity_metrics",
-    "compute_coupling_metrics",
-    "compute_encapsulation_metrics",
-    "compute_inheritance_metrics",
-    "compute_size_metrics",
     "compute_test_effort_metrics",
     "cyclomatic_complexity",
     "extract_records",

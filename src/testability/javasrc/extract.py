@@ -256,32 +256,6 @@ def _encapsulation_metrics(facts: ClassFacts) -> dict[MetricId, float]:
     }
 
 
-def compute_size_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, float]:
-    return _size_metrics(class_facts(decl), tree)
-
-
-def compute_complexity_metrics(decl: TypeDecl) -> dict[MetricId, float]:
-    return _complexity_metrics(class_facts(decl))
-
-
-def compute_inheritance_metrics(decl: TypeDecl, index: CorpusIndex) -> dict[MetricId, float]:
-    ancestors = _ancestor_signatures(index, decl.qualified_name)
-    return _inheritance_metrics(class_facts(decl), index, ancestors)
-
-
-def compute_coupling_metrics(decl: TypeDecl, index: CorpusIndex) -> dict[MetricId, float]:
-    ancestors = _ancestor_signatures(index, decl.qualified_name)
-    return _coupling_metrics(class_facts(decl), index, ancestors)
-
-
-def compute_cohesion_metrics(decl: TypeDecl) -> dict[MetricId, float]:
-    return _cohesion_metrics(class_facts(decl))
-
-
-def compute_encapsulation_metrics(decl: TypeDecl) -> dict[MetricId, float]:
-    return _encapsulation_metrics(class_facts(decl))
-
-
 def compute_test_effort_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, float]:
     facts = class_facts(decl)
     calls = facts.events.calls

@@ -15,11 +15,12 @@ swallows the whitespace before its token, so whitespace is never a match
 of its own. The ``end`` group takes the whitespace at the end of the file
 (without it, the last newline would backtrack into ``bad``), and ``bad``
 takes any character that no other group starts with. A Java 15 text
-block opener (three double quotes, then a line break) is an error of its
-own. A token's line is found by ``bisect`` in the file's newline offsets,
-and its column is the distance from the newline before it; only ``\\n``
-breaks a line, so CRLF counts once. ``Token`` is a ``NamedTuple``, built
-in one call.
+block opener (three double quotes, then a line break) and a Unicode
+escape outside a literal (javac translates ``\\u0061`` to ``a`` before
+lexing) are errors of their own. A token's line is found by ``bisect`` in
+the file's newline offsets, and its column is the distance from the
+newline before it; only ``\\n`` breaks a line, so CRLF counts once.
+``Token`` is a ``NamedTuple``, built in one call.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ _TOKEN = re.compile(
     | (?P<unterminated>/\*|"|')
     | (?P<op><<=|\.\.\.|<<|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->|::
         | [-+*/%=<>!~&|^?:;,.(){}\[\]@])
+    | (?P<unicode_escape>\\u+[0-9a-fA-F]{4})
     | (?P<end>\Z)
     | (?P<bad>[\s\S]))
     """,
@@ -73,13 +75,15 @@ _TOKEN = re.compile(
 )
 _KEPT = frozenset({"number", "string", "char", "op"})
 _UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "char literal"}
+_UNSUPPORTED = {"text_block": "text blocks",
+                "unicode_escape": "unicode escapes outside literals"}
 
 
 def _error_message(kind: str, word: str) -> str:
     if kind == "bad":
         return f"unexpected character {word!r}"
-    if kind == "text_block":
-        return "text blocks are not supported"
+    if kind in _UNSUPPORTED:
+        return f"{_UNSUPPORTED[kind]} are not supported"
     return f"unterminated {_UNTERMINATED[word]}"
 
 

@@ -43,6 +43,7 @@ class _Backtrack(Exception):
 _LITERAL_KEYWORDS = {"true", "false", "null"}
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<="}
 _PREFIX_OPS = {"+", "-", "!", "~", "++", "--"}
+_LOGICAL_OPS = {"&&": "and", "||": "or"}  # operator -> decision kind
 _BINARY_OPS = {
     "+", "-", "*", "/", "%", "<", "<=", ">=", "==", "!=", "&", "|", "^", "<<",
 }
@@ -233,17 +234,27 @@ class _Parser:
                 continue
             return mods, annos, start_line
 
-    def skip_balanced(self, open_text: str, close_text: str) -> None:
-        self.expect(open_text)
-        depth = 1
-        while depth:
-            if self.cur.kind == "eof":
-                self.fail(f"unbalanced {open_text!r}")
-            if self.at(open_text):
+    def _past_balanced(self, open_text: str, close_text: str) -> int | None:
+        """Token index just past the close_text matching the open_text at
+        cur, or None when the file ends first."""
+        depth = 0
+        for k in range(self.pos, len(self.texts) - 1):  # the last token is eof
+            text = self.texts[k]
+            if text == open_text:
                 depth += 1
-            elif self.at(close_text):
+            elif text == close_text:
                 depth -= 1
-            self.pos += 1
+                if depth == 0:
+                    return k + 1
+        return None
+
+    def skip_balanced(self, open_text: str, close_text: str) -> None:
+        """Skip from the open_text at cur past its matching close_text."""
+        end = self._past_balanced(open_text, close_text)
+        if end is None:
+            self.pos = len(self.toks) - 1  # the error points at the end of the file
+            self.fail(f"unbalanced {open_text!r}")
+        self.pos = end
 
     def skip_type_params(self) -> None:
         """Skip a <...> section by angle depth ('>' is always a single token)."""
@@ -323,7 +334,6 @@ class _Parser:
             name=name,
             modifiers=frozenset(mods),
             annotations=tuple(annos),
-            extends_names=(),
             implements_names=tuple(implements),
         )
         self.expect("{")
@@ -357,16 +367,8 @@ class _Parser:
 
     def anonymous_class(self, name: str) -> TypeDecl:
         """The class body at cur of an enum constant or an anonymous class."""
-        decl = TypeDecl(
-            kind="class",
-            name=name,
-            modifiers=frozenset(),
-            annotations=(),
-            extends_names=(),
-            implements_names=(),
-        )
-        start_line = self.cur.line
-        decl.line_span = (start_line, self.class_body(decl))
+        decl = TypeDecl(kind="class", name=name)
+        decl.line_span = (self.cur.line, self.class_body(decl))
         return decl
 
     def class_body(self, decl: TypeDecl) -> int:
@@ -385,13 +387,6 @@ class _Parser:
             if self.cur.kind == "eof":
                 self.fail("unterminated class body")
             if self.accept(";"):
-                continue
-            if self.at("{"):
-                block = InitBlock(static=False, line_span=(self.cur.line, 0))
-                with self.sink(block.events):
-                    end = self.block()
-                block.line_span = (block.line_span[0], end)
-                decl.inits.append(block)
                 continue
             mods, annos, start_line = self.modifiers_and_annotations()
             if self.at("{"):
@@ -558,19 +553,13 @@ class _Parser:
             return text + self._array_dims(), ()
         if not self.at_ident():
             raise _Backtrack()
-        parts = [self.cur.text]
-        self.pos += 1
-        names: list[str] = []
+        name = self.qualified_name_text()
+        names = [name.rsplit(".", 1)[-1]]
         args_text = ""
-        while self.at(".") and self.peek().kind == "ident":
-            self.pos += 1
-            parts.append(self.cur.text)
-            self.pos += 1
         if self.at("<"):
             args_text, arg_names = self._type_arguments()
             names.extend(arg_names)
-        names.insert(0, parts[-1])
-        return ".".join(parts) + args_text + self._array_dims(), tuple(names)
+        return name + args_text + self._array_dims(), tuple(names)
 
     def _array_dims(self) -> str:
         dims = ""
@@ -625,12 +614,17 @@ class _Parser:
         if self.accept(";"):
             return
         if self.accept("if"):
-            self.emit_decision("if", tok.line)
-            self.paren_expression()
-            self.statement()
-            if self.accept("else"):
+            # an `else if` chain is walked in this loop, not one recursion per branch
+            while True:
+                self.emit_decision("if", tok.line)
+                self.paren_expression()
                 self.statement()
-            return
+                if not self.accept("else"):
+                    return
+                tok = self.cur
+                if not self.accept("if"):
+                    self.statement()
+                    return
         if self.accept("while"):
             self.emit_decision("while", tok.line)
             self.paren_expression()
@@ -652,9 +646,8 @@ class _Parser:
             self.expect("{")
             while not self.at("}"):
                 if self.at("case"):
-                    case_tok = self.cur
+                    self.emit_decision("case", self.cur.line)
                     self.pos += 1
-                    self.emit_decision("case", case_tok.line)
                     self.expression(colon_ends=True)
                     self.expect(":")
                 elif self.accept("default"):
@@ -668,9 +661,8 @@ class _Parser:
                 self.resource_spec()
             self.block()
             while self.at("catch"):
-                catch_tok = self.cur
+                self.emit_decision("catch", self.cur.line)
                 self.pos += 1
-                self.emit_decision("catch", catch_tok.line)
                 self.expect("(")
                 self.modifiers_and_annotations()
                 self.type_base_name()
@@ -742,8 +734,10 @@ class _Parser:
             break
         self.expect(")")
 
-    def local_var_decl(self, terminate: bool = True) -> bool:
-        """Speculatively parse a local declaration; False means not one.
+    def _declarator_head(self, follows: tuple[str, ...]) -> bool:
+        """Speculatively parse `[mods] type ident` followed by one of
+        ``follows``; on success stop at the follower, else restore the
+        position and return False.
 
         Speculation is safe because type parsing emits no events; the
         declaration's type reference is emitted only after confirmation.
@@ -755,12 +749,18 @@ class _Parser:
             if not self.at_ident():
                 raise _Backtrack()
             self.pos += 1
-            if not (self.at("=") or self.at(";") or self.at(",") or self.at("[")):
+            if self.texts[self.pos] not in follows:
                 raise _Backtrack()
         except _Backtrack:
             self.pos = save
             return False
         self.emit_type_refs(type_names)
+        return True
+
+    def local_var_decl(self) -> bool:
+        """Parse a local declaration if one is at cur; False means not one."""
+        if not self._declarator_head(("=", ";", ",", "[")):
+            return False
         while True:
             self.declarator_dims()
             if self.accept("="):
@@ -769,26 +769,13 @@ class _Parser:
                 self.expect_ident()
                 continue
             break
-        if terminate:
-            self.expect(";")
+        self.expect(";")
         return True
 
     def for_rest(self) -> None:
         self.expect("(")
-        save = self.pos
-        try:  # enhanced for: [mods] type ident : expr
-            self.modifiers_and_annotations()
-            _text, type_names = self.parse_type()
-            if not self.at_ident():
-                raise _Backtrack()
+        if self._declarator_head((":",)):  # enhanced for: [mods] type ident : expr
             self.pos += 1
-            if not self.at(":"):
-                raise _Backtrack()
-            self.pos += 1
-        except _Backtrack:
-            self.pos = save
-        else:
-            self.emit_type_refs(type_names)
             self.expression()
             self.expect(")")
             self.statement()
@@ -840,29 +827,19 @@ class _Parser:
                 self.expect(":")
                 self.unary()
                 continue
-            if text == "&&":
+            if text in _LOGICAL_OPS:
                 self.pos += 1
-                self.emit_decision("and", tok.line)
-                self.unary()
-                continue
-            if text == "||":
-                self.pos += 1
-                self.emit_decision("or", tok.line)
+                self.emit_decision(_LOGICAL_OPS[text], tok.line)
                 self.unary()
                 continue
             if text == ">":
                 # merge adjacent '>'/'>=' into shift or shift-assign operators
                 self.pos += 1
                 prev = tok
-                while (
-                    self.cur.kind == "op"
-                    and self.cur.text in (">", ">=")
-                    and self.adjacent(prev, self.cur)
-                ):
-                    ended = self.cur.text == ">="
+                while self.texts[self.pos] in (">", ">=") and self.adjacent(prev, self.cur):
                     prev = self.cur
                     self.pos += 1
-                    if ended:
+                    if prev.text == ">=":
                         break
                 self.unary()
                 continue
@@ -876,35 +853,17 @@ class _Parser:
         while self.texts[self.pos] in _PREFIX_OPS:
             self.pos += 1
         if self.at("("):
-            if self._try_lambda():
+            after = self._past_balanced("(", ")")
+            if after is None:
+                self.fail("unbalanced parenthesis")
+            if self.texts[after] == "->":
+                self.pos = after + 1
+                self._lambda_body()
                 return
             if self._try_cast():
                 self.unary()
                 return
         self.primary_and_postfix()
-
-    def _scan_matching_paren(self) -> int:
-        """Token index just past the ')' matching the '(' at cur."""
-        depth = 0
-        k = self.pos
-        while self.toks[k].kind != "eof":
-            t = self.toks[k].text
-            if t == "(":
-                depth += 1
-            elif t == ")":
-                depth -= 1
-                if depth == 0:
-                    return k + 1
-            k += 1
-        self.fail("unbalanced parenthesis")
-
-    def _try_lambda(self) -> bool:
-        after = self._scan_matching_paren()
-        if self.toks[after].text != "->":
-            return False
-        self.pos = after + 1
-        self._lambda_body()
-        return True
 
     def _lambda_body(self) -> None:
         # lambdas are opaque: nothing inside contributes events
@@ -944,19 +903,18 @@ class _Parser:
             if self.at("."):
                 nxt = self.peek()
                 if nxt.kind == "ident":
-                    if self.peek(2).text == "(":
-                        self.pos += 2
+                    self.pos += 2
+                    if self.at("("):
                         argc = self.call_arguments()
                         self.emit_call(chain, nxt.text, argc, nxt.line)
                         chain = "<expr>"
-                    else:
-                        self.pos += 2
-                        if chain == "this":
-                            self.emit_var_use(nxt.text)
-                        chain = (
-                            f"{chain}.{nxt.text}"
-                            if chain not in (None, "<expr>", "super") else "<expr>"
-                        )
+                        continue
+                    if chain == "this":
+                        self.emit_var_use(nxt.text)
+                    chain = (
+                        f"{chain}.{nxt.text}"
+                        if chain not in (None, "<expr>", "super") else "<expr>"
+                    )
                     continue
                 if nxt.text == "<":
                     self.pos += 1  # explicit generic method call: obj.<T>name(args)
@@ -997,9 +955,7 @@ class _Parser:
         """Parse a primary; returns the dotted-name chain text while the
         expression is still a plain name ('this', 'super', identifier)."""
         tok = self.cur
-        if self.at("("):
-            if self._try_lambda():
-                return "<expr>"
+        if self.at("("):  # unary has ruled out a lambda and a cast here
             self.paren_expression()
             return "<expr>"
         if tok.kind in ("number", "string", "char"):
@@ -1009,18 +965,12 @@ class _Parser:
             if tok.text in _LITERAL_KEYWORDS:
                 self.pos += 1
                 return "<expr>"
-            if tok.text == "this":
+            if tok.text in ("this", "super"):
                 self.pos += 1
                 if self.at("("):  # explicit constructor invocation: not a call event
                     self.call_arguments()
                     return "<expr>"
-                return "this"
-            if tok.text == "super":
-                self.pos += 1
-                if self.at("("):  # super constructor invocation: not a call event
-                    self.call_arguments()
-                    return "<expr>"
-                return "super"
+                return tok.text
             if tok.text == "new":
                 self.pos += 1
                 self.creator()
@@ -1063,11 +1013,8 @@ class _Parser:
             self.pos += 1
             self._creator_array_rest()
             return
-        parts = [self.expect_ident().text]
-        while self.at(".") and self.peek().kind == "ident":
-            self.pos += 1
-            parts.append(self.expect_ident().text)
-        names = [parts[-1]]
+        simple_name = self.qualified_name_text().rsplit(".", 1)[-1]
+        names = [simple_name]
         if self.at("<"):
             save = self.pos
             try:
@@ -1081,7 +1028,7 @@ class _Parser:
             return
         self.call_arguments()
         if self.at("{"):
-            anon = self.anonymous_class(f"{parts[-1]}$anon")
+            anon = self.anonymous_class(f"{simple_name}$anon")
             if self.type_stack:
                 self.type_stack[-1].anonymous.append(anon)
 

@@ -90,10 +90,10 @@ class InitBlock:
 class TypeDecl:
     kind: str  # class | interface | enum | annotation
     name: str
-    modifiers: frozenset[str]
-    annotations: tuple[str, ...]
-    extends_names: tuple[str, ...]  # classes: 0..1; interfaces: any
-    implements_names: tuple[str, ...]
+    modifiers: frozenset[str] = frozenset()
+    annotations: tuple[str, ...] = ()
+    extends_names: tuple[str, ...] = ()  # classes: 0..1; interfaces: any
+    implements_names: tuple[str, ...] = ()
     fields: list[FieldDecl] = field(default_factory=list)
     methods: list[MethodDecl] = field(default_factory=list)
     inits: list[InitBlock] = field(default_factory=list)

@@ -7,6 +7,7 @@ files (nothing here depends on wall-clock time or directory order).
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import os
@@ -43,13 +44,14 @@ def manifest_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _csv_line(cells: Sequence[str]) -> str:
-    out: list[str] = []
-    for cell in cells:
-        if any(ch in cell for ch in ",\"\n"):
-            cell = '"' + cell.replace('"', '""') + '"'
-        out.append(cell)
-    return ",".join(out)
+def _csv(run_hash: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """The manifest line, then header and rows as CSV."""
+    buffer = io.StringIO()
+    buffer.write(f"# manifest: {run_hash}\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
@@ -61,15 +63,12 @@ def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]
 
 
 def correlation_csv(report: CorrelationReport, run_hash: str) -> str:
-    lines = [f"# manifest: {run_hash}"]
-    lines.append("metric,coefficient,reported")
     reported = {m for m, _ in report.entries}
     ordered = sorted(report.full_table, key=lambda e: (-abs(e[1]), e[0].column))
-    for metric, rho in ordered:
-        lines.append(_csv_line([metric.column, repr(rho), str(metric in reported).lower()]))
-    for metric, reason in report.skipped:
-        lines.append(_csv_line([metric.column, "", f"skipped: {reason}"]))
-    return "\n".join(lines) + "\n"
+    rows = [[metric.column, repr(rho), str(metric in reported).lower()]
+            for metric, rho in ordered]
+    rows += [[metric.column, "", f"skipped: {reason}"] for metric, reason in report.skipped]
+    return _csv(run_hash, ["metric", "coefficient", "reported"], rows)
 
 
 def correlation_md(report: CorrelationReport, run_hash: str) -> str:
@@ -102,15 +101,14 @@ _EVAL_COLUMNS = ("accuracy", "precision", "recall", "f_measure", "auc")
 
 
 def classification_csv(reports: Sequence[EvalReport], run_hash: str) -> str:
-    lines = [f"# manifest: {run_hash}"]
-    lines.append("classifier," + ",".join(_EVAL_COLUMNS) + ",folds,seed,tp,fp,tn,fn")
-    for r in reports:
-        lines.append(_csv_line(
-            [r.classifier.value]
-            + [repr(getattr(r, c)) for c in _EVAL_COLUMNS]
-            + [str(r.folds), str(r.seed), str(r.tp), str(r.fp), str(r.tn), str(r.fn)]
-        ))
-    return "\n".join(lines) + "\n"
+    header = ["classifier", *_EVAL_COLUMNS, "folds", "seed", "tp", "fp", "tn", "fn"]
+    rows = [
+        [r.classifier.value]
+        + [repr(getattr(r, c)) for c in _EVAL_COLUMNS]
+        + [str(r.folds), str(r.seed), str(r.tp), str(r.fp), str(r.tn), str(r.fn)]
+        for r in reports
+    ]
+    return _csv(run_hash, header, rows)
 
 
 def classification_md(reports: Sequence[EvalReport], run_hash: str) -> str:
@@ -138,12 +136,11 @@ def classification_md(reports: Sequence[EvalReport], run_hash: str) -> str:
 
 
 def ranking_csv(tables: Sequence[RankingTable], run_hash: str, top: int = 10) -> str:
-    lines = [f"# manifest: {run_hash}"]
     header = ["rank"]
     for table in tables:
         header += [table.algorithm.value, f"{table.algorithm.value}_score"]
-    lines.append(_csv_line(header))
     depth = min(top, max((len(t.entries) for t in tables), default=0))
+    rows = []
     for i in range(depth):
         row = [str(i + 1)]
         for table in tables:
@@ -152,8 +149,8 @@ def ranking_csv(tables: Sequence[RankingTable], run_hash: str, top: int = 10) ->
                 row += [metric.column, repr(score)]
             else:
                 row += ["", ""]
-        lines.append(_csv_line(row))
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return _csv(run_hash, header, rows)
 
 
 def ranking_md(tables: Sequence[RankingTable], run_hash: str, top: int = 10) -> str:

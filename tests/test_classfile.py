@@ -25,6 +25,7 @@ from classfile_builder import (
     wide_iinc,
 )
 
+from testability import classfile
 from testability.classfile import (
     MalformedClassFile,
     UnsupportedMajorVersion,
@@ -127,11 +128,12 @@ def test_truncated_pool_is_malformed():
         parse_classfile(TRIVIAL[:20])
 
 
-def test_major_version_ceiling():
+def test_major_version_ceiling(monkeypatch):
     too_new = build_class("fixture.New", [("m", "()V", [RETURN])], major=99)
     with pytest.raises(UnsupportedMajorVersion):
         parse_classfile(too_new)
-    parse_classfile(too_new, max_major=99)  # configurable ceiling
+    monkeypatch.setattr(classfile, "MAJOR_CEILING", 99)
+    parse_classfile(too_new)  # the check reads the module's ceiling
 
 
 def test_parse_is_deterministic():

@@ -24,13 +24,13 @@ from testability.learn import (
     evaluate,
     evaluation,
     load_model,
-    predict,
     train_decision_tree,
     train_mlp,
     train_model,
     train_random_forest,
 )
 from testability.learn import tree
+from testability.learn.base import label_from_score
 from testability.learn.evaluation import pooled_report, stratified_kfold
 from testability.learn.forest import RandomForestModel
 from testability.learn.mlp import _sigmoid, loss_and_gradients
@@ -90,8 +90,8 @@ def test_constant_features_give_single_leaf_majority():
     model = train_decision_tree(matrix_2d(X, y))
     assert model.root.is_leaf
     assert model.root.counts == (6, 4)
-    label, score = predict(model, [1.0, 1.0])
-    assert label is EffectivenessLabel.NON_EFFECTIVE
+    score = float(model.predict_scores(np.array([[1.0, 1.0]]))[0])
+    assert label_from_score(score) is EffectivenessLabel.NON_EFFECTIVE
     assert score == pytest.approx(0.4)
 
 
@@ -110,7 +110,7 @@ def test_pure_leaf_scores_are_zero_or_one():
 def test_predict_checks_dimension():
     model = train_decision_tree(separable_1d())
     with pytest.raises(DimensionMismatch):
-        predict(model, [1.0, 2.0, 3.0])
+        model.predict_scores(np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_tree_monotone_transform_invariance():

@@ -273,6 +273,14 @@ def test_extract_names_a_source_file_it_cannot_parse(workdir, name, data):
     assert f"error: {path}: cannot parse" in stderr
 
 
+def test_extract_parses_a_long_else_if_chain(workdir):
+    chain = " else ".join(f"if (x == {k}) {{ x++; }}" for k in range(1000))
+    with open(os.path.join("corpus", "fix", "Chain.java"), "w", encoding="utf-8") as out:
+        out.write(f"package fix;\nclass Chain {{ int x; void m() {{ {chain} }} }}\n")
+    code, _, stderr = run("extract", "--src", "corpus", "--out", "x")
+    assert code == 0, stderr
+
+
 def test_predict_with_a_truncated_model_exits_2(workdir):
     assert run("train", *DATA, "--classifier", "tree", "--seed", "1", "--out", "m")[0] == 0
     with open("m/model.txt", encoding="utf-8") as handle:

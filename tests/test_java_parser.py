@@ -1,5 +1,9 @@
 import ast
+import dataclasses
+import hashlib
 import inspect
+import json
+import os
 
 import pytest
 
@@ -13,12 +17,7 @@ from testability.javasrc import (
     parse_corpus,
     parse_source,
 )
-from testability.javasrc.extract import (
-    compute_complexity_metrics,
-    compute_inheritance_metrics,
-    compute_size_metrics,
-    cyclomatic_complexity,
-)
+from testability.javasrc.extract import compute_code_metrics, cyclomatic_complexity
 from testability.javasrc.lexer import tokenize
 from testability.metrics import MetricId as M
 
@@ -30,6 +29,15 @@ def one_class(src, name="A"):
 
 def method(decl, name):
     return next(m for m in decl.all_methods() if m.name == name)
+
+
+def code_metrics(tree, decl):
+    return compute_code_metrics(decl, tree, build_corpus_index([tree]))
+
+
+def indexed_metrics(index, qname):
+    entry = index[qname]
+    return compute_code_metrics(entry.decl, entry.unit, index)
 
 
 def test_empty_class_has_one_type_no_methods():
@@ -86,7 +94,7 @@ def test_loc_skips_blank_and_comment_only_lines():
         "}\n"              # 10
     )
     tree, decl = one_class(src)
-    size = compute_size_metrics(decl, tree)
+    size = code_metrics(tree, decl)
     assert size[M.LOC] == 7  # 10 physical, 2 blank, 1 comment-only
     assert size[M.LOCCOM] == 2  # the comment-only line and the trailing one
 
@@ -97,7 +105,7 @@ def test_call_receivers_distinguish_internal_external():
         void m(){ helper(); this.helper(); other.helper(); helper(1); }
     }"""
     tree, decl = one_class(src)
-    size = compute_size_metrics(decl, tree)
+    size = code_metrics(tree, decl)
     assert size[M.NMC] == 4
     assert size[M.NMCI] == 2  # bare and this-qualified, arity 0
     assert size[M.NMCE] == 2  # other receiver; wrong arity
@@ -185,7 +193,7 @@ def test_cyclic_hierarchy_rejected():
 def test_external_superclass_gives_dit_one_hop():
     a = parse_source("class A extends ArrayList{}", "A.java")
     index = build_corpus_index([a])
-    metrics = compute_inheritance_metrics(index["A"].decl, index)
+    metrics = indexed_metrics(index, "A")
     assert metrics[M.DIT] == 1
     assert index["A"].external_parent == "ArrayList"
 
@@ -193,7 +201,7 @@ def test_external_superclass_gives_dit_one_hop():
 def test_explicit_object_superclass_is_root():
     a = parse_source("class A extends Object{}", "A.java")
     index = build_corpus_index([a])
-    assert compute_inheritance_metrics(index["A"].decl, index)[M.DIT] == 0
+    assert indexed_metrics(index, "A")[M.DIT] == 0
 
 
 def test_resolved_chain_dit_and_noc():
@@ -203,8 +211,8 @@ def test_resolved_chain_dit_and_noc():
         parse_source("class A extends B{}", "A.java"),
     ]
     index = build_corpus_index(trees)
-    assert compute_inheritance_metrics(index["A"].decl, index)[M.DIT] == 2
-    assert compute_inheritance_metrics(index["B"].decl, index)[M.NOC] == 1
+    assert indexed_metrics(index, "A")[M.DIT] == 2
+    assert indexed_metrics(index, "B")[M.NOC] == 1
 
 
 def test_rfc_counts_distinct_external_name_arity_pairs():
@@ -215,7 +223,7 @@ def test_rfc_counts_distinct_external_name_arity_pairs():
     }"""
     tree, decl = one_class(src)
     # declared: m, n, c; invoked distinct: a/0, b/1 (twice distinct? no: b/1 once as pair), c/0 declared
-    assert compute_complexity_metrics(decl)[M.RFC] == 3 + 2
+    assert code_metrics(tree, decl)[M.RFC] == 3 + 2
 
 
 def test_generics_and_shift_operators_parse():
@@ -234,12 +242,9 @@ def test_generics_and_shift_operators_parse():
 
 
 def test_self_type_reference_excluded_from_ce():
-    from testability.javasrc.extract import compute_coupling_metrics
-
     src = "class A{ A self; B other; void m(){ A local = new A(); } }"
-    tree = parse_source(src)
-    index = build_corpus_index([tree])
-    assert compute_coupling_metrics(index["A"].decl, index)[M.CE] == 1  # only B
+    tree, decl = one_class(src)
+    assert code_metrics(tree, decl)[M.CE] == 1  # only B
 
 
 def test_a_text_block_is_a_parse_error_that_names_it():
@@ -248,26 +253,109 @@ def test_a_text_block_is_a_parse_error_that_names_it():
     assert str(info.value) == "A.java:2:14: text blocks are not supported"
 
 
-_TEXT_TESTS = ("at", "accept", "expect", "skip_balanced")
-_TEXT_PARAMETERS = {"text", "open_text", "close_text"}
+_TEXT_TESTS = ("at", "accept", "expect", "skip_balanced", "_past_balanced", "_declarator_head")
+# names a text test may take in place of a literal: the plumbing's own
+# parameters, and the prefix table, whose texts the test adds itself
+_TEXT_NAMES = {"text", "open_text", "close_text", "follows", "_PREFIX_OPS"}
+
+
+def _spelled_texts(node):
+    """The texts a constant string or tuple of strings spells, else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.Tuple) and all(
+            isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+        return {e.value for e in node.elts}
+    return None
+
+
+def _reads_token_texts(node):
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "texts")
 
 
 def test_every_text_the_parser_tests_is_one_operator_or_keyword_token():
-    """``at`` and ``accept`` compare token text only, and ``unary`` looks its
-    prefix operators up by text. That is exact while every such text lexes
-    as one operator or keyword, which no ident, literal or eof can spell."""
-    texts = set(parser_module._PREFIX_OPS)
+    """``at``, ``accept`` and every ``self.texts[k]`` comparison test token
+    text only; ``unary`` looks its prefix operators up by text, and
+    ``_declarator_head`` its followers. That is exact while every such text
+    lexes as one operator or keyword, which no ident, literal or eof can
+    spell. The logical-operator table is held to the same rule."""
+    texts = set(parser_module._PREFIX_OPS) | set(parser_module._LOGICAL_OPS)
     for node in ast.walk(ast.parse(inspect.getsource(parser_module))):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _TEXT_TESTS):
+            operands = node.args
+        elif isinstance(node, ast.Compare) and _reads_token_texts(node.left):
+            operands = node.comparators
+        else:
             continue
-        for arg in node.args:
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                texts.add(arg.value)
-            else:  # only the plumbing passes its own parameter on
-                assert isinstance(arg, ast.Name) and arg.id in _TEXT_PARAMETERS, ast.dump(arg)
-    assert {"class", "{", "::", "...", "instanceof", "++"} <= texts
+        for arg in operands:
+            spelled = _spelled_texts(arg)
+            if spelled is None:
+                assert isinstance(arg, ast.Name) and arg.id in _TEXT_NAMES, ast.dump(arg)
+            else:
+                texts |= spelled
+    assert {"class", "{", "::", "...", "instanceof", "++", "&&", "||", ":", "[", "->",
+            ">="} <= texts
     for text in texts:
         tokens = tokenize(text).tokens
         assert [(t.kind, t.text) for t in tokens[:-1]] in (
             [("op", text)], [("keyword", text)]), text
+
+
+@pytest.mark.parametrize("branches", [1000, 5000])
+def test_a_long_else_if_chain_is_one_decision_per_branch(branches):
+    chain = " else ".join(f"if (x == {k}) {{ x++; }}" for k in range(branches))
+    _, decl = one_class(f"class A{{int x; void m(){{ {chain} else {{ x--; }} }}}}")
+    m = method(decl, "m")
+    assert [d.kind for d in m.events.decisions] == ["if"] * branches
+    assert cyclomatic_complexity(m) == branches + 1
+
+
+def canonical(value):
+    """Every field of a syntax tree as JSON-ready lists, sets sorted."""
+    if dataclasses.is_dataclass(value):
+        return [type(value).__name__] + [
+            [f.name, canonical(getattr(value, f.name))] for f in dataclasses.fields(value)]
+    if isinstance(value, frozenset):  # modifier names or line numbers
+        return sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [type(value).__name__] + [canonical(v) for v in value]
+    return value
+
+
+TREE_SNIPPETS = [
+    "class P {\n int f(int a, int b) {\n return (a + b) * (a - (b));\n }\n}",
+    "class C {\n long f(Object o, double d) {\n String s = (String) o;\n"
+    " return (long) -d + (int) +d;\n }\n}",
+    "class L {\n void f() {\n run((a, b) -> a + b);\n run((String s) -> { g(s); });\n"
+    " run(() -> 1);\n }\n}",
+    "class R {\n void f() {\n list.forEach(System.out::println);\n make(ArrayList::new);\n }\n}",
+    "class S {\n void f(int x) {\n x >>>= 2;\n x = x >>> 1 >> 2;\n boolean b = x >= 3;\n }\n}",
+    "class G {\n java.util.Map<String, java.util.List<Map<K, ? extends V>>> m =\n"
+    " new java.util.HashMap<>();\n}",
+    "class T {\n int x;\n { x = 1; }\n static { y(); }\n T() { this(2); }\n"
+    " T(int a) { super(); }\n int g() {\n return this.x + super.h()\n"
+    " + (x > 0 && x < 9\n || x == 4 ? 1 : 2);\n }\n}",
+    "class F {\n void f(java.util.List<int[]> xs) {\n for (final int[] a : xs) {\n"
+    " if (a == null) continue;\n else if (a.length > 1) g();\n else if (a.length > 2) {}\n"
+    " else h();\n }\n for (int i = 0, j[] = {}; i < 2; i++) {}\n }\n}",
+    "enum E implements I {\n A(1) { void g() {} },\n B;\n E(int k) {}\n void g() {}\n}",
+    "class N {\n Object o = new Outer.Inner<String>() { int k; };\n"
+    " Object p = outer.new In();\n}",
+]
+
+# sha256 of the canonical trees of the corpus fixtures and TREE_SNIPPETS, recorded
+# with the parser as it was before its duplicated code paths were merged.
+TREES_SHA256 = "aaad3f426bca49c4d10a3f73693ea5b61ea031b906626a481199a7c86fa905c7"
+
+
+def test_syntax_trees_match_the_recorded_digest():
+    corpus = os.path.join(os.path.dirname(__file__), "fixtures", "corpus", "fix")
+    sources = []
+    for name in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, name), encoding="utf-8") as handle:
+            sources.append((name, handle.read()))
+    sources += [(f"snippet{k}.java", text) for k, text in enumerate(TREE_SNIPPETS)]
+    dump = json.dumps([canonical(parse_source(text, name)) for name, text in sources])
+    assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == TREES_SHA256

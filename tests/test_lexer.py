@@ -59,6 +59,9 @@ TOKENS = [
                          ("eof", "", 1, 13)]),
     ('"a\\\nb" x', [("string", '"a\\\nb"', 1, 1), ("ident", "x", 2, 4), ("eof", "", 2, 5)]),
     ("'\\''", [("char", "'\\''", 1, 1), ("eof", "", 1, 5)]),
+    # Unicode escapes inside literals stay in the literal
+    ('"\\u0061" \'\\u0062\'', [("string", '"\\u0061"', 1, 1), ("char", "'\\u0062'", 1, 10),
+                              ("eof", "", 1, 18)]),
     # identifiers and keywords
     ("$x _y é", [("ident", "$x", 1, 1), ("ident", "_y", 1, 4), ("ident", "é", 1, 7),
                  ("eof", "", 1, 8)]),
@@ -94,6 +97,9 @@ ERRORS = [
      "<string>:2:14: text blocks are not supported"),
     # three quotes with more on the line are no opener
     ('x = """ y', "<string>:1:7: unterminated string literal"),
+    # a Unicode escape outside a literal is named, at its backslash
+    ("class A { int \\u0061 = 1; }",
+     "<string>:1:15: unicode escapes outside literals are not supported"),
 ]
 
 

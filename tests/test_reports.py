@@ -1,5 +1,6 @@
 """Report rendering against hand-built report objects and hand-written text."""
 
+import dataclasses
 import os
 
 import pytest
@@ -10,11 +11,6 @@ from testability.learn import ModelKind
 from testability.learn.evaluation import EvalReport
 from testability.metrics import MetricId as M
 from testability.ranking import RankingAlgorithm, RankingTable
-
-
-def test_csv_line_quotes_cells_with_a_comma_a_quote_or_a_newline():
-    cells = ["a,b", 'say "hi"', "two\nlines", "plain", ""]
-    assert reports._csv_line(cells) == '"a,b","say ""hi""","two\nlines",plain,'
 
 
 CORRELATION = CorrelationReport(
@@ -39,6 +35,12 @@ def test_correlation_csv_orders_by_abs_rho_then_column_and_flags_reported():
         "AMC,0.123456789,false\n"
         'NSTAM,,"skipped: constant, all zero"\n'
     )
+
+
+def test_correlation_csv_quotes_a_cell_with_a_comma_a_quote_or_a_newline():
+    report = dataclasses.replace(CORRELATION, skipped=((M.NSTAM, 'a,b say "hi"\ntwo'),))
+    assert reports.correlation_csv(report, "abc").endswith(
+        'AMC,0.123456789,false\nNSTAM,,"skipped: a,b say ""hi""\ntwo"\n')
 
 
 def test_correlation_md_prints_six_decimals_and_lists_skipped_metrics():
