@@ -25,8 +25,7 @@ from .metrics import (
     MetricId,
     metric_for_column,
 )
-from .dataset import LabeledDataset, RawDataset
-from .records import EffectivenessLabel, FeatureMatrix
+from .dataset import FeatureMatrix, LabeledDataset, RawDataset
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,6 @@ __all__ = [
     "ALL_METRICS",
     "CODE_METRICS",
     "DesignProperty",
-    "EffectivenessLabel",
     "FeatureMatrix",
     "INDEPENDENT_VARIABLES",
     "LabeledDataset",

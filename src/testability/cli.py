@@ -1,12 +1,13 @@
 """Command-line front end: reproducible extraction/analysis runs.
 
 Commands: extract, label, correlate, train, evaluate, rank, predict,
-pipeline. Configuration comes from an optional key=value file plus
-command-line overrides (overrides win); every analysis run writes a
-manifest whose hash is embedded in each emitted report, and all output is
-written atomically. The analysis commands share ``run_analysis`` over the
-stage table ``STAGES``: correlate, evaluate and rank each run one stage,
-and pipeline runs all three in that order.
+pipeline, each a handler in ``COMMANDS``. Configuration comes from an
+optional key=value file plus command-line overrides (overrides win). A
+handler returns the files it will write, as (path, text) pairs, and the
+line to print; ``main`` alone writes them, atomically and in order, and
+then prints. correlate, evaluate and rank each run one stage of
+``STAGES`` through ``run_analysis``, and pipeline runs all three; each
+writes a manifest whose hash every one of its reports embeds.
 
 Exit codes: 0 success, 2 input error, 3 labeling degeneracy, 4 training
 failure, 5 prediction schema mismatch.
@@ -15,18 +16,17 @@ failure, 5 prediction schema mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Callable
 
 import numpy as np
 
 from . import classfile, dataset, javasrc, reports
 from .correlation import DegenerateInput, correlation_table
 from .dataset import (
+    LABELS,
     DegenerateSplit,
     IngestError,
     LabeledDataset,
@@ -51,11 +51,9 @@ from .learn import (
     load_model,
     train_model,
 )
-from .learn.base import label_from_score
 from .learn.serialize import ModelFormatError
 from .metrics import ALL_METRICS, INDEPENDENT_VARIABLES, MetricId, metric_for_column
 from .ranking import RankingAlgorithm, rank_features
-from .records import EffectivenessLabel, FeatureMatrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -63,10 +61,7 @@ EXIT_LABELING = 3
 EXIT_TRAINING = 4
 EXIT_PREDICT = 5
 
-_LABEL_TEXT = {
-    EffectivenessLabel.EFFECTIVE: "Effective",
-    EffectivenessLabel.NON_EFFECTIVE: "NonEffective",
-}
+Outcome = tuple[list[tuple[str, str]], str]
 
 
 class CliError(Exception):
@@ -153,19 +148,25 @@ _FIELDS = {f.name: f for f in fields(RunConfig)}
 def load_config_file(path: str) -> dict[str, object]:
     """Line-oriented key=value file; '#' starts a comment."""
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(EXIT_INPUT, f"{path}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot read config: {exc}")
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, equals, value = line.partition("=")
+        key = key.strip()
+        try:
+            if not equals:
+                raise CliError(EXIT_INPUT, "expected key=value")
             if key not in _FIELDS:
-                raise CliError(EXIT_INPUT, f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _coerce(key, value)
+                raise CliError(EXIT_INPUT, f"unknown key {key!r}")
+            values[key] = _coerce(key, value.strip())
+        except CliError as exc:  # each error names the line
+            raise CliError(EXIT_INPUT, f"{path}:{line_no}: {exc}") from None
     return values
 
 
@@ -178,17 +179,19 @@ def _coerce(key: str, value: str) -> object:
         return value
     if optional and value.lower() in ("none", "auto"):
         return None
-    return int(value) if declared == "int" else float(value)
+    try:
+        return int(value) if declared == "int" else float(value)
+    except ValueError:
+        kind = "an integer" if declared == "int" else "a number"
+        raise CliError(EXIT_INPUT, f"{key} must be {kind}, got {value!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict[str, object] = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
+    values = load_config_file(args.config) if args.config else {}
     for name in _FIELDS:
         arg = getattr(args, name, None)
         if arg is not None:
-            values[name] = _coerce(name, arg) if isinstance(arg, str) else arg
+            values[name] = _coerce(name, arg)
     return RunConfig(**values)
 
 
@@ -211,9 +214,10 @@ def _ingest(config: RunConfig, require=None, missing_exit: int = EXIT_INPUT) -> 
         raise CliError(code, f"bad dataset: {exc}")
 
 
-def _label(config: RunConfig, raw: RawDataset) -> LabeledDataset:
+def _ingest_and_label(config: RunConfig) -> tuple[RawDataset, LabeledDataset]:
+    raw = _ingest(config)
     try:
-        return label_by_quartiles(raw, thresholds=config.thresholds_override())
+        return raw, label_by_quartiles(raw, thresholds=config.thresholds_override())
     except DegenerateSplit as exc:
         raise CliError(EXIT_LABELING, f"labeling degenerate: {exc}")
     except TooFewValues as exc:
@@ -245,7 +249,8 @@ def _output_path(config: RunConfig, default_name: str) -> str:
     return os.path.join(config.out, default_name)
 
 
-def _write_manifest(config: RunConfig, command: str, raw, labeled) -> str:
+def _manifest(config: RunConfig, command: str, raw, labeled) -> tuple[str, str]:
+    """The manifest file's text and the hash that each report embeds."""
     eff = int(labeled.y.sum())
     params = zip(("tree_params", "forest_params", "mlp_params"), map(config.params, ModelKind))
     text = reports.manifest_text([
@@ -269,14 +274,10 @@ def _write_manifest(config: RunConfig, command: str, raw, labeled) -> str:
         for key, p in params
     ])
     run_hash = reports.manifest_hash(text)
-    reports.write_text_atomic(
-        os.path.join(config.out, "manifest.txt"),
-        text + f"manifest_hash: {run_hash}\n",
-    )
-    return run_hash
+    return text + f"manifest_hash: {run_hash}\n", run_hash
 
 
-def cmd_extract(config: RunConfig) -> int:
+def cmd_extract(config: RunConfig, args) -> Outcome:
     if not config.src:
         raise CliError(EXIT_INPUT, "no source directories given (--src)")
     try:
@@ -284,8 +285,6 @@ def cmd_extract(config: RunConfig) -> int:
     except javasrc.CorpusParseError as exc:
         for failure in exc.failures:
             print(f"error: {failure}", file=sys.stderr)
-        raise CliError(EXIT_INPUT, str(exc))
-    except (javasrc.DuplicateClass, javasrc.CyclicHierarchy) as exc:
         raise CliError(EXIT_INPUT, str(exc))
     if not corpus.index.class_names():
         raise CliError(EXIT_INPUT, "no classes found")
@@ -295,10 +294,7 @@ def cmd_extract(config: RunConfig) -> int:
             explicit = javasrc.read_pairing_file(config.pairs)
         except (OSError, javasrc.PairingError) as exc:
             raise CliError(EXIT_INPUT, f"bad pairing file: {exc}")
-    try:
-        pairs = javasrc.pair_classes(corpus.index, explicit)
-    except javasrc.PairingError as exc:
-        raise CliError(EXIT_INPUT, str(exc))
+    pairs = javasrc.pair_classes(corpus.index, explicit)
     if not pairs:
         raise CliError(EXIT_INPUT, "no paired (class, test class) combinations found")
     nbi = None
@@ -312,53 +308,44 @@ def cmd_extract(config: RunConfig) -> int:
     buffer = io.StringIO()
     dataset.write_records_csv(buffer, data, data.columns)
     out_path = _output_path(config, "metrics.csv")
-    reports.write_text_atomic(out_path, buffer.getvalue())
-    print(f"extracted {len(data)} paired classes -> {out_path}")
-    return EXIT_OK
+    return [(out_path, buffer.getvalue())], f"extracted {len(data)} paired classes -> {out_path}"
 
 
-def cmd_label(config: RunConfig) -> int:
-    raw = _ingest(config)
-    labeled = _label(config, raw)
+def cmd_label(config: RunConfig, args) -> Outcome:
+    raw, labeled = _ingest_and_label(config)
     kept = labeled.kept
     if not len(kept):  # with no row kept, no row lacks a variable: all are listed
         kept = RawDataset((), (), ALL_METRICS, np.empty((0, len(ALL_METRICS))))
     columns = [m for m in INDEPENDENT_VARIABLES if m in kept.columns] + [MetricId.M]
     cells = dataset.cell_columns(kept, columns)
-    cells.append(["label", *map(_LABEL_TEXT.get, map(EffectivenessLabel, labeled.y.tolist()))])
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(zip(*cells))
+    cells.append(["label", *(LABELS[y] for y in labeled.y.tolist())])
     out_path = os.path.join(config.out, "labeled.csv")
-    reports.write_text_atomic(out_path, buffer.getvalue())
-    print(
+    return [(out_path, reports.csv_text(zip(*cells)))], (
         f"ingested {len(raw)}, labeled {len(labeled)} "
         f"(thresholds {labeled.q1_threshold:g}/{labeled.q3_threshold:g}, "
         f"discarded {labeled.discarded_count}) -> {out_path}"
     )
-    return EXIT_OK
 
 
-def cmd_train(config: RunConfig) -> int:
+def cmd_train(config: RunConfig, args) -> Outcome:
     seed = _require_seed(config)
     kind, *others = _classifier_kinds(config)
     if others:
         raise CliError(EXIT_INPUT, "train needs exactly one --classifier")
-    raw = _ingest(config)
-    labeled = _label(config, raw)
+    _, labeled = _ingest_and_label(config)
     matrix = to_feature_matrix(labeled, config.feature_ids())
     try:
         model = train_model(matrix, kind, config.params(kind), seed=seed)
     except (SingleClassInput, NonFiniteLoss) as exc:
         raise CliError(EXIT_TRAINING, f"training failed: {exc}")
     out_path = _output_path(config, "model.txt")
-    reports.write_text_atomic(out_path, dump_model(model))
-    print(f"trained {kind.value} on {matrix.n_rows} records -> {out_path}")
-    return EXIT_OK
+    return [(out_path, dump_model(model))], (
+        f"trained {kind.value} on {matrix.n_rows} records -> {out_path}")
 
 
-def cmd_predict(config: RunConfig, model_path: str) -> int:
+def cmd_predict(config: RunConfig, args) -> Outcome:
     try:
-        with open(model_path, "r", encoding="utf-8") as handle:
+        with open(args.model, "r", encoding="utf-8") as handle:
             model = load_model(handle.read())
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read model: {exc}")
@@ -366,32 +353,33 @@ def cmd_predict(config: RunConfig, model_path: str) -> int:
         raise CliError(EXIT_INPUT, f"bad model file: {exc}")
     data = _ingest(config, require=model.feature_ids, missing_exit=EXIT_PREDICT)
     scores = model.predict_scores(data.column(model.feature_ids)).tolist() if len(data) else []
-    labels = list(map(label_from_score, scores))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["class_id", "score", "label"])
-    writer.writerows(zip(data.class_ids, map(repr, scores), map(_LABEL_TEXT.get, labels)))
+    labels = [LABELS[score >= 0.5] for score in scores]
+    text = reports.csv_text([("class_id", "score", "label"),
+                             *zip(data.class_ids, map(repr, scores), labels)])
     out_path = _output_path(config, "predictions.csv")
-    reports.write_text_atomic(out_path, buffer.getvalue())
-    effective = labels.count(EffectivenessLabel.EFFECTIVE)
-    print(
+    effective = labels.count(LABELS[1])
+    return [(out_path, text)], (
         f"predicted {len(data)} rows: {effective} Effective, "
         f"{len(data) - effective} NonEffective -> {out_path}"
     )
-    return EXIT_OK
 
 
 # ---- analysis stages -------------------------------------------------------------
+# Each stage takes (config, raw, labeled, matrix), where matrix is None unless
+# the stage needs it, and returns its result and the line printed when it runs alone.
 
 
 def _correlate(config: RunConfig, raw, labeled, matrix):
     population = labeled if config.population == "labeled" else raw
     try:
-        return correlation_table(
+        report = correlation_table(
             population, threshold=config.threshold, features=config.feature_ids()
         )
     except DegenerateInput as exc:
         raise CliError(EXIT_INPUT, str(exc))
+    return report, (
+        f"correlations over {report.population} {report.population_kind} records; "
+        f"{len(report.entries)} metrics above |rho| >= {config.threshold:g}")
 
 
 def _evaluate(config: RunConfig, raw, labeled, matrix):
@@ -403,75 +391,62 @@ def _evaluate(config: RunConfig, raw, labeled, matrix):
             results.append(evaluate(matrix, kind, config.params(kind), k=config.k, seed=seed))
         except (FoldTrainingError, SingleClassInput, TooFewPerClass, NonFiniteLoss) as exc:
             raise CliError(EXIT_TRAINING, f"{kind.value}: {exc}")
-    return results
+    return results, "\n".join(
+        f"{r.classifier.value}: accuracy={r.accuracy:.3f} auc={r.auc:.3f}" for r in results)
 
 
 def _rank(config: RunConfig, raw, labeled, matrix):
-    return [rank_features(matrix, algorithm) for algorithm in RankingAlgorithm]
+    tables = [rank_features(matrix, algorithm) for algorithm in RankingAlgorithm]
+    return tables, "rank-1 features -> " + ", ".join(
+        f"{t.algorithm.value}: {t.entries[0][0].column}" for t in tables if t.entries)
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One analysis step: compute(config, raw, labeled, matrix) gives a result
-    (matrix is None unless the stage needs it), each artefact renders it to a
-    report file, and summary is the line printed when the stage runs alone."""
-
-    compute: Callable[[RunConfig, RawDataset, LabeledDataset, FeatureMatrix | None], object]
-    needs_matrix: bool
-    artefacts: tuple[tuple[str, Callable[[object, str], str]], ...]  # file name, renderer
-    summary: Callable[[RunConfig, object], str]
-
-
+#: command: (stage, whether it needs the feature matrix, (report file, renderer) pairs)
 STAGES = {
-    "correlate": Stage(
-        _correlate, False,
-        (("correlations.csv", reports.correlation_csv),
-         ("correlations.md", reports.correlation_md)),
-        lambda config, report: (
-            f"correlations over {report.population} {report.population_kind} records; "
-            f"{len(report.entries)} metrics above |rho| >= {config.threshold:g}"),
-    ),
-    "evaluate": Stage(
-        _evaluate, True,
-        (("classification.csv", reports.classification_csv),
-         ("classification.md", reports.classification_md)),
-        lambda config, results: "\n".join(
-            f"{r.classifier.value}: accuracy={r.accuracy:.3f} auc={r.auc:.3f}"
-            for r in results),
-    ),
-    "rank": Stage(
-        _rank, True,
-        (("ranking.csv", reports.ranking_csv), ("ranking.md", reports.ranking_md)),
-        lambda config, tables: "rank-1 features -> " + ", ".join(
-            f"{t.algorithm.value}: {t.entries[0][0].column}" for t in tables if t.entries),
-    ),
+    "correlate": (_correlate, False, (("correlations.csv", reports.correlation_csv),
+                                      ("correlations.md", reports.correlation_md))),
+    "evaluate": (_evaluate, True, (("classification.csv", reports.classification_csv),
+                                   ("classification.md", reports.classification_md))),
+    "rank": (_rank, True, (("ranking.csv", reports.ranking_csv),
+                           ("ranking.md", reports.ranking_md))),
 }
 
 
-def run_analysis(config: RunConfig, command: str) -> int:
-    """Run one stage, or all of them for ``pipeline``, then write the reports."""
-    stages = list(STAGES.values()) if command == "pipeline" else [STAGES[command]]
-    raw = _ingest(config)
-    labeled = _label(config, raw)
-    needs_matrix = any(stage.needs_matrix for stage in stages)
+def run_analysis(config: RunConfig, args) -> Outcome:
+    """Run one stage, or all of them for ``pipeline``: the manifest, then the reports."""
+    stages = list(STAGES.values()) if args.command == "pipeline" else [STAGES[args.command]]
+    raw, labeled = _ingest_and_label(config)
+    needs_matrix = any(needs for _, needs, _ in stages)
     matrix = to_feature_matrix(labeled, config.feature_ids()) if needs_matrix else None
-    results = [stage.compute(config, raw, labeled, matrix) for stage in stages]
-    run_hash = _write_manifest(config, command, raw, labeled)
-    for stage, result in zip(stages, results):
-        for name, render in stage.artefacts:
-            reports.write_text_atomic(os.path.join(config.out, name), render(result, run_hash))
-    if command == "pipeline":
-        print(
-            f"pipeline: {len(raw)} ingested, {len(labeled)} labeled "
-            f"(thresholds {labeled.q1_threshold:g}/{labeled.q3_threshold:g}); "
-            f"reports in {config.out} (manifest {run_hash[:12]})"
-        )
-    else:
-        print(stages[0].summary(config, results[0]))
-    return EXIT_OK
+    results = [stage(config, raw, labeled, matrix) for stage, _, _ in stages]
+    manifest, run_hash = _manifest(config, args.command, raw, labeled)
+    outputs = [(os.path.join(config.out, "manifest.txt"), manifest)]
+    for (_, _, artefacts), (result, _) in zip(stages, results):
+        outputs += [(os.path.join(config.out, name), render(result, run_hash))
+                    for name, render in artefacts]
+    if args.command != "pipeline":
+        return outputs, results[0][1]
+    return outputs, (
+        f"pipeline: {len(raw)} ingested, {len(labeled)} labeled "
+        f"(thresholds {labeled.q1_threshold:g}/{labeled.q3_threshold:g}); "
+        f"reports in {config.out} (manifest {run_hash[:12]})"
+    )
 
 
 # ---- argument parsing ------------------------------------------------------------
+
+#: command: (handler, help text)
+COMMANDS = {
+    "extract": (cmd_extract, "parse Java sources and emit the metrics CSV"),
+    "label": (cmd_label, "quartile-label a dataset by mutation score"),
+    "correlate": (run_analysis, "Spearman correlation of every metric with mutation score"),
+    "train": (cmd_train, "train one classifier on the labeled dataset"),
+    "evaluate": (run_analysis, "k-fold cross-validated evaluation of classifiers"),
+    "rank": (run_analysis, "rank features by the four ranking algorithms"),
+    "predict": (cmd_predict, "predict effectiveness for a metrics CSV with a saved model"),
+    "pipeline": (run_analysis, "full run: label, correlate, evaluate, rank"),
+}
+
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -486,8 +461,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--classifier", help="tree | forest | mlp | all")
     parser.add_argument("--k", help="cross-validation folds")
     parser.add_argument("--threshold", help="correlation reporting threshold")
-    parser.add_argument("--population", choices=["raw", "labeled"],
-                        help="correlation population")
+    parser.add_argument("--population", help="raw | labeled (correlation population)")
     parser.add_argument("--q1", help="override lower mutation-score threshold")
     parser.add_argument("--q3", help="override upper mutation-score threshold")
 
@@ -498,16 +472,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Static OO metrics and mutation-score test-effectiveness analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("extract", "parse Java sources and emit the metrics CSV"),
-        ("label", "quartile-label a dataset by mutation score"),
-        ("correlate", "Spearman correlation of every metric with mutation score"),
-        ("train", "train one classifier on the labeled dataset"),
-        ("evaluate", "k-fold cross-validated evaluation of classifiers"),
-        ("rank", "rank features by the four ranking algorithms"),
-        ("predict", "predict effectiveness for a metrics CSV with a saved model"),
-        ("pipeline", "full run: label, correlate, evaluate, rank"),
-    ]:
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "predict":
             p.add_argument("model", help="model file from `train`")
@@ -518,16 +483,17 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        config = build_config(args)
-        if args.command == "predict":
-            return cmd_predict(config, args.model)
-        handler = {"extract": cmd_extract, "label": cmd_label, "train": cmd_train}
-        if args.command in handler:
-            return handler[args.command](config)
-        return run_analysis(config, args.command)
+        outputs, summary = COMMANDS[args.command][0](build_config(args), args)
+        for path, text in outputs:
+            try:
+                reports.write_text_atomic(path, text)
+            except OSError as exc:
+                raise CliError(EXIT_INPUT, f"cannot write output: {path}: {exc}")
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INPUT)
+    print(summary)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """The dataset (ids plus one float64 matrix with a column per metric), CSV
-ingestion and validation, quartile-based effectiveness labeling, and
-feature matrices. Only this module knows the matrix layout; others read
-columns through ``RawDataset.column``.
+ingestion and validation, quartile-based effectiveness labeling, and the
+feature matrix the learners and rankers read. Only this module knows the
+dataset's matrix layout; others read columns through ``RawDataset.column``.
+
+A label is 0 (NonEffective) or 1 (Effective) everywhere, stored as int8;
+``LABELS`` gives its text.
 
 The CSV dialect is fixed: comma-separated, UTF-8, one header row of
 canonical column names, "." decimal separator. Metadata columns carried by
@@ -29,7 +32,6 @@ from .metrics import (
     MetricId,
     metric_for_column,
 )
-from .records import FeatureMatrix
 
 #: Header names treated as metadata, never as features.
 METADATA_COLUMNS = ("project", "url", "commit", "class_path", "test_path")
@@ -37,6 +39,9 @@ METADATA_COLUMNS = ("project", "url", "commit", "class_path", "test_path")
 #: Metadata/identifier columns that name the record.
 _ID_COLUMNS = {"class_path": "class_id", "test_path": "test_id",
                "class_id": "class_id", "test_id": "test_id"}
+
+#: The text of label 0 and label 1.
+LABELS = ("NonEffective", "Effective")
 
 
 class IngestError(ValueError):
@@ -132,6 +137,49 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.kept)
+
+
+@dataclass(frozen=True)
+class FeatureMatrix:
+    """Numeric matrix over selected independent variables plus binary target.
+
+    Rows follow dataset order; ``y`` holds 1 for Effective, 0 for
+    NonEffective. Test-quality metrics can never appear among the
+    features (M is the target source; L and B are excluded from the 34
+    independent variables).
+    """
+
+    feature_ids: tuple[MetricId, ...]
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self) -> None:
+        X = np.asarray(self.X, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.int8)
+        if X.ndim != 2 or X.shape[1] != len(self.feature_ids):
+            raise ValueError("matrix is not rectangular over feature_ids")
+        if y.shape != (X.shape[0],):
+            raise ValueError("targets not aligned with rows")
+        if not np.isfinite(X).all():
+            raise ValueError("matrix contains missing or non-finite values")
+        forbidden = [m.column for m in self.feature_ids if m in TEST_QUALITY_METRICS]
+        if forbidden:
+            raise ForbiddenFeature(
+                f"test-quality metrics cannot be features: {', '.join(forbidden)}"
+            )
+        object.__setattr__(self, "feature_ids", tuple(self.feature_ids))
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
+        X.setflags(write=False)
+        y.setflags(write=False)
+
+    @property
+    def n_rows(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def n_features(self) -> int:
+        return self.X.shape[1]
 
 
 def ingest_csv(
@@ -324,11 +372,6 @@ def to_feature_matrix(
     features: Sequence[MetricId] = INDEPENDENT_VARIABLES,
 ) -> FeatureMatrix:
     """Assemble the numeric matrix and target vector in dataset order."""
-    forbidden = [m.column for m in features if m in TEST_QUALITY_METRICS]
-    if forbidden:
-        raise ForbiddenFeature(
-            f"test-quality metrics cannot be features: {', '.join(forbidden)}"
-        )
     return FeatureMatrix(feature_ids=features, X=data.kept.column(features), y=data.y)
 
 

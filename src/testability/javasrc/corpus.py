@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from .tree import SyntaxTree, TypeDecl
 
 
-class DuplicateClass(Exception):
+class DuplicateClass(ValueError):
     pass
 
 
-class CyclicHierarchy(Exception):
+class CyclicHierarchy(ValueError):
     pass
 
 

@@ -313,7 +313,7 @@ class CorpusParseError(Exception):
         super().__init__(f"{len(failures)} source file(s) failed to parse")
 
 
-class PairingError(Exception):
+class PairingError(ValueError):
     pass
 
 

@@ -6,8 +6,6 @@ import enum
 
 import numpy as np
 
-from ..records import EffectivenessLabel
-
 
 class ModelKind(enum.Enum):
     DECISION_TREE = "DecisionTree"
@@ -44,7 +42,3 @@ def check_two_classes(y: np.ndarray) -> None:
 def check_row_width(row: np.ndarray, expected: int) -> None:
     if row.shape[-1] != expected:
         raise DimensionMismatch(f"row has {row.shape[-1]} features, model expects {expected}")
-
-
-def label_from_score(score: float) -> EffectivenessLabel:
-    return EffectivenessLabel.EFFECTIVE if score >= 0.5 else EffectivenessLabel.NON_EFFECTIVE

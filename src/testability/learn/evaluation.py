@@ -15,12 +15,12 @@ each fold's scores are written back to that fold's test rows.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..records import FeatureMatrix
+from ..dataset import FeatureMatrix
 from .base import ModelKind, SingleClassInput
 from .forest import ForestParams, train_random_forest
 from .mlp import MLPParams, train_mlp

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dataset import FeatureMatrix
 from ..metrics import MetricId
-from ..records import FeatureMatrix
 from .base import ModelKind, NonFiniteLoss, check_row_width, check_two_classes
 
 

@@ -19,19 +19,14 @@ candidates) and scores them together in slices of at most ``SLICE_CELLS``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ..dataset import FeatureMatrix
 from ..metrics import MetricId
-from ..records import EffectivenessLabel, FeatureMatrix
-from .base import (
-    DimensionMismatch,
-    ModelKind,
-    check_row_width,
-    check_two_classes,
-)
+from .base import ModelKind, check_row_width, check_two_classes
 
 
 @dataclass

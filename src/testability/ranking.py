@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import FeatureMatrix
 from .learn.tree import entropy_bits
 from .metrics import MetricId
-from .records import FeatureMatrix
 
 
 class RankingAlgorithm(enum.Enum):

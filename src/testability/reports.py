@@ -12,7 +12,7 @@ import hashlib
 import io
 import os
 import tempfile
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .correlation import CorrelationReport
 from .learn.evaluation import EvalReport
@@ -44,14 +44,16 @@ def manifest_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """Rows as CSV: comma-separated, minimal quoting, "\\n" line ends."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def _csv(run_hash: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     """The manifest line, then header and rows as CSV."""
-    buffer = io.StringIO()
-    buffer.write(f"# manifest: {run_hash}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    return f"# manifest: {run_hash}\n" + csv_text([header, *rows])
 
 
 def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:

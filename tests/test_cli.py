@@ -179,11 +179,15 @@ def test_outputs_match_golden_digests(workdir):
      2, "bad dataset: row 2, column class_path: bad cell ''"),
     (["label", "--features", "LOC", "--dataset", "big-cell.csv"],
      2, "bad dataset: row 3: field larger than field limit (131072)"),
+    (["label", *DATA, "--out", "metrics.csv"], 2, "cannot write output: metrics.csv/labeled.csv"),
+    (["train", *DATA, "--classifier", "tree", "--seed", "1", "--out", "metrics.csv/model.txt"],
+     2, "cannot write output: metrics.csv/model.txt"),
+    (["label", "--dataset", "metrics.csv", "--config", "nope.cfg"], 2, "cannot read config: "),
 ])
 def test_error_exit_codes(workdir, argv, code, message):
     with open("big-cell.csv", "w", encoding="utf-8") as out:  # a cell over the csv field limit
         out.write("LOC,M\n1,0.5\n" + "9" * 140_000 + ",0.5\n")
-    got, _, stderr = run(*argv, "--out", "out")
+    got, _, stderr = run(argv[0], "--out", "out", *argv[1:])  # a later --out wins
     assert got == code
     assert message in stderr
 
@@ -214,7 +218,14 @@ def test_error_exit_codes(workdir, argv, code, message):
     ("pipeline", ["--threshold", "2"], "threshold must be in [0, 1], got 2.0"),
     ("correlate", ["--config", "bad.cfg", "population = bogus"],
      "population must be raw or labeled, got 'bogus'"),
+    ("correlate", ["--population", "bogus"], "population must be raw or labeled, got 'bogus'"),
     ("label", ["--q1", "0.9", "--q3", "0.1"], "q1 must be at most q3, got q1=0.9 and q3=0.1"),
+    ("evaluate", ["--seed", "abc"], "seed must be an integer, got 'abc'"),
+    ("evaluate", ["--k", "1.5"], "k must be an integer, got '1.5'"),
+    ("correlate", ["--threshold", "x"], "threshold must be a number, got 'x'"),
+    ("label", ["--q1", "low", "--q3", "0.9"], "q1 must be a number, got 'low'"),
+    ("evaluate", ["--config", "bad.cfg", "trees = many"],
+     "bad.cfg:1: trees must be an integer, got 'many'"),
     ("pipeline", ["--config", "bad.cfg", "q1 = 0.8\nq3 = 0.2"],
      "q1 must be at most q3, got q1=0.8 and q3=0.2"),
 ])

@@ -34,7 +34,6 @@ from testability.metrics import (
     MetricId,
     metric_for_column,
 )
-from testability.records import EffectivenessLabel
 
 
 def csv_text(rows, header="class_path,test_path,LOC,WMC,M"):
@@ -150,7 +149,7 @@ def test_labeling_splits_and_discards():
     labeled = label_by_quartiles(raw)
     assert len(labeled) + labeled.discarded_count == len(raw)
     for score, label in zip(labeled.kept.column(MetricId.M), labeled.y):
-        if label == EffectivenessLabel.NON_EFFECTIVE.value:
+        if label == 0:
             assert score <= labeled.q1_threshold
         else:
             assert score >= labeled.q3_threshold
@@ -161,8 +160,8 @@ def test_boundary_scores_are_kept():
     raw = make_raw([0.1, 0.4, 0.7, 1.0, 0.4, 1.0, 0.2, 0.9])
     labeled = label_by_quartiles(raw, thresholds=(0.4, 1.0))
     by_id = dict(zip(labeled.kept.class_ids, labeled.y))
-    assert by_id["c1"] == EffectivenessLabel.NON_EFFECTIVE.value  # M = 0.4 kept
-    assert by_id["c3"] == EffectivenessLabel.EFFECTIVE.value  # M = 1.0 kept
+    assert by_id["c1"] == 0  # M = 0.4 kept
+    assert by_id["c3"] == 1  # M = 1.0 kept
     assert "c2" not in by_id  # 0.7 strictly between -> discarded
 
 

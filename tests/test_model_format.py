@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from testability.dataset import FeatureMatrix
 from testability.learn import (
     ForestParams,
     MLPParams,
@@ -19,7 +20,6 @@ from testability.learn import (
 )
 from testability.learn.serialize import ModelFormatError
 from testability.metrics import MetricId
-from testability.records import FeatureMatrix
 
 
 def _matrix():

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from testability.dataset import InvalidRecord, RawDataset, ingest_csv, write_records_csv
+from testability.dataset import (
+    FeatureMatrix,
+    InvalidRecord,
+    RawDataset,
+    ingest_csv,
+    write_records_csv,
+)
 from testability.metrics import COUNT_METRICS, INDEPENDENT_VARIABLES, MetricId
-from testability.records import EffectivenessLabel, FeatureMatrix
 
 RECORD = {
     MetricId.NMC: 5.0, MetricId.NMCI: 2.0, MetricId.NMCE: 3.0,
@@ -96,10 +101,6 @@ def test_feature_matrix_rejects_ragged_and_nan():
         FeatureMatrix(
             feature_ids=(MetricId.LOC,), X=np.array([[np.nan]]), y=np.zeros(1)
         )
-
-
-def test_labels_enum_is_binary():
-    assert {l.value for l in EffectivenessLabel} == {0, 1}
 
 
 @given(
