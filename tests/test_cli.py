@@ -218,16 +218,16 @@ def test_error_exit_codes(workdir, argv, code, message):
     ("pipeline", ["--threshold", "2"], "threshold must be in [0, 1], got 2.0"),
     ("correlate", ["--config", "bad.cfg", "population = bogus"],
      "population must be raw or labeled, got 'bogus'"),
-    ("correlate", ["--population", "bogus"], "population must be raw or labeled, got 'bogus'"),
     ("label", ["--q1", "0.9", "--q3", "0.1"], "q1 must be at most q3, got q1=0.9 and q3=0.1"),
+    ("pipeline", ["--config", "bad.cfg", "q1 = 0.8\nq3 = 0.2"],
+     "q1 must be at most q3, got q1=0.8 and q3=0.2"),
+    ("correlate", ["--population", "bogus"], "population must be raw or labeled, got 'bogus'"),
     ("evaluate", ["--seed", "abc"], "seed must be an integer, got 'abc'"),
     ("evaluate", ["--k", "1.5"], "k must be an integer, got '1.5'"),
     ("correlate", ["--threshold", "x"], "threshold must be a number, got 'x'"),
     ("label", ["--q1", "low", "--q3", "0.9"], "q1 must be a number, got 'low'"),
     ("evaluate", ["--config", "bad.cfg", "trees = many"],
      "bad.cfg:1: trees must be an integer, got 'many'"),
-    ("pipeline", ["--config", "bad.cfg", "q1 = 0.8\nq3 = 0.2"],
-     "q1 must be at most q3, got q1=0.8 and q3=0.2"),
 ])
 def test_out_of_range_settings_exit_2_and_write_no_report(workdir, command, settings, message):
     if "--config" in settings:
