@@ -145,6 +145,18 @@ class RunConfig:
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
+def _not_utf8(path: str) -> str:
+    """Where a file that failed to decode stops being UTF-8: its path, line and byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}: line {line}: not UTF-8 (byte 0x{data[exc.start]:02x})"
+    return f"{path}: not UTF-8"  # the file changed since it failed to decode
+
+
 def load_config_file(path: str) -> dict[str, object]:
     """Line-oriented key=value file; '#' starts a comment."""
     values: dict[str, object] = {}
@@ -153,6 +165,8 @@ def load_config_file(path: str) -> dict[str, object]:
             lines = handle.readlines()
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read config: {exc}")
+    except UnicodeDecodeError:
+        raise CliError(EXIT_INPUT, f"cannot read config: {_not_utf8(path)}") from None
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -209,6 +223,8 @@ def _ingest(config: RunConfig, require=None, missing_exit: int = EXIT_INPUT) -> 
             return ingest_csv(handle, require=require, provenance=config.dataset)
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read dataset: {exc}")
+    except UnicodeDecodeError:
+        raise CliError(EXIT_INPUT, f"bad dataset: {_not_utf8(config.dataset)}") from None
     except IngestError as exc:
         code = missing_exit if isinstance(exc, MissingColumn) else EXIT_INPUT
         raise CliError(code, f"bad dataset: {exc}")
@@ -294,6 +310,8 @@ def cmd_extract(config: RunConfig, args) -> Outcome:
             explicit = javasrc.read_pairing_file(config.pairs)
         except (OSError, javasrc.PairingError) as exc:
             raise CliError(EXIT_INPUT, f"bad pairing file: {exc}")
+        except UnicodeDecodeError:
+            raise CliError(EXIT_INPUT, f"bad pairing file: {_not_utf8(config.pairs)}") from None
     pairs = javasrc.pair_classes(corpus.index, explicit)
     if not pairs:
         raise CliError(EXIT_INPUT, "no paired (class, test class) combinations found")
@@ -349,6 +367,8 @@ def cmd_predict(config: RunConfig, args) -> Outcome:
             model = load_model(handle.read())
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read model: {exc}")
+    except UnicodeDecodeError:
+        raise CliError(EXIT_INPUT, f"bad model file: {_not_utf8(args.model)}") from None
     except ModelFormatError as exc:
         raise CliError(EXIT_INPUT, f"bad model file: {exc}")
     data = _ingest(config, require=model.feature_ids, missing_exit=EXIT_PREDICT)

@@ -24,7 +24,7 @@ from ..dataset import FeatureMatrix
 from .base import ModelKind, SingleClassInput
 from .forest import ForestParams, train_random_forest
 from .mlp import MLPParams, train_mlp
-from .tree import TreeParams, train_decision_tree
+from .tree import TreeParams, train_decision_tree, value_counts
 
 
 class TooFewPerClass(ValueError):
@@ -95,21 +95,14 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     (FPR, TPR) points with trapezoids makes ties count half, so the result
     equals the probability-of-correct-ranking statistic.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.intp)
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
+    _, counts = value_counts(scores, labels)
+    n_neg, n_pos = counts.sum(axis=0).tolist()
     if n_pos == 0 or n_neg == 0:
         raise SingleClassInput("AUC needs both classes present")
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    tp = np.cumsum(y_sorted == 1)
-    fp = np.cumsum(y_sorted == 0)
-    # keep only the last point of each tied-score run (thresholds are unique scores)
-    last = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
-    tpr = np.concatenate(([0.0], tp[last] / n_pos))
-    fpr = np.concatenate(([0.0], fp[last] / n_neg))
+    # one threshold per distinct score, from the highest down
+    fp, tp = np.cumsum(counts[::-1], axis=0).T
+    tpr = np.concatenate(([0.0], tp / n_pos))
+    fpr = np.concatenate(([0.0], fp / n_neg))
     return float(np.trapezoid(tpr, fpr))
 
 

@@ -14,7 +14,8 @@ distinct values (``column_codes``), so split search sorts integer keys and
 never floats. Each round gathers the nodes that need a split (a forest
 tree's next one in preorder, or every pending node of a tree that draws no
 candidates) and scores them together in slices of at most ``SLICE_CELLS``
-(row, candidate) cells, which bounds the working set of a round.
+(row, candidate) cells, which bounds the working set of a round. The
+feature rankers and ``auc`` share ``column_codes`` through ``value_counts``.
 """
 
 from __future__ import annotations
@@ -128,6 +129,17 @@ def column_codes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     values = np.concatenate(tables) if tables else np.empty(0)
     starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
     return codes, values, starts
+
+
+def value_counts(x: Sequence[float], y: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct value of x, ascending, with its (NonEffective, Effective) row count.
+
+    ``counts[i]`` counts the rows where x equals ``values[i]``, by label:
+    one ``np.bincount`` over the single column's ``column_codes``.
+    """
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.intp)
+    codes, values, _ = column_codes(x[:, None], y)
+    return values, np.bincount(codes[0], minlength=2 * values.size).reshape(-1, 2)
 
 
 def best_splits(

@@ -1,11 +1,13 @@
 """Feature ranking: Gain Ratio, Information Gain, Symmetric Uncertainty, OneR.
 
+Every ranker reads a column through one table, ``value_counts``: each
+distinct value, ascending, with its (NonEffective, Effective) row count.
 The three entropy measures score features after supervised entropy-
-minimization discretization with the MDL stopping criterion; OneR uses its
-own minimum-bucket discretization and scores by one-rule training
-accuracy. All four depend on the data only through value order and label
-alignment, so scores are invariant under strictly increasing per-feature
-transforms.
+minimization discretization with the MDL stopping criterion, from the
+class counts of its bins; OneR uses its own minimum-bucket discretization
+and scores by one-rule training accuracy. All four depend on the data
+only through value order and label alignment, so scores are invariant
+under strictly increasing per-feature transforms.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .learn.tree import entropy_bits
+from .learn.tree import _xlog2x, entropy_bits, value_counts
 from .metrics import MetricId
 
 
@@ -29,27 +31,16 @@ class RankingAlgorithm(enum.Enum):
     ONE_R = "OneR"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Discretization:
-    """Cut points splitting a numeric feature into bins.
+    """Cut points splitting a numeric feature into bins, with each bin's class counts.
 
-    Empty cut_points means the feature was uninformative under the MDL
-    criterion (a single bin).
+    ``table[b]`` holds bin b's (NonEffective, Effective) row counts. Empty
+    cut_points means the feature is uninformative under MDL (a single bin).
     """
 
     cut_points: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple(float(c) for c in self.cut_points)
-        if any(a >= b for a, b in zip(pts, pts[1:])):
-            raise ValueError("cut points must be strictly increasing")
-        object.__setattr__(self, "cut_points", pts)
-
-    def apply(self, values: Sequence[float]) -> np.ndarray:
-        """Bin index per value; a value equal to a cut point goes left."""
-        return np.searchsorted(
-            np.asarray(self.cut_points), np.asarray(values, dtype=np.float64), side="left"
-        )
+    table: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,17 +50,16 @@ class RankingTable:
 
 
 def _entropy(counts: np.ndarray) -> float:
-    """Shannon entropy in bits of a non-negative count vector."""
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    """Shannon entropy in bits of a count vector with a positive total.
+
+    Summing the zero terms is exact only because every vector this gets has
+    length 2 or holds no zero: numpy sums a longer vector in partial sums
+    that a zero can regroup, which may change the last bit.
+    """
+    return float(-_xlog2x(counts / counts.sum()).sum())
 
 
-def mdl_discretize(
-    feature: Sequence[float], labels: Sequence[int]
-) -> Discretization:
+def mdl_discretize(feature: Sequence[float], labels: Sequence[int]) -> Discretization:
     """Recursive entropy-minimization binning with the MDL acceptance test.
 
     Each step picks the boundary cut minimizing the partition's class
@@ -83,20 +73,11 @@ def mdl_discretize(
     y = np.asarray(labels, dtype=np.intp)
     if x.shape != y.shape:
         raise ValueError("feature and labels must have equal length")
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    # collapse to distinct-value groups with per-class counts
-    starts = np.concatenate(([0], np.nonzero(xs[1:] != xs[:-1])[0] + 1))
-    values = xs[starts]
-    counts = np.zeros((values.size, 2), dtype=np.int64)
-    np.add.at(counts, (np.searchsorted(values, xs), ys), 1)
+    values, counts = value_counts(x, y)
     # a cut between two groups pure in the same class can never be optimal
-    pure_same = (
-        ((counts[:-1, 0] == 0) & (counts[1:, 0] == 0))
-        | ((counts[:-1, 1] == 0) & (counts[1:, 1] == 0))
-    )
+    pure_same = ((counts[:-1] == 0) & (counts[1:] == 0)).any(axis=1)
 
-    cuts: list[float] = []
+    starts: list[int] = []  # the first distinct value of each bin but the first
     stack: list[tuple[int, int]] = [(0, values.size)]
     while stack:
         lo, hi = stack.pop()
@@ -130,56 +111,36 @@ def mdl_discretize(
         if gain <= (math.log2(n - 1) + delta) / n:
             continue
         b = lo + i + 1
-        cuts.append((values[b - 1] + values[b]) / 2.0)
+        starts.append(b)
         stack.append((lo, b))
         stack.append((b, hi))
 
-    return Discretization(cut_points=tuple(sorted(cuts)))
+    at = np.array(sorted(starts), dtype=np.intp)
+    return Discretization(cut_points=tuple(((values[at - 1] + values[at]) / 2.0).tolist()),
+                          table=np.add.reduceat(counts, np.r_[0, at]))
 
 
-def _contingency(bins: Sequence[int], labels: Sequence[int]) -> np.ndarray:
-    """Per-bin class counts: row b holds (NonEffective, Effective) in bin b."""
-    b = np.asarray(bins, dtype=np.intp)
-    table = np.zeros((int(b.max()) + 1 if b.size else 1, 2), dtype=np.int64)
-    np.add.at(table, (b, np.asarray(labels, dtype=np.intp)), 1)
-    return table
+def entropy_scores(table: np.ndarray) -> dict[RankingAlgorithm, float]:
+    """The three entropy measures, in bits, of per-bin class counts with no empty bin.
 
-
-def info_gain(bins: Sequence[int], labels: Sequence[int]) -> float:
-    """H(class) - H(class | binned feature), in bits; never negative."""
-    table = _contingency(bins, labels)
+    Info gain is H(class) - H(class | bin), never negative. Gain ratio
+    divides it by the bins' own entropy, and symmetric uncertainty is
+    2*IG / (H(class) + H(bin)), in [0, 1]; each is 0 where its denominator is.
+    """
     n = table.sum()
     h_class = _entropy(table.sum(axis=0))
-    conditional = sum(
-        row.sum() / n * _entropy(row) for row in table if row.sum() > 0
-    )
-    return max(0.0, h_class - float(conditional))
+    h_bins = _entropy(table.sum(axis=1))
+    conditional = sum(row.sum() / n * _entropy(row) for row in table)
+    gain = max(0.0, h_class - float(conditional))
+    denom = h_bins + h_class
+    return {
+        RankingAlgorithm.INFO_GAIN: gain,
+        RankingAlgorithm.GAIN_RATIO: gain / h_bins if h_bins != 0.0 else 0.0,
+        RankingAlgorithm.SYMMETRIC_UNCERTAINTY: 2.0 * gain / denom if denom != 0.0 else 0.0,
+    }
 
 
-def gain_ratio(bins: Sequence[int], labels: Sequence[int]) -> float:
-    """Information gain normalized by the binned feature's own entropy."""
-    h_feature = _entropy(_contingency(bins, labels).sum(axis=1))
-    if h_feature == 0.0:
-        return 0.0
-    return info_gain(bins, labels) / h_feature
-
-
-def symmetric_uncertainty(
-    bins: Sequence[int], labels: Sequence[int]
-) -> float:
-    """2*IG / (H(class) + H(feature)), in [0, 1]."""
-    table = _contingency(bins, labels)
-    denom = _entropy(table.sum(axis=1)) + _entropy(table.sum(axis=0))
-    if denom == 0.0:
-        return 0.0
-    return 2.0 * info_gain(bins, labels) / denom
-
-
-def oner_score(
-    feature: Sequence[float],
-    labels: Sequence[int],
-    min_bucket: int = 6,
-) -> float:
+def oner_score(feature: Sequence[float], labels: Sequence[int], min_bucket: int = 6) -> float:
     """Training accuracy of the one-rule built on this feature alone.
 
     Sorted values are grouped into buckets of at least ``min_bucket`` rows,
@@ -190,22 +151,21 @@ def oner_score(
     y = np.asarray(labels, dtype=np.intp)
     if x.size < 2:
         raise ValueError("need at least 2 rows")
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    bounds = [0]  # bucket edges in sorted order
-    for end in np.append(np.flatnonzero(xs[1:] != xs[:-1]) + 1, x.size).tolist():
-        if end - bounds[-1] >= min_bucket:
-            bounds.append(end)
-    if len(bounds) == 1:
-        bounds.append(x.size)
-    bounds[-1] = x.size  # a short tail joins the last bucket
-    effective = np.diff(np.concatenate(([0], np.cumsum(ys)))[bounds])
-    correct = np.maximum(effective, np.diff(bounds) - effective).sum()
-    return int(correct) / x.size
+    _, counts = value_counts(x, y)
+    starts, closed = [0], 0  # each bucket's first distinct value; rows in closed buckets
+    for g, end in enumerate(np.cumsum(counts.sum(axis=1)).tolist(), start=1):
+        if end - closed >= min_bucket:
+            starts.append(g)
+            closed = end
+    # the last start opens a short tail, or no bucket: either way it joins the one before
+    buckets = np.add.reduceat(counts, starts[: max(1, len(starts) - 1)])
+    return int(buckets.max(axis=1).sum()) / x.size
 
 
 def rank_features(matrix: FeatureMatrix, algorithm: RankingAlgorithm) -> RankingTable:
-    """Score every feature column; sort descending, ties alphabetical."""
+    """Score every feature column; sort descending, ties in column-name order."""
+    if matrix.n_rows < 2:
+        raise ValueError(f"ranking needs at least 2 labeled rows, got {matrix.n_rows}")
     y = matrix.y.astype(np.intp)
     entries: list[tuple[MetricId, float]] = []
     for j, metric in enumerate(matrix.feature_ids):
@@ -213,13 +173,7 @@ def rank_features(matrix: FeatureMatrix, algorithm: RankingAlgorithm) -> Ranking
         if algorithm is RankingAlgorithm.ONE_R:
             score = oner_score(column, y)
         else:
-            bins = mdl_discretize(column, y).apply(column)
-            if algorithm is RankingAlgorithm.INFO_GAIN:
-                score = info_gain(bins, y)
-            elif algorithm is RankingAlgorithm.GAIN_RATIO:
-                score = gain_ratio(bins, y)
-            else:
-                score = symmetric_uncertainty(bins, y)
+            score = entropy_scores(mdl_discretize(column, y).table)[algorithm]
         entries.append((metric, score))
     entries.sort(key=lambda e: (-e[1], e[0].column))
     return RankingTable(algorithm=algorithm, entries=tuple(entries))

@@ -445,6 +445,31 @@ def test_auc_is_the_mann_whitney_statistic_over_tied_scores(pairs):
     assert abs(auc(scores, labels) - expected) <= 1e-12
 
 
+def reference_auc(scores, labels):
+    """AUC by sorting scores descending and cutting after each run of tied scores."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.intp)
+    order = np.argsort(-s, kind="stable")
+    s_sorted, y_sorted = s[order], y[order]
+    tp = np.cumsum(y_sorted == 1)
+    fp = np.cumsum(y_sorted == 0)
+    last = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
+    tpr = np.concatenate(([0.0], tp[last] / int((y == 1).sum())))
+    fpr = np.concatenate(([0.0], fp[last] / int((y == 0).sum())))
+    return float(np.trapezoid(tpr, fpr))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(0, 5).map(lambda s: s / 5),
+                                    st.floats(-1e9, 1e9, allow_nan=False)),
+                          st.integers(0, 1)), min_size=2, max_size=80))
+def test_auc_equals_the_sort_and_cut_reference_exactly(pairs):
+    scores = np.array([s for s, _ in pairs])
+    labels = np.array([label for _, label in pairs])
+    if 0 < labels.sum() < labels.size:
+        assert auc(scores, labels) == reference_auc(scores, labels)
+
+
 # -- cross-validation folds ------------------------------------------------------
 
 

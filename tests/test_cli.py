@@ -228,8 +228,12 @@ def test_error_exit_codes(workdir, argv, code, message):
     ("label", ["--q1", "low", "--q3", "0.9"], "q1 must be a number, got 'low'"),
     ("evaluate", ["--config", "bad.cfg", "trees = many"],
      "bad.cfg:1: trees must be an integer, got 'many'"),
+    ("rank", ["--q1", "-1", "--q3", "2"], "ranking needs at least 2 labeled rows, got 0"),
+    ("rank", ["--dataset", "one-labeled.csv", "--features", "LOC", "--q1", "0.2", "--q3", "0.9"],
+     "ranking needs at least 2 labeled rows, got 1"),
 ])
 def test_out_of_range_settings_exit_2_and_write_no_report(workdir, command, settings, message):
+    (workdir / "one-labeled.csv").write_text("LOC,M\n1,0.1\n2,0.5\n", encoding="utf-8")
     if "--config" in settings:
         (workdir / "bad.cfg").write_text(settings.pop() + "\n", encoding="utf-8")
     code, _, stderr = run(command, "--dataset", "metrics.csv", "--seed", "1", *settings,
@@ -237,6 +241,21 @@ def test_out_of_range_settings_exit_2_and_write_no_report(workdir, command, sett
     assert code == 2
     assert message in stderr
     assert not os.path.exists("out") or os.listdir("out") == []
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["label", "--features", "LOC", "--dataset", "latin.txt"], "bad dataset"),
+    (["label", *DATA, "--config", "latin.txt"], "cannot read config"),
+    (["extract", "--src", "corpus", "--pairs", "latin.txt"], "bad pairing file"),
+    (["predict", "latin.txt", *DATA], "bad model file"),
+], ids=["dataset", "config", "pairs", "model"])
+def test_a_file_that_is_not_utf8_exits_2_naming_its_line(workdir, argv, prefix):
+    with open("latin.txt", "wb") as out:
+        out.write(b"LOC,M\n1,0.5\n\xff,0.2\n")
+    code, _, stderr = run(*argv, "--out", "out")
+    assert code == 2
+    assert f"error: {prefix}: latin.txt: line 3: not UTF-8 (byte 0xff)" in stderr
+    assert not os.path.exists("out")
 
 
 def test_labelling_that_keeps_no_row_writes_every_variable_in_the_header(workdir):

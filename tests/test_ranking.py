@@ -4,14 +4,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import entropy
 
-from testability.learn.tree import entropy_bits
+from testability.dataset import FeatureMatrix
+from testability.learn.tree import entropy_bits, value_counts
+from testability.metrics import INDEPENDENT_VARIABLES
 from testability.ranking import (
-    gain_ratio,
-    info_gain,
+    RankingAlgorithm,
+    entropy_scores,
     mdl_discretize,
     oner_score,
-    symmetric_uncertainty,
+    rank_features,
 )
+
+
+# -- the distinct-value count table ------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0, 1e300]),
+                          st.integers(0, 1)), max_size=40))
+def test_value_counts_match_a_row_by_row_reference(pairs):
+    reference: dict[float, list[int]] = {}
+    for value, label in pairs:  # -0.0 and 0.0 are one dict key, as they are equal
+        reference.setdefault(value, [0, 0])[label] += 1
+    x = np.array([value for value, _ in pairs], dtype=np.float64)
+    values, counts = value_counts(x, np.array([label for _, label in pairs], dtype=np.intp))
+    assert values.tolist() == sorted(reference)
+    assert counts.tolist() == [reference[v] for v in sorted(reference)]
 
 
 # -- MDL discretization ------------------------------------------------------------
@@ -112,17 +130,57 @@ def _oracle(bins, labels):
     return h_class, h_bins, h_class - conditional
 
 
+def _bin_table(bins, labels):
+    """Per-bin (NonEffective, Effective) counts of the occupied bins, in bin order."""
+    table = np.zeros((max(bins) + 1, 2), dtype=np.int64)
+    np.add.at(table, (np.asarray(bins), np.asarray(labels)), 1)
+    return table[table.sum(axis=1) > 0]
+
+
+def _assert_matches_oracle(scores, bins, labels):
+    h_class, h_bins, gain = _oracle(bins, labels)
+    assert scores[RankingAlgorithm.INFO_GAIN] == pytest.approx(max(gain, 0.0), abs=1e-12)
+    expected_ratio = gain / h_bins if h_bins > 0 else 0.0
+    assert scores[RankingAlgorithm.GAIN_RATIO] == pytest.approx(expected_ratio, abs=1e-9)
+    denom = h_class + h_bins
+    expected_su = 2 * gain / denom if denom > 0 else 0.0
+    assert scores[RankingAlgorithm.SYMMETRIC_UNCERTAINTY] == pytest.approx(expected_su, abs=1e-9)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=2, max_size=60))
 def test_entropy_measures_match_scipy(pairs):
     bins, labels = zip(*pairs)
-    h_class, h_bins, gain = _oracle(bins, labels)
-    assert info_gain(bins, labels) == pytest.approx(max(gain, 0.0), abs=1e-12)
-    expected_ratio = gain / h_bins if h_bins > 0 else 0.0
-    assert gain_ratio(bins, labels) == pytest.approx(expected_ratio, abs=1e-9)
-    denom = h_class + h_bins
-    expected_su = 2 * gain / denom if denom > 0 else 0.0
-    assert symmetric_uncertainty(bins, labels) == pytest.approx(expected_su, abs=1e-9)
+    _assert_matches_oracle(entropy_scores(_bin_table(bins, labels)), bins, labels)
+
+
+# -- rank_features -----------------------------------------------------------------
+
+
+FEATURES = INDEPENDENT_VARIABLES[:4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-5, 5), min_size=len(FEATURES),
+                                   max_size=len(FEATURES)), st.integers(0, 1)),
+                min_size=2, max_size=40))
+def test_rank_features_keeps_its_documented_claims(rows):
+    X = np.array([cells for cells, _ in rows], dtype=np.float64)
+    y = np.array([label for _, label in rows])
+    matrix = FeatureMatrix(feature_ids=FEATURES, X=X, y=y)
+    increasing = FeatureMatrix(feature_ids=FEATURES, X=X**3 + 5 * X, y=y)
+    scores = {}
+    for algorithm in RankingAlgorithm:
+        table = rank_features(matrix, algorithm)
+        assert table.algorithm is algorithm
+        # unchanged, exactly, under a strictly increasing transform of each feature
+        assert rank_features(increasing, algorithm).entries == table.entries
+        assert {metric for metric, _ in table.entries} == set(FEATURES)
+        assert list(table.entries) == sorted(table.entries, key=lambda e: (-e[1], e[0].column))
+        scores[algorithm] = dict(table.entries)
+    for j, metric in enumerate(FEATURES):  # each entropy score against scipy on the MDL bins
+        bins = np.searchsorted(mdl_discretize(X[:, j], y).cut_points, X[:, j], side="left")
+        _assert_matches_oracle({a: s[metric] for a, s in scores.items()}, bins, y)
 
 
 def test_binary_entropy_matches_scipy():
