@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import classfile, dataset, javasrc, reports
-from .correlation import DegenerateInput, correlation_table
+from .correlation import correlation_table
 from .dataset import (
     LABELS,
     DegenerateSplit,
@@ -51,7 +51,7 @@ from .learn import (
     load_model,
     train_model,
 )
-from .learn.serialize import ModelFormatError
+from .learn.serialize import ModelFormatError, setting_value
 from .metrics import ALL_METRICS, INDEPENDENT_VARIABLES, MetricId, metric_for_column
 from .ranking import RankingAlgorithm, rank_features
 
@@ -185,19 +185,16 @@ def load_config_file(path: str) -> dict[str, object]:
 
 
 def _coerce(key: str, value: str) -> object:
-    """Parse text by the field's type; an optional int or float takes none/auto."""
-    declared, _, optional = _FIELDS[key].type.partition(" | ")
+    """Parse text by the field's type; numbers are read as in a model's params line."""
+    declared = _FIELDS[key].type
     if declared == "list[str]":
         return [v.strip() for v in value.split(",") if v.strip()]
-    if declared not in ("int", "float"):
+    if declared.startswith("str"):
         return value
-    if optional and value.lower() in ("none", "auto"):
-        return None
     try:
-        return int(value) if declared == "int" else float(value)
-    except ValueError:
-        kind = "an integer" if declared == "int" else "a number"
-        raise CliError(EXIT_INPUT, f"{key} must be {kind}, got {value!r}") from None
+        return setting_value(_FIELDS[key], value)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -391,12 +388,8 @@ def cmd_predict(config: RunConfig, args) -> Outcome:
 
 def _correlate(config: RunConfig, raw, labeled, matrix):
     population = labeled if config.population == "labeled" else raw
-    try:
-        report = correlation_table(
-            population, threshold=config.threshold, features=config.feature_ids()
-        )
-    except DegenerateInput as exc:
-        raise CliError(EXIT_INPUT, str(exc))
+    report = correlation_table(population, threshold=config.threshold,
+                               features=config.feature_ids())  # DegenerateInput: exit 2
     return report, (
         f"correlations over {report.population} {report.population_kind} records; "
         f"{len(report.entries)} metrics above |rho| >= {config.threshold:g}")

@@ -39,6 +39,9 @@ def check_two_classes(y: np.ndarray) -> None:
         raise SingleClassInput("training data must contain both classes")
 
 
-def check_row_width(row: np.ndarray, expected: int) -> None:
-    if row.shape[-1] != expected:
-        raise DimensionMismatch(f"row has {row.shape[-1]} features, model expects {expected}")
+def model_rows(X, width: int) -> np.ndarray:
+    """X as a 2-D float64 array of rows, each ``width`` features wide."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[-1] != width:
+        raise DimensionMismatch(f"row has {X.shape[-1]} features, model expects {width}")
+    return X

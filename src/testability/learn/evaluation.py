@@ -22,9 +22,16 @@ import numpy as np
 
 from ..dataset import FeatureMatrix
 from .base import ModelKind, SingleClassInput
-from .forest import ForestParams, train_random_forest
-from .mlp import MLPParams, train_mlp
-from .tree import TreeParams, train_decision_tree, value_counts
+from .forest import ForestParams, RandomForestModel, train_random_forest
+from .mlp import MLPModel, MLPParams, train_mlp
+from .tree import DecisionTreeModel, TreeParams, train_decision_tree, value_counts
+
+#: kind: (model class, params class, trainer)
+LEARNERS = {
+    ModelKind.DECISION_TREE: (DecisionTreeModel, TreeParams, train_decision_tree),
+    ModelKind.RANDOM_FOREST: (RandomForestModel, ForestParams, train_random_forest),
+    ModelKind.MULTILAYER_PERCEPTRON: (MLPModel, MLPParams, train_mlp),
+}
 
 
 class TooFewPerClass(ValueError):
@@ -108,11 +115,8 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 def train_model(matrix: FeatureMatrix, kind: ModelKind, params=None, seed: int = 0):
     """Train one classifier of ``kind``; ``params`` None means its defaults."""
-    if kind is ModelKind.DECISION_TREE:
-        return train_decision_tree(matrix, params or TreeParams(), seed=seed)
-    if kind is ModelKind.RANDOM_FOREST:
-        return train_random_forest(matrix, params or ForestParams(), seed=seed)
-    return train_mlp(matrix, params or MLPParams(), seed=seed)
+    _, params_class, train = LEARNERS[kind]
+    return train(matrix, params or params_class(), seed=seed)
 
 
 def _fold_scores(matrix: FeatureMatrix, kind: ModelKind, params, seed: int,

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..dataset import FeatureMatrix
 from ..metrics import MetricId
-from .base import ModelKind, check_row_width, check_two_classes
+from .base import ModelKind, check_two_classes, model_rows
 from .tree import TreeNode, grow_trees, tree_scores
 
 
@@ -48,7 +49,7 @@ class ForestParams:
 
 @dataclass
 class RandomForestModel:
-    kind: ModelKind
+    kind: ClassVar[ModelKind] = ModelKind.RANDOM_FOREST
     feature_ids: tuple[MetricId, ...]
     seed: int
     params: ForestParams
@@ -56,8 +57,7 @@ class RandomForestModel:
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Fraction of trees voting Effective, per row."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        check_row_width(X, len(self.feature_ids))
+        X = model_rows(X, len(self.feature_ids))
         votes = np.zeros(X.shape[0], dtype=np.float64)
         for root in self.roots:
             votes += tree_scores(root, X) >= 0.5
@@ -76,7 +76,6 @@ def train_random_forest(
     rows = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n) for rng in rngs]
     roots = grow_trees(matrix.X, matrix.y, rows, params.min_leaf, n_candidates=fps, rngs=rngs)
     return RandomForestModel(
-        kind=ModelKind.RANDOM_FOREST,
         feature_ids=matrix.feature_ids,
         seed=seed,
         params=params,

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..dataset import FeatureMatrix
 from ..metrics import MetricId
-from .base import ModelKind, NonFiniteLoss, check_row_width, check_two_classes
+from .base import ModelKind, NonFiniteLoss, check_two_classes, model_rows
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class MLPParams:
 
 @dataclass
 class MLPModel:
-    kind: ModelKind
+    kind: ClassVar[ModelKind] = ModelKind.MULTILAYER_PERCEPTRON
     feature_ids: tuple[MetricId, ...]
     seed: int
     params: MLPParams
@@ -48,8 +49,7 @@ class MLPModel:
     b2: np.ndarray  # (2,)
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        check_row_width(X, len(self.feature_ids))
+        X = model_rows(X, len(self.feature_ids))
         xs = (X - self.mean) / self.scale
         probs = _forward(xs, self.w1, self.b1, self.w2, self.b2)[1]
         return probs[:, 1]
@@ -120,7 +120,6 @@ def train_mlp(
             p += v
 
     return MLPModel(
-        kind=ModelKind.MULTILAYER_PERCEPTRON,
         feature_ids=matrix.feature_ids,
         seed=seed,
         params=params,

@@ -21,13 +21,13 @@ feature rankers and ``auc`` share ``column_codes`` through ``value_counts``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from ..dataset import FeatureMatrix
 from ..metrics import MetricId
-from .base import ModelKind, check_row_width, check_two_classes
+from .base import ModelKind, check_two_classes, model_rows
 
 
 @dataclass
@@ -59,7 +59,7 @@ class TreeParams:
 
 @dataclass
 class DecisionTreeModel:
-    kind: ModelKind
+    kind: ClassVar[ModelKind] = ModelKind.DECISION_TREE
     feature_ids: tuple[MetricId, ...]
     seed: int
     params: TreeParams
@@ -67,8 +67,7 @@ class DecisionTreeModel:
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Probability of Effective per row, from reached-leaf distributions."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        check_row_width(X, len(self.feature_ids))
+        X = model_rows(X, len(self.feature_ids))
         return tree_scores(self.root, X)
 
 
@@ -131,6 +130,18 @@ def column_codes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return codes, values, starts
 
 
+def midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cut between each pair of values a < b: their midpoint, or a where it fails.
+
+    The midpoint overflows to +-inf beyond about 9e307 and can round up to b
+    between adjacent floats; a still keeps every value up to a at or below
+    the cut and every value from b on above it.
+    """
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2.0
+    return np.where((a <= mid) & (mid < b), mid, a)
+
+
 def value_counts(x: Sequence[float], y: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct value of x, ascending, with its (NonEffective, Effective) row count.
 
@@ -181,7 +192,7 @@ def _score_slice(coded, nodes, min_leaf):
     probabilities followed by their complements, with the same float
     expressions as ``entropy_bits``. The first maximum per node in
     (candidate, value) order wins, so ties break on the smaller feature
-    index, then the smaller threshold. The threshold is the midpoint of
+    index, then the smaller threshold. The threshold is ``midpoints`` of
     the two values around the cut.
     """
     codes, values, starts = coded
@@ -241,12 +252,7 @@ def _score_slice(coded, nodes, min_leaf):
     col = seg_col[seg]
     low = starts[col] + (key[cut] - seg * stride) // 2
     high = starts[col] + (key[cut + 1] - seg * stride) // 2
-    a, b = values[low], values[high]
-    with np.errstate(over="ignore"):
-        mid = (a + b) / 2.0
-    # the midpoint overflows to +-inf beyond about 9e307 and can round up to b
-    # between adjacent floats; a still sends the left rows left and the rest right
-    threshold = np.where((a <= mid) & (mid < b), mid, a)
+    threshold = midpoints(values[low], values[high])
     for i, feature, t in zip(node[pick].tolist(), col.tolist(), threshold.tolist()):
         splits[i] = (feature, t)
     return splits
@@ -322,7 +328,6 @@ def train_decision_tree(
         matrix.X, matrix.y, [np.arange(matrix.n_rows)], params.min_leaf, params.max_depth
     )
     return DecisionTreeModel(
-        kind=ModelKind.DECISION_TREE,
         feature_ids=matrix.feature_ids,
         seed=seed,
         params=params,

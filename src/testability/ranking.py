@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .learn.tree import _xlog2x, entropy_bits, value_counts
+from .learn.tree import _xlog2x, entropy_bits, midpoints, value_counts
 from .metrics import MetricId
 
 
@@ -116,7 +116,7 @@ def mdl_discretize(feature: Sequence[float], labels: Sequence[int]) -> Discretiz
         stack.append((b, hi))
 
     at = np.array(sorted(starts), dtype=np.intp)
-    return Discretization(cut_points=tuple(((values[at - 1] + values[at]) / 2.0).tolist()),
+    return Discretization(cut_points=tuple(midpoints(values[at - 1], values[at]).tolist()),
                           table=np.add.reduceat(counts, np.r_[0, at]))
 
 

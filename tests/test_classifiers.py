@@ -277,8 +277,7 @@ def reference_forest(fm, params, seed):
         idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
         roots.append(reference_grow_tree(fm.X[idx], fm.y[idx], min_leaf=params.min_leaf,
                                          max_depth=None, n_candidates=fps, rng=rng))
-    return RandomForestModel(kind=ModelKind.RANDOM_FOREST, feature_ids=fm.feature_ids,
-                             seed=seed, params=params, roots=roots)
+    return RandomForestModel(feature_ids=fm.feature_ids, seed=seed, params=params, roots=roots)
 
 
 @st.composite
@@ -320,8 +319,7 @@ def test_lockstep_forest_dumps_match_trees_grown_one_at_a_time(fm, data):
 def test_single_tree_dump_matches_the_tree_grown_node_by_node(fm, min_leaf, max_depth):
     params = TreeParams(min_leaf=min_leaf, max_depth=max_depth)
     root = reference_grow_tree(fm.X, fm.y, min_leaf, max_depth)
-    expected = DecisionTreeModel(kind=ModelKind.DECISION_TREE, feature_ids=fm.feature_ids,
-                                 seed=0, params=params, root=root)
+    expected = DecisionTreeModel(feature_ids=fm.feature_ids, seed=0, params=params, root=root)
     assert dump_model(train_decision_tree(fm, params)) == dump_model(expected)
 
 
@@ -644,18 +642,25 @@ def test_mlp_deterministic_under_seed():
 # -- serialization ---------------------------------------------------------------
 
 
+#: settings per kind that between them write every spelling of the params line
+ROUND_TRIP_SETTINGS = {
+    ModelKind.DECISION_TREE: [TreeParams(min_leaf=2), TreeParams(max_depth=3)],
+    ModelKind.RANDOM_FOREST: [ForestParams(trees=7),
+                              ForestParams(trees=7, features_per_split=1, bootstrap=False)],
+    ModelKind.MULTILAYER_PERCEPTRON: [MLPParams(epochs=30),
+                                      MLPParams(hidden=3, learning_rate=0.1, epochs=30)],
+}
+
+
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_export_import_round_trip_preserves_predictions(kind):
     fm = separable_1d(n=60)
-    if kind is ModelKind.DECISION_TREE:
-        model = train_decision_tree(fm, TreeParams(min_leaf=2), seed=1)
-    elif kind is ModelKind.RANDOM_FOREST:
-        model = train_random_forest(fm, ForestParams(trees=7), seed=1)
-    else:
-        model = train_mlp(fm, MLPParams(epochs=30), seed=1)
-    text = dump_model(model)
-    clone = load_model(text)
-    assert clone.kind is kind
-    assert clone.feature_ids == model.feature_ids
-    assert np.array_equal(clone.predict_scores(fm.X), model.predict_scores(fm.X))
-    assert dump_model(clone) == text
+    for params in ROUND_TRIP_SETTINGS[kind]:
+        model = train_model(fm, kind, params, seed=1)
+        text = dump_model(model)
+        clone = load_model(text)
+        assert clone.kind is kind
+        assert clone.feature_ids == model.feature_ids
+        assert clone.params == params
+        assert np.array_equal(clone.predict_scores(fm.X), model.predict_scores(fm.X))
+        assert dump_model(clone) == text

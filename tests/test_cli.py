@@ -183,13 +183,18 @@ def test_outputs_match_golden_digests(workdir):
     (["train", *DATA, "--classifier", "tree", "--seed", "1", "--out", "metrics.csv/model.txt"],
      2, "cannot write output: metrics.csv/model.txt"),
     (["label", "--dataset", "metrics.csv", "--config", "nope.cfg"], 2, "cannot read config: "),
+    (["correlate", "--features", "LOC", "--dataset", "five.csv", "--population", "labeled",
+      "--q1", "0.1", "--q3", "0.9"], 2, "error: need at least 3 records"),
 ])
 def test_error_exit_codes(workdir, argv, code, message):
     with open("big-cell.csv", "w", encoding="utf-8") as out:  # a cell over the csv field limit
         out.write("LOC,M\n1,0.5\n" + "9" * 140_000 + ",0.5\n")
+    with open("five.csv", "w", encoding="utf-8") as out:  # labelling keeps the first and last
+        out.write("LOC,M\n1,0.0\n2,0.5\n3,0.5\n4,0.5\n5,1.0\n")
     got, _, stderr = run(argv[0], "--out", "out", *argv[1:])  # a later --out wins
     assert got == code
     assert message in stderr
+    assert not os.path.exists("out")
 
 
 @pytest.mark.parametrize("command, settings, message", [

@@ -56,9 +56,26 @@ def _replace_line(text, prefix, new):
     _replace_line(DUMPS[2], "b1", "b1 0.5"),
     _replace_line(DUMPS[2], "shape", "shape 3 2"),
     _replace_line(DUMPS[2], "kind", "kind Perceptron"),
+    _replace_line(TREE, "split", "split 0 inf 1 2"),
+    _replace_line(TREE, "split", "split 0 nan 1 2"),
+    _replace_line(DUMPS[2], "w2", "w2 " + " ".join(["0.5"] * 3 + ["inf"])),
+    _replace_line(DUMPS[2], "mean", "mean 1.0 nan"),
+    _replace_line(DUMPS[2], "scale", "scale 0.0 0.0"),
+    _replace_line(DUMPS[2], "scale", "scale 2.0 0.0"),
+    _replace_line(TREE, "features", "features LOC,M"),
+    _replace_line(TREE, "features", "features B,WMC"),
+    _replace_line(TREE, "params", "params min_leaf=2 max_depth=none extra=1"),
+    _replace_line(TREE, "params", "params min_leaf=2"),
+    _replace_line(TREE, "params", "params min_leaf=2 min_leaf=2 max_depth=none"),
+    _replace_line(DUMPS[1], "params", "params trees=3 features_per_split=auto min_leaf=1 "
+                                      "bootstrap=2"),
+    TREE + "leaf 1 1\n",
 ], ids=["truncated", "self-link", "link-past-end", "feature-past-end", "negative-feature",
         "empty-leaf", "negative-leaf", "huge-node-count", "short-vector", "wrong-shape",
-        "unknown-kind"])
+        "unknown-kind", "infinite-threshold", "nan-threshold", "infinite-weight", "nan-mean",
+        "zero-scale", "one-zero-scale", "mutation-score-feature", "branch-coverage-feature",
+        "extra-param", "missing-param", "repeated-param", "bootstrap-not-0-or-1",
+        "line-after-tree"])
 def test_malformed_text_raises_model_format_error(text):
     with pytest.raises(ModelFormatError):
         load_model(text)

@@ -60,6 +60,14 @@ def test_mdl_cuts_at_the_midpoint_between_distinct_values():
     assert mdl_discretize(x, [0] * 4 + [1] * 4).cut_points == (2.0,)
 
 
+@pytest.mark.parametrize("low, high", [(1 + 2**-52, 1 + 2**-51), (1e308, 1.7e308)],
+                         ids=["midpoint-rounds-to-high", "midpoint-overflows"])
+def test_mdl_cuts_at_the_lower_value_where_the_midpoint_fails(low, high):
+    with np.errstate(all="raise"):
+        cuts = mdl_discretize([low] * 8 + [high] * 8, [0] * 8 + [1] * 8).cut_points
+    assert cuts == (low,)
+
+
 # -- OneR --------------------------------------------------------------------------
 
 
