@@ -21,11 +21,15 @@ MAGIC = 0xCAFEBABE
 MAJOR_CEILING = 65
 
 
-class MalformedClassFile(ValueError):
+class ClassFileError(ValueError):
+    """A class file that cannot be read; ``nbi_for_paths`` names where it is."""
+
+
+class MalformedClassFile(ClassFileError):
     pass
 
 
-class UnsupportedMajorVersion(ValueError):
+class UnsupportedMajorVersion(ClassFileError):
     def __init__(self, major: int, ceiling: int):
         self.major = major
         super().__init__(f"class file major version {major} exceeds ceiling {ceiling}")
@@ -238,12 +242,23 @@ def count_nbi(summary: ClassFileSummary) -> int:
 
 
 def nbi_for_paths(paths: list[str]) -> dict[str, int]:
-    """Map dotted class name -> NBI for .class files, directories, and jars."""
+    """Map dotted class name -> NBI for .class files, directories, and jars.
+
+    A ClassFileError names the file it is about: a path, or a jar and its
+    entry as ``jar!entry``.
+    """
     out: dict[str, int] = {}
 
-    def add(data: bytes) -> None:
-        summary = parse_classfile(data)
+    def add(data: bytes, where: str) -> None:
+        try:
+            summary = parse_classfile(data)
+        except ClassFileError as exc:
+            raise ClassFileError(f"{where}: {exc}") from None
         out[summary.class_name] = count_nbi(summary)
+
+    def add_file(path: str) -> None:
+        with open(path, "rb") as handle:
+            add(handle.read(), path)
 
     for path in paths:
         if os.path.isdir(path):
@@ -251,14 +266,15 @@ def nbi_for_paths(paths: list[str]) -> dict[str, int]:
                 dirnames.sort()
                 for name in sorted(filenames):
                     if name.endswith(".class"):
-                        with open(os.path.join(dirpath, name), "rb") as handle:
-                            add(handle.read())
+                        add_file(os.path.join(dirpath, name))
         elif path.endswith(".jar") or path.endswith(".zip"):
-            with zipfile.ZipFile(path) as archive:
-                for entry in sorted(archive.namelist()):
-                    if entry.endswith(".class"):
-                        add(archive.read(entry))
+            try:
+                with zipfile.ZipFile(path) as archive:
+                    for entry in sorted(archive.namelist()):
+                        if entry.endswith(".class"):
+                            add(archive.read(entry), f"{path}!{entry}")
+            except zipfile.BadZipFile as exc:
+                raise ClassFileError(f"{path}: not a readable zip archive: {exc}") from None
         else:
-            with open(path, "rb") as handle:
-                add(handle.read())
+            add_file(path)
     return out

@@ -43,6 +43,7 @@ from .learn import (
     MLPParams,
     ModelKind,
     NonFiniteLoss,
+    NonFiniteScale,
     SingleClassInput,
     TooFewPerClass,
     TreeParams,
@@ -110,6 +111,8 @@ class RunConfig:
             metric = metric_for_column(name)
             if metric is None:
                 raise CliError(EXIT_INPUT, f"unknown metric column {name!r}")
+            if metric in out:
+                raise CliError(EXIT_INPUT, f"features repeat the column {name!r}")
             out.append(metric)
         return tuple(out)
 
@@ -316,8 +319,7 @@ def cmd_extract(config: RunConfig, args) -> Outcome:
     if config.classes:
         try:
             nbi = classfile.nbi_for_paths(config.classes)
-        except (OSError, classfile.MalformedClassFile,
-                classfile.UnsupportedMajorVersion) as exc:
+        except (OSError, classfile.ClassFileError) as exc:
             raise CliError(EXIT_INPUT, f"bad class files: {exc}")
     data = javasrc.extract_records(corpus, pairs, nbi_by_class=nbi)  # ValueError: exit 2
     buffer = io.StringIO()
@@ -351,7 +353,7 @@ def cmd_train(config: RunConfig, args) -> Outcome:
     matrix = to_feature_matrix(labeled, config.feature_ids())
     try:
         model = train_model(matrix, kind, config.params(kind), seed=seed)
-    except (SingleClassInput, NonFiniteLoss) as exc:
+    except (SingleClassInput, NonFiniteLoss, NonFiniteScale) as exc:
         raise CliError(EXIT_TRAINING, f"training failed: {exc}")
     out_path = _output_path(config, "model.txt")
     return [(out_path, dump_model(model))], (

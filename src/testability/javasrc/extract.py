@@ -306,11 +306,12 @@ class ParsedCorpus:
 
 
 class CorpusParseError(Exception):
-    """Source files that could not be read or parsed, one message per file."""
+    """Source roots that do not exist and source files that could not be
+    read or parsed, one message per path."""
 
     def __init__(self, failures: list[str]):
         self.failures = failures
-        super().__init__(f"{len(failures)} source file(s) failed to parse")
+        super().__init__(f"{len(failures)} source path(s) failed to parse")
 
 
 class PairingError(ValueError):
@@ -333,9 +334,11 @@ def find_java_files(roots: list[str]) -> list[str]:
 
 def parse_corpus(roots: list[str]) -> ParsedCorpus:
     """Parse and index every Java file under ``roots``; CorpusParseError
-    lists every file that cannot be read, decoded or parsed, by path."""
+    lists every root that does not exist, and every file that cannot be
+    read, decoded or parsed, by path."""
     trees = []
-    failures = []
+    failures = [f"{root}: no such file or directory"
+                for root in roots if not os.path.exists(root)]
     for path in find_java_files(roots):
         try:
             with open(path, "r", encoding="utf-8") as handle:

@@ -1,9 +1,10 @@
 """Tokenizer for the supported Java subset.
 
-Produces a flat token stream plus comment spans and the set of lines
-holding at least one token (the substrate for LOC/LOCCOM). '>' is always
-lexed as a single token so that nested generics like ``List<List<String>>``
-stay parseable; the expression parser re-merges adjacent '>' tokens into
+Produces the tokens as three parallel columns (kind, text, start offset),
+the file's newline offsets, comment spans and the set of lines holding at
+least one token (the substrate for LOC/LOCCOM). '>' is always lexed as a
+single token so that nested generics like ``List<List<String>>`` stay
+parseable; the expression parser re-merges adjacent '>' tokens into
 shift operators, which metrics never look at anyway.
 
 ``_TOKEN`` is the whole token table, one regex group per kind tried in
@@ -17,18 +18,20 @@ of its own. The ``end`` group takes the whitespace at the end of the file
 takes any character that no other group starts with. A Java 15 text
 block opener (three double quotes, then a line break) and a Unicode
 escape outside a literal (javac translates ``\\u0061`` to ``a`` before
-lexing) are errors of their own. A token's line is found by ``bisect`` in
-the file's newline offsets, and its column is the distance from the
-newline before it; only ``\\n`` breaks a line, so CRLF counts once.
-``Token`` is a ``NamedTuple``, built in one call.
+lexing) are errors of their own.
+
+A token keeps only its start offset. ``position`` turns an offset into a
+line and column on demand, for errors, comment spans and declaration
+spans: the line by ``bisect`` in the newline offsets, the column as the
+distance from the newline before it. Only ``\\n`` breaks a line, so CRLF
+counts once.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -87,13 +90,6 @@ def _error_message(kind: str, word: str) -> str:
     return f"unterminated {_UNTERMINATED[word]}"
 
 
-class Token(NamedTuple):
-    kind: str  # ident | keyword | number | string | char | op | eof
-    text: str
-    line: int
-    col: int
-
-
 @dataclass(frozen=True)
 class CommentSpan:
     start_line: int
@@ -102,40 +98,63 @@ class CommentSpan:
 
 @dataclass(frozen=True)
 class LexResult:
-    tokens: list[Token]
+    """Token k is (kinds[k], texts[k], starts[k]); the last token is eof."""
+
+    kinds: list[str]  # ident | keyword | number | string | char | op | eof
+    texts: list[str]
+    starts: list[int]  # file offsets
+    newlines: list[int]  # -1 for the line break before line 1, then each '\n' offset
     comments: list[CommentSpan]
     code_lines: frozenset[int]
-    n_lines: int
+
+
+def position(newlines: list[int], offset: int) -> tuple[int, int]:
+    """The (line, column) of a file offset, both from 1; ``newlines`` is a
+    LexResult's."""
+    line = bisect_left(newlines, offset)
+    return line, offset - newlines[line - 1]
+
+
+def _code_lines(starts: list[int], newlines: list[int]) -> frozenset[int]:
+    """The lines a token starts on, found one line at a time: the line of
+    the next token, then the first token past that line's end."""
+    lines = set()  # a frozenset made from a set is sized smaller than from a list
+    k = 0
+    while k < len(starts):
+        line = bisect_left(newlines, starts[k])
+        lines.add(line)
+        if line == len(newlines):  # the last line has no newline to end it
+            break
+        k = bisect_right(starts, newlines[line], k)
+    return frozenset(lines)
 
 
 def tokenize(text: str, path: str = "<string>") -> LexResult:
-    # nl[k] is the offset of the k-th newline; nl[0] = -1 stands for the
-    # newline before line 1, so bisect_left(nl, start) is start's line.
-    nl = [-1]
-    nl += [m.start() for m in re.finditer("\n", text)]
-    tokens: list[Token] = []
+    newlines = [-1]
+    newlines += [m.start() for m in re.finditer("\n", text)]
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
     comments: list[CommentSpan] = []
-    new = tuple.__new__  # Token(...) minus the Python-level __new__ of a NamedTuple
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         start, stop = m.span(kind)
         word = text[start:stop]
-        line = bisect_left(nl, start)
         if kind == "word":
             kind = "keyword" if word in KEYWORDS else "ident"
         elif kind not in _KEPT:
             if kind == "end":
                 break
+            line, col = position(newlines, start)
             if kind.endswith("comment"):
                 comments.append(CommentSpan(line, line + word.count("\n")))
                 continue
-            raise ParseError(path, line, start - nl[line - 1], _error_message(kind, word))
-        tokens.append(new(Token, (kind, word, line, start - nl[line - 1])))
-    code_lines = frozenset({tok.line for tok in tokens})  # from a set: a list sizes it larger
-    tokens.append(Token("eof", "", len(nl), len(text) - nl[-1]))
-    return LexResult(
-        tokens=tokens,
-        comments=comments,
-        code_lines=code_lines,
-        n_lines=len(nl) - 1 + (1 if text and not text.endswith("\n") else 0),
-    )
+            raise ParseError(path, line, col, _error_message(kind, word))
+        kinds.append(kind)
+        texts.append(word)
+        starts.append(start)
+    code_lines = _code_lines(starts, newlines)
+    kinds.append("eof")
+    texts.append("")
+    starts.append(len(text))
+    return LexResult(kinds, texts, starts, newlines, comments, code_lines)

@@ -10,6 +10,11 @@ Expression structure is not retained; parsing emits flat per-body events:
   - decision points (if, for, while, do, case, catch, ?:, &&, ||)
   - simple-name variable uses (bare identifiers and ``this.x``)
   - referenced type names from declared contexts (locals, news, casts)
+
+The parser reads the lexer's token columns by index: it tests a token by
+its text, and by its kind only where a text could be an identifier or a
+literal. A line and column are computed from a token's start offset only
+for a type declaration's line span and for a ParseError.
 """
 
 from __future__ import annotations
@@ -21,26 +26,17 @@ from .lexer import (
     PRIMITIVE_TYPES,
     LexResult,
     ParseError,
-    Token,
+    position,
     tokenize,
 )
-from .tree import (
-    CallEvent,
-    Decision,
-    EventSink,
-    FieldDecl,
-    InitBlock,
-    MethodDecl,
-    SyntaxTree,
-    TypeDecl,
-)
+from .tree import CallEvent, EventSink, FieldDecl, MethodDecl, SyntaxTree, TypeDecl
 
 
 class _Backtrack(Exception):
     """Internal: speculative parse failed; caller restores the position."""
 
 
-_LITERAL_KEYWORDS = {"true", "false", "null"}
+_LITERAL_KEYWORDS = frozenset({"true", "false", "null"})
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<="}
 _PREFIX_OPS = {"+", "-", "!", "~", "++", "--"}
 _LOGICAL_OPS = {"&&": "and", "||": "or"}  # operator -> decision kind
@@ -58,22 +54,17 @@ def parse_source(text: str, path: str = "<string>") -> SyntaxTree:
 class _Parser:
     def __init__(self, lex: LexResult, path: str):
         self.lex = lex
-        self.toks = lex.tokens
-        self.texts = [tok.text for tok in lex.tokens]
+        self.kinds, self.texts, self.starts = lex.kinds, lex.texts, lex.starts
         self.pos = 0
         self.path = path
+        self.package = ""
         self.sinks: list[EventSink] = [EventSink()]  # bottom sink catches strays
         self.type_stack: list[TypeDecl] = []
         self.suppress = 0
 
     # ---- token plumbing -------------------------------------------------
-
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.pos]
-
-    def peek(self, k: int = 1) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    # Token k is (kinds[k], texts[k], starts[k]). Only the eof token ends
+    # the file, so the token after any other one is kinds[pos + 1].
 
     def at(self, text: str) -> bool:
         # exact without the kind: every text the parser asks for is an
@@ -81,7 +72,13 @@ class _Parser:
         return self.texts[self.pos] == text
 
     def at_ident(self) -> bool:
-        return self.toks[self.pos].kind == "ident"
+        return self.kinds[self.pos] == "ident"
+
+    def at_name(self, name: str) -> bool:
+        return self.kinds[self.pos] == "ident" and self.texts[self.pos] == name
+
+    def at_keyword_in(self, keywords: frozenset[str]) -> bool:
+        return self.kinds[self.pos] == "keyword" and self.texts[self.pos] in keywords
 
     def accept(self, text: str) -> bool:
         if self.texts[self.pos] == text:
@@ -89,26 +86,25 @@ class _Parser:
             return True
         return False
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> int:
+        """Consume ``text``; returns its token index."""
         if self.texts[self.pos] != text:
-            self.fail(f"expected {text!r}, found {self.cur.text!r}")
-        tok = self.toks[self.pos]
+            self.fail(f"expected {text!r}, found {self.texts[self.pos]!r}")
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def expect_ident(self) -> Token:
+    def expect_ident(self) -> str:
         if not self.at_ident():
-            self.fail(f"expected identifier, found {self.cur.text!r}")
-        tok = self.cur
+            self.fail(f"expected identifier, found {self.texts[self.pos]!r}")
         self.pos += 1
-        return tok
+        return self.texts[self.pos - 1]
+
+    def line(self, k: int) -> int:
+        return position(self.lex.newlines, self.starts[k])[0]
 
     def fail(self, message: str):
-        tok = self.cur
-        raise ParseError(self.path, tok.line, tok.col, message)
-
-    def adjacent(self, a: Token, b: Token) -> bool:
-        return a.line == b.line and a.col + len(a.text) == b.col
+        raise ParseError(self.path, *position(self.lex.newlines, self.starts[self.pos]),
+                         message)
 
     # ---- events ---------------------------------------------------------
 
@@ -128,13 +124,13 @@ class _Parser:
         finally:
             self.suppress -= 1
 
-    def emit_call(self, receiver: str | None, name: str, argc: int, line: int) -> None:
+    def emit_call(self, receiver: str | None, name: str, argc: int) -> None:
         if not self.suppress:
-            self.sinks[-1].calls.append(CallEvent(receiver, name, argc, line))
+            self.sinks[-1].calls.append(CallEvent(receiver, name, argc))
 
-    def emit_decision(self, kind: str, line: int) -> None:
+    def emit_decision(self, kind: str) -> None:
         if not self.suppress:
-            self.sinks[-1].decisions.append(Decision(kind, line))
+            self.sinks[-1].decisions.append(kind)
 
     def emit_var_use(self, name: str) -> None:
         if not self.suppress:
@@ -147,45 +143,29 @@ class _Parser:
     # ---- compilation unit -------------------------------------------------
 
     def compilation_unit(self) -> SyntaxTree:
-        package = ""
-        imports: list[str] = []
-        while self.at("@") and self.peek().kind == "ident" and self._package_ahead():
+        while self.at("@") and self.kinds[self.pos + 1] == "ident" and self._package_ahead():
             self.annotation()  # package annotations
-        if self.at("package"):
-            self.pos += 1
-            package = self.qualified_name_text()
+        if self.accept("package"):
+            self.package = self.qualified_name_text()
             self.expect(";")
-        while self.at("import"):
-            self.pos += 1
+        while self.accept("import"):
             self.accept("static")
-            name = self.qualified_name_text()
+            self.qualified_name_text()
             if self.accept("."):
                 self.expect("*")
-                name += ".*"
             self.expect(";")
-            imports.append(name)
         types: list[TypeDecl] = []
-        while self.cur.kind != "eof":
+        while self.kinds[self.pos] != "eof":
             if self.accept(";"):
                 continue
             types.append(self.type_declaration())
-        for t in types:
-            self._set_package(t, package)
-        return SyntaxTree(
-            path=self.path,
-            package=package,
-            imports=tuple(imports),
-            types=types,
-            comments=list(self.lex.comments),
-            code_lines=self.lex.code_lines,
-            n_lines=self.lex.n_lines,
-        )
+        return SyntaxTree(self.path, types, self.lex.comments, self.lex.code_lines)
 
     def _package_ahead(self) -> bool:
         k = self.pos
         depth = 0
-        while k < len(self.toks):
-            text = self.toks[k].text
+        while k < len(self.texts):
+            text = self.texts[k]
             if depth == 0 and text == "package":
                 return True
             if depth == 0 and text in ("class", "interface", "enum", "import"):
@@ -197,16 +177,11 @@ class _Parser:
             k += 1
         return False
 
-    def _set_package(self, t: TypeDecl, package: str) -> None:
-        t.package = package
-        for child in t.nested + t.anonymous:
-            self._set_package(child, package)
-
     def qualified_name_text(self) -> str:
-        parts = [self.expect_ident().text]
-        while self.at(".") and self.peek().kind == "ident":
+        parts = [self.expect_ident()]
+        while self.at(".") and self.kinds[self.pos + 1] == "ident":
             self.pos += 1
-            parts.append(self.expect_ident().text)
+            parts.append(self.expect_ident())
         return ".".join(parts)
 
     def annotation(self) -> str:
@@ -219,20 +194,19 @@ class _Parser:
 
     # ---- declarations -------------------------------------------------------
 
-    def modifiers_and_annotations(self) -> tuple[set[str], list[str], int]:
-        """Returns (modifiers, annotation simple names, start line)."""
+    def modifiers_and_annotations(self) -> tuple[set[str], list[str]]:
+        """Returns (modifiers, annotation simple names)."""
         mods: set[str] = set()
         annos: list[str] = []
-        start_line = self.cur.line
         while True:
-            if self.at("@") and self.peek().kind == "ident":
+            if self.at("@") and self.kinds[self.pos + 1] == "ident":
                 annos.append(self.annotation().rsplit(".", 1)[-1])
                 continue
-            if self.cur.kind == "keyword" and self.cur.text in MODIFIER_KEYWORDS:
-                mods.add(self.cur.text)
+            if self.at_keyword_in(MODIFIER_KEYWORDS):
+                mods.add(self.texts[self.pos])
                 self.pos += 1
                 continue
-            return mods, annos, start_line
+            return mods, annos
 
     def _past_balanced(self, open_text: str, close_text: str) -> int | None:
         """Token index just past the close_text matching the open_text at
@@ -252,7 +226,7 @@ class _Parser:
         """Skip from the open_text at cur past its matching close_text."""
         end = self._past_balanced(open_text, close_text)
         if end is None:
-            self.pos = len(self.toks) - 1  # the error points at the end of the file
+            self.pos = len(self.texts) - 1  # the error points at the end of the file
             self.fail(f"unbalanced {open_text!r}")
         self.pos = end
 
@@ -261,7 +235,7 @@ class _Parser:
         self.expect("<")
         depth = 1
         while depth:
-            if self.cur.kind == "eof" or self.at(";") or self.at("{"):
+            if self.kinds[self.pos] == "eof" or self.at(";") or self.at("{"):
                 self.fail("unbalanced type parameter list")
             if self.at("<"):
                 depth += 1
@@ -270,46 +244,35 @@ class _Parser:
             self.pos += 1
 
     def type_declaration(self) -> TypeDecl:
-        mods, annos, start_line = self.modifiers_and_annotations()
-        return self._type_declaration_rest(mods, annos, start_line)
+        start = self.pos
+        self.modifiers_and_annotations()
+        return self._type_declaration_rest(start)
 
-    def _type_declaration_rest(
-        self, mods: set[str], annos: list[str], start_line: int
-    ) -> TypeDecl:
-        if self.at("@") and self.peek().text == "interface":
+    def _type_declaration_rest(self, start: int) -> TypeDecl:
+        """The type declaration whose modifiers begin at token ``start``."""
+        if self.at("@") and self.texts[self.pos + 1] == "interface":
             self.pos += 2
-            return self.class_like("annotation", mods, annos, start_line)
+            return self.class_like("annotation", start)
         if self.accept("class"):
-            return self.class_like("class", mods, annos, start_line)
+            return self.class_like("class", start)
         if self.accept("interface"):
-            return self.class_like("interface", mods, annos, start_line)
+            return self.class_like("interface", start)
         if self.accept("enum"):
-            return self.enum_declaration(mods, annos, start_line)
-        self.fail(f"expected type declaration, found {self.cur.text!r}")
+            return self.enum_declaration(start)
+        self.fail(f"expected type declaration, found {self.texts[self.pos]!r}")
 
-    def class_like(
-        self, kind: str, mods: set[str], annos: list[str], start_line: int
-    ) -> TypeDecl:
-        name = self.expect_ident().text
+    def class_like(self, kind: str, start: int) -> TypeDecl:
+        decl = TypeDecl(kind=kind, name=self.expect_ident(), package=self.package)
         if self.at("<"):
             self.skip_type_params()
-        extends: list[str] = []
         if self.accept("extends"):
             if kind in ("interface", "annotation"):
-                extends = self.type_name_list()
+                decl.extends_names = tuple(self.type_name_list())
             else:
-                extends = [self.type_base_name()]
-        implements = self.type_name_list() if self.accept("implements") else []
-        decl = TypeDecl(
-            kind=kind,
-            name=name,
-            modifiers=frozenset(mods),
-            annotations=tuple(annos),
-            extends_names=tuple(extends),
-            implements_names=tuple(implements),
-        )
-        end_line = self.class_body(decl)
-        decl.line_span = (start_line, end_line)
+                decl.extends_names = (self.type_base_name(),)
+        if self.accept("implements"):
+            self.type_name_list()
+        decl.line_span = (self.line(start), self.class_body(decl))
         return decl
 
     def type_base_name(self) -> str:
@@ -326,16 +289,10 @@ class _Parser:
             names.append(self.type_base_name())
         return names
 
-    def enum_declaration(self, mods: set[str], annos: list[str], start_line: int) -> TypeDecl:
-        name = self.expect_ident().text
-        implements = self.type_name_list() if self.accept("implements") else []
-        decl = TypeDecl(
-            kind="enum",
-            name=name,
-            modifiers=frozenset(mods),
-            annotations=tuple(annos),
-            implements_names=tuple(implements),
-        )
+    def enum_declaration(self, start: int) -> TypeDecl:
+        decl = TypeDecl(kind="enum", name=self.expect_ident(), package=self.package)
+        if self.accept("implements"):
+            self.type_name_list()
         self.expect("{")
         self.type_stack.append(decl)
         try:
@@ -348,27 +305,21 @@ class _Parser:
                     with self.sink(constant_init):
                         self.call_arguments()
                 if self.at("{"):
-                    decl.anonymous.append(self.anonymous_class(f"{name}$const"))
+                    decl.anonymous.append(self.anonymous_class(f"{decl.name}$const"))
                 if not self.accept(","):
                     break
             if constant_init.calls or constant_init.decisions or constant_init.var_uses:
-                decl.inits.append(
-                    InitBlock(static=True, line_span=(start_line, start_line),
-                              events=constant_init)
-                )
-            if self.accept(";"):
-                end_line = self.class_members(decl)
-            else:
-                end_line = self.expect("}").line
+                decl.inits.append(constant_init)
+            end = self.class_members(decl) if self.accept(";") else self.line(self.expect("}"))
         finally:
             self.type_stack.pop()
-        decl.line_span = (start_line, end_line)
+        decl.line_span = (self.line(start), end)
         return decl
 
     def anonymous_class(self, name: str) -> TypeDecl:
         """The class body at cur of an enum constant or an anonymous class."""
-        decl = TypeDecl(kind="class", name=name)
-        decl.line_span = (self.cur.line, self.class_body(decl))
+        decl = TypeDecl(kind="class", name=name, package=self.package)
+        decl.line_span = (self.line(self.pos), self.class_body(decl))
         return decl
 
     def class_body(self, decl: TypeDecl) -> int:
@@ -383,57 +334,41 @@ class _Parser:
         """Parse members until the closing brace; returns its line."""
         while True:
             if self.at("}"):
-                return self.expect("}").line
-            if self.cur.kind == "eof":
+                return self.line(self.expect("}"))
+            if self.kinds[self.pos] == "eof":
                 self.fail("unterminated class body")
             if self.accept(";"):
                 continue
-            mods, annos, start_line = self.modifiers_and_annotations()
+            start = self.pos
+            mods, annos = self.modifiers_and_annotations()
             if self.at("{"):
-                block = InitBlock(static="static" in mods, line_span=(start_line, 0))
-                with self.sink(block.events):
-                    end = self.block()
-                block.line_span = (start_line, end)
-                decl.inits.append(block)
+                decl.inits.append(EventSink())
+                with self.sink(decl.inits[-1]):
+                    self.block()
                 continue
             if self.at("class") or self.at("interface") or self.at("enum") or (
-                self.at("@") and self.peek().text == "interface"
+                self.at("@") and self.texts[self.pos + 1] == "interface"
             ):
-                decl.nested.append(self._type_declaration_rest(mods, annos, start_line))
+                decl.nested.append(self._type_declaration_rest(start))
                 continue
             if self.at("<"):
                 self.skip_type_params()
-            if self.at_ident() and self.cur.text == decl.name.split("$")[0] \
-                    and self.peek().text == "(":
-                ctor_name = self.expect_ident().text
-                decl.methods.append(
-                    self.method_rest(None, (), ctor_name, mods, annos, start_line, True)
-                )
+            if self.at_name(decl.name.split("$")[0]) and self.texts[self.pos + 1] == "(":
+                name = self.expect_ident()
+                decl.methods.append(self.method_rest((), name, mods, annos, True))
                 continue
             try:
-                type_text, type_names = self.parse_type()
+                _text, type_names = self.parse_type()
             except _Backtrack:
-                self.fail(f"expected member declaration, found {self.cur.text!r}")
-            name = self.expect_ident().text
+                self.fail(f"expected member declaration, found {self.texts[self.pos]!r}")
+            name = self.expect_ident()
             if self.at("("):
-                decl.methods.append(
-                    self.method_rest(
-                        type_text, type_names, name, mods, annos, start_line, False
-                    )
-                )
+                decl.methods.append(self.method_rest(type_names, name, mods, annos, False))
             else:
-                self.field_rest(decl, type_text, type_names, name, mods, annos, start_line)
+                self.field_rest(decl, type_names, name, mods)
 
-    def method_rest(
-        self,
-        return_type: str | None,
-        return_names: tuple[str, ...],
-        name: str,
-        mods: set[str],
-        annos: list[str],
-        start_line: int,
-        is_constructor: bool,
-    ) -> MethodDecl:
+    def method_rest(self, return_names: tuple[str, ...], name: str, mods: set[str],
+                    annos: list[str], is_constructor: bool) -> MethodDecl:
         param_types, param_names = self.parameter_list()
         self.declarator_dims()  # archaic `int m()[]`
         if self.accept("throws"):
@@ -444,22 +379,17 @@ class _Parser:
             annotations=tuple(annos),
             param_types=tuple(param_types),
             param_type_names=tuple(param_names),
-            return_type=return_type,
             return_type_names=return_names,
             is_constructor=is_constructor,
-            has_body=False,
-            line_span=(start_line, start_line),
         )
         if self.accept("default"):  # annotation member default value
             with self._suppressed():
                 self.variable_initializer()
         if self.at("{"):
-            method.has_body = True
             with self.sink(method.events):
-                end_line = self.block()
+                self.block()
         else:
-            end_line = self.expect(";").line
-        method.line_span = (start_line, end_line)
+            self.expect(";")
         return method
 
     def parameter_list(self) -> tuple[list[str], list[str]]:
@@ -472,7 +402,7 @@ class _Parser:
                 try:
                     type_text, type_names = self.parse_type()
                 except _Backtrack:
-                    self.fail(f"expected parameter type, found {self.cur.text!r}")
+                    self.fail(f"expected parameter type, found {self.texts[self.pos]!r}")
                 if self.accept("..."):
                     type_text += "[]"
                 self.expect_ident()
@@ -483,35 +413,19 @@ class _Parser:
         self.expect(")")
         return types, names
 
-    def field_rest(
-        self,
-        decl: TypeDecl,
-        type_text: str,
-        type_names: tuple[str, ...],
-        first_name: str,
-        mods: set[str],
-        annos: list[str],
-        line: int,
-    ) -> None:
-        name = first_name
+    def field_rest(self, decl: TypeDecl, type_names: tuple[str, ...], name: str,
+                   mods: set[str]) -> None:
         while True:
-            fld = FieldDecl(
-                name=name,
-                type_text=type_text + self.declarator_dims(),
-                type_names=type_names,
-                modifiers=frozenset(mods),
-                annotations=tuple(annos),
-                line=line,
-            )
+            self.declarator_dims()
+            fld = FieldDecl(name=name, type_names=type_names, modifiers=frozenset(mods))
             if self.accept("="):
                 with self.sink(fld.events):
                     self.variable_initializer()
             decl.fields.append(fld)
-            if self.accept(","):
-                name = self.expect_ident().text
-                continue
-            self.expect(";")
-            return
+            if not self.accept(","):
+                self.expect(";")
+                return
+            name = self.expect_ident()
 
     def declarator_dims(self) -> str:
         """'[]' pairs after a declared name, as in `int a[][]`."""
@@ -547,10 +461,9 @@ class _Parser:
         if self.at("void"):
             self.pos += 1
             return "void", ()
-        if self.cur.kind == "keyword" and self.cur.text in PRIMITIVE_TYPES:
-            text = self.cur.text
+        if self.at_keyword_in(PRIMITIVE_TYPES):
             self.pos += 1
-            return text + self._array_dims(), ()
+            return self.texts[self.pos - 1] + self._array_dims(), ()
         if not self.at_ident():
             raise _Backtrack()
         name = self.qualified_name_text()
@@ -563,7 +476,7 @@ class _Parser:
 
     def _array_dims(self) -> str:
         dims = ""
-        while self.at("[") and self.peek().text == "]":
+        while self.at("[") and self.texts[self.pos + 1] == "]":
             self.pos += 2
             dims += "[]"
         return dims
@@ -579,7 +492,7 @@ class _Parser:
                 self.pos += 1
                 wtext = "?"
                 if self.at("extends") or self.at("super"):
-                    kw = self.cur.text
+                    kw = self.texts[self.pos]
                     self.pos += 1
                     t, n = self.parse_type()
                     wtext = f"? {kw} {t}"
@@ -598,16 +511,15 @@ class _Parser:
 
     # ---- statements -----------------------------------------------------------
 
-    def block(self) -> int:
+    def block(self) -> None:
         self.expect("{")
         while not self.at("}"):
-            if self.cur.kind == "eof":
+            if self.kinds[self.pos] == "eof":
                 self.fail("unterminated block")
             self.statement()
-        return self.expect("}").line
+        self.pos += 1
 
     def statement(self) -> None:
-        tok = self.cur
         if self.at("{"):
             self.block()
             return
@@ -616,38 +528,36 @@ class _Parser:
         if self.accept("if"):
             # an `else if` chain is walked in this loop, not one recursion per branch
             while True:
-                self.emit_decision("if", tok.line)
+                self.emit_decision("if")
                 self.paren_expression()
                 self.statement()
                 if not self.accept("else"):
                     return
-                tok = self.cur
                 if not self.accept("if"):
                     self.statement()
                     return
         if self.accept("while"):
-            self.emit_decision("while", tok.line)
+            self.emit_decision("while")
             self.paren_expression()
             self.statement()
             return
         if self.accept("do"):
-            self.emit_decision("do", tok.line)
+            self.emit_decision("do")
             self.statement()
             self.expect("while")
             self.paren_expression()
             self.expect(";")
             return
         if self.accept("for"):
-            self.emit_decision("for", tok.line)
+            self.emit_decision("for")
             self.for_rest()
             return
         if self.accept("switch"):
             self.paren_expression()
             self.expect("{")
             while not self.at("}"):
-                if self.at("case"):
-                    self.emit_decision("case", self.cur.line)
-                    self.pos += 1
+                if self.accept("case"):
+                    self.emit_decision("case")
                     self.expression(colon_ends=True)
                     self.expect(":")
                 elif self.accept("default"):
@@ -660,9 +570,8 @@ class _Parser:
             if self.at("("):
                 self.resource_spec()
             self.block()
-            while self.at("catch"):
-                self.emit_decision("catch", self.cur.line)
-                self.pos += 1
+            while self.accept("catch"):
+                self.emit_decision("catch")
                 self.expect("(")
                 self.modifiers_and_annotations()
                 self.type_base_name()
@@ -699,11 +608,11 @@ class _Parser:
             self.expect(";")
             return
         if self.at("class") or (
-            (self.at("final") or self.at("abstract")) and self.peek().text == "class"
+            (self.at("final") or self.at("abstract")) and self.texts[self.pos + 1] == "class"
         ):
             self.type_declaration()  # local class
             return
-        if self.at_ident() and self.peek().text == ":":
+        if self.at_ident() and self.texts[self.pos + 1] == ":":
             self.pos += 2  # label
             self.statement()
             return
@@ -807,7 +716,6 @@ class _Parser:
         """
         self.unary()
         while True:
-            tok = self.cur
             if self.at("instanceof"):
                 self.pos += 1
                 save = self.pos
@@ -817,29 +725,29 @@ class _Parser:
                     self.pos = save
                     self.fail("expected type after instanceof")
                 continue
-            if tok.kind != "op":
+            if self.kinds[self.pos] != "op":
                 return
-            text = tok.text
+            text = self.texts[self.pos]
             if text == "?":
                 self.pos += 1
-                self.emit_decision("ternary", tok.line)
+                self.emit_decision("ternary")
                 self.expression()
                 self.expect(":")
                 self.unary()
                 continue
             if text in _LOGICAL_OPS:
                 self.pos += 1
-                self.emit_decision(_LOGICAL_OPS[text], tok.line)
+                self.emit_decision(_LOGICAL_OPS[text])
                 self.unary()
                 continue
             if text == ">":
                 # merge adjacent '>'/'>=' into shift or shift-assign operators
                 self.pos += 1
-                prev = tok
-                while self.texts[self.pos] in (">", ">=") and self.adjacent(prev, self.cur):
-                    prev = self.cur
+                # a '>' or '>=' that starts where the '>' before it ends
+                while self.texts[self.pos] in (">", ">=") \
+                        and self.starts[self.pos - 1] + 1 == self.starts[self.pos]:
                     self.pos += 1
-                    if prev.text == ">=":
+                    if self.texts[self.pos - 1] == ">=":
                         break
                 self.unary()
                 continue
@@ -881,13 +789,12 @@ class _Parser:
             if not self.at(")"):
                 raise _Backtrack()
             self.pos += 1
-            nxt = self.cur
             is_primitive = type_text.rstrip("[]") in PRIMITIVE_TYPES
             starts_operand = (
-                nxt.kind in ("ident", "number", "string", "char")
-                or nxt.text in ("(", "!", "~", "new", "this", "super")
-                or (nxt.kind == "keyword" and nxt.text in _LITERAL_KEYWORDS)
-                or (is_primitive and nxt.kind == "op" and nxt.text in ("+", "-"))
+                self.kinds[self.pos] in ("ident", "number", "string", "char")
+                or self.texts[self.pos] in ("(", "!", "~", "new", "this", "super")
+                or self.at_keyword_in(_LITERAL_KEYWORDS)
+                or (is_primitive and self.texts[self.pos] in ("+", "-"))
             )
             if not starts_operand:
                 raise _Backtrack()
@@ -901,38 +808,34 @@ class _Parser:
         chain = self.primary()
         while True:
             if self.at("."):
-                nxt = self.peek()
-                if nxt.kind == "ident":
+                nxt = self.texts[self.pos + 1]
+                if self.kinds[self.pos + 1] == "ident":
                     self.pos += 2
                     if self.at("("):
-                        argc = self.call_arguments()
-                        self.emit_call(chain, nxt.text, argc, nxt.line)
+                        self.emit_call(chain, nxt, self.call_arguments())
                         chain = "<expr>"
                         continue
                     if chain == "this":
-                        self.emit_var_use(nxt.text)
-                    chain = (
-                        f"{chain}.{nxt.text}"
-                        if chain not in (None, "<expr>", "super") else "<expr>"
-                    )
+                        self.emit_var_use(nxt)
+                    chain = f"{chain}.{nxt}" if chain not in (None, "<expr>", "super") \
+                        else "<expr>"
                     continue
-                if nxt.text == "<":
+                if nxt == "<":
                     self.pos += 1  # explicit generic method call: obj.<T>name(args)
                     self.skip_type_params()
-                    name_tok = self.expect_ident()
+                    name = self.expect_ident()
                     if not self.at("("):
                         self.fail("expected call after explicit type arguments")
-                    argc = self.call_arguments()
-                    self.emit_call(chain, name_tok.text, argc, name_tok.line)
+                    self.emit_call(chain, name, self.call_arguments())
                     chain = "<expr>"
                     continue
-                if nxt.text in ("this", "class", "new", "super"):
+                if nxt in ("this", "class", "new", "super"):
                     self.pos += 2
-                    if nxt.text == "new":  # qualified creation: outer.new Inner()
+                    if nxt == "new":  # qualified creation: outer.new Inner()
                         self.creator()
                     chain = "<expr>"
                     continue
-                self.fail(f"unexpected token after '.': {nxt.text!r}")
+                self.fail(f"unexpected token after '.': {nxt!r}")
             if self.at("["):
                 self.pos += 1
                 self.expression()
@@ -954,45 +857,44 @@ class _Parser:
     def primary(self) -> str | None:
         """Parse a primary; returns the dotted-name chain text while the
         expression is still a plain name ('this', 'super', identifier)."""
-        tok = self.cur
-        if self.at("("):  # unary has ruled out a lambda and a cast here
+        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        if text == "(":  # unary has ruled out a lambda and a cast here
             self.paren_expression()
             return "<expr>"
-        if tok.kind in ("number", "string", "char"):
+        if kind in ("number", "string", "char"):
             self.pos += 1
             return "<expr>"
-        if tok.kind == "keyword":
-            if tok.text in _LITERAL_KEYWORDS:
+        if kind == "keyword":
+            if text in _LITERAL_KEYWORDS:
                 self.pos += 1
                 return "<expr>"
-            if tok.text in ("this", "super"):
+            if text in ("this", "super"):
                 self.pos += 1
                 if self.at("("):  # explicit constructor invocation: not a call event
                     self.call_arguments()
                     return "<expr>"
-                return tok.text
-            if tok.text == "new":
+                return text
+            if text == "new":
                 self.pos += 1
                 self.creator()
                 return "<expr>"
-            if tok.text in PRIMITIVE_TYPES or tok.text == "void":
+            if text in PRIMITIVE_TYPES or text == "void":
                 self.pos += 1  # int.class, void.class
                 self._array_dims()
                 return "<expr>"
-            self.fail(f"unexpected keyword {tok.text!r} in expression")
-        if tok.kind == "ident":
-            if self.peek().text == "->":
+            self.fail(f"unexpected keyword {text!r} in expression")
+        if kind == "ident":
+            if self.texts[self.pos + 1] == "->":
                 self.pos += 2
                 self._lambda_body()
                 return "<expr>"
             self.pos += 1
             if self.at("("):
-                argc = self.call_arguments()
-                self.emit_call(None, tok.text, argc, tok.line)
+                self.emit_call(None, text, self.call_arguments())
                 return "<expr>"
-            self.emit_var_use(tok.text)
-            return tok.text
-        self.fail(f"unexpected token {tok.text!r} in expression")
+            self.emit_var_use(text)
+            return text
+        self.fail(f"unexpected token {text!r} in expression")
 
     def call_arguments(self) -> int:
         """Parse '(args)'; returns the argument count."""
@@ -1009,7 +911,7 @@ class _Parser:
 
     def creator(self) -> None:
         """new Foo(...), new int[5], new Foo[]{...}, anonymous class bodies."""
-        if self.cur.kind == "keyword" and self.cur.text in PRIMITIVE_TYPES:
+        if self.at_keyword_in(PRIMITIVE_TYPES):
             self.pos += 1
             self._creator_array_rest()
             return

@@ -1,10 +1,12 @@
 """Syntax tree nodes produced by the Java subset parser.
 
-The tree keeps exactly what the metric definitions consume: declarations
-with names/modifiers/types, per-body event lists (calls, decision points,
-simple-name variable uses, referenced type names), comment spans, and line
-spans. It is not a general-purpose AST; expression structure beyond those
-events is deliberately discarded.
+The tree keeps exactly what the metric definitions and the corpus index
+read: declarations with names, modifiers and referenced type names,
+per-body event lists (calls, decision kinds, simple-name variable uses,
+referenced type names), comment spans, code lines, and each type
+declaration's line span. It is not a general-purpose AST; expression
+structure beyond those events, and every position but a type's span, is
+discarded. A tier-1 test fails when a field here is never read.
 """
 
 from __future__ import annotations
@@ -22,19 +24,12 @@ class CallEvent:
     receiver: str | None
     name: str
     argc: int
-    line: int
-
-
-@dataclass(frozen=True)
-class Decision:
-    kind: str  # if | for | while | do | case | catch | ternary | and | or
-    line: int
 
 
 @dataclass
 class EventSink:
     calls: list[CallEvent] = field(default_factory=list)
-    decisions: list[Decision] = field(default_factory=list)
+    decisions: list[str] = field(default_factory=list)  # kinds: if, case, catch, and, ...
     var_uses: list[str] = field(default_factory=list)
     type_refs: list[str] = field(default_factory=list)  # simple type names
 
@@ -52,11 +47,8 @@ class MethodDecl:
     annotations: tuple[str, ...]
     param_types: tuple[str, ...]  # normalized source text, e.g. 'List<String>'
     param_type_names: tuple[str, ...]  # simple names referenced by the params
-    return_type: str | None  # None for constructors
-    return_type_names: tuple[str, ...]
+    return_type_names: tuple[str, ...]  # empty for constructors
     is_constructor: bool
-    has_body: bool
-    line_span: tuple[int, int]
     events: EventSink = field(default_factory=EventSink)
 
     @property
@@ -71,32 +63,19 @@ class MethodDecl:
 @dataclass
 class FieldDecl:
     name: str
-    type_text: str
     type_names: tuple[str, ...]
     modifiers: frozenset[str]
-    annotations: tuple[str, ...]
-    line: int
     events: EventSink = field(default_factory=EventSink)  # initializer expression
-
-
-@dataclass
-class InitBlock:
-    static: bool
-    line_span: tuple[int, int]
-    events: EventSink = field(default_factory=EventSink)
 
 
 @dataclass
 class TypeDecl:
     kind: str  # class | interface | enum | annotation
     name: str
-    modifiers: frozenset[str] = frozenset()
-    annotations: tuple[str, ...] = ()
     extends_names: tuple[str, ...] = ()  # classes: 0..1; interfaces: any
-    implements_names: tuple[str, ...] = ()
     fields: list[FieldDecl] = field(default_factory=list)
     methods: list[MethodDecl] = field(default_factory=list)
-    inits: list[InitBlock] = field(default_factory=list)
+    inits: list[EventSink] = field(default_factory=list)  # initializer blocks
     nested: list["TypeDecl"] = field(default_factory=list)
     anonymous: list["TypeDecl"] = field(default_factory=list)
     line_span: tuple[int, int] = (0, 0)
@@ -127,8 +106,8 @@ class TypeDecl:
                 sink.extend(m.events)
             for f in t.fields:
                 sink.extend(f.events)
-            for blk in t.inits:
-                sink.extend(blk.events)
+            for init in t.inits:
+                sink.extend(init)
         return sink
 
     def declared_type_names(self) -> list[str]:
@@ -148,9 +127,6 @@ class SyntaxTree:
     """One parsed source file."""
 
     path: str
-    package: str
-    imports: tuple[str, ...]
     types: list[TypeDecl]
     comments: list[CommentSpan]
     code_lines: frozenset[int]
-    n_lines: int

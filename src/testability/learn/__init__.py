@@ -6,6 +6,7 @@ from .base import (
     DimensionMismatch,
     ModelKind,
     NonFiniteLoss,
+    NonFiniteScale,
     SingleClassInput,
 )
 from .evaluation import (
@@ -33,6 +34,7 @@ __all__ = [
     "MLPParams",
     "ModelKind",
     "NonFiniteLoss",
+    "NonFiniteScale",
     "RandomForestModel",
     "SingleClassInput",
     "TooFewPerClass",

@@ -34,6 +34,11 @@ class NonFiniteLoss(RuntimeError):
         return f"non-finite loss at epoch {self.epoch}"
 
 
+class NonFiniteScale(RuntimeError):
+    """A feature's mean or standard deviation overflows float64, so the
+    perceptron cannot standardize it."""
+
+
 def check_two_classes(y: np.ndarray) -> None:
     if np.unique(y).size < 2:
         raise SingleClassInput("training data must contain both classes")

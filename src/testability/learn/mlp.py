@@ -18,7 +18,7 @@ import numpy as np
 
 from ..dataset import FeatureMatrix
 from ..metrics import MetricId
-from .base import ModelKind, NonFiniteLoss, check_two_classes, model_rows
+from .base import ModelKind, NonFiniteLoss, NonFiniteScale, check_two_classes, model_rows
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,14 @@ def train_mlp(
     d = X.shape[1]
     h = params.hidden if params.hidden is not None else math.ceil((d + 2) / 2)
 
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # values near 1e300 overflow
+        mean = X.mean(axis=0)
+        scale = X.std(axis=0)
+    overflowed = ~(np.isfinite(mean) & np.isfinite(scale))
+    if overflowed.any():
+        name = matrix.feature_ids[int(np.argmax(overflowed))].column
+        raise NonFiniteScale(f"feature {name} cannot be standardized: its mean or "
+                             "standard deviation overflows")
     scale[scale == 0.0] = 1.0  # constant feature stays at 0 after centering
     xs = (X - mean) / scale
 

@@ -10,10 +10,10 @@ else is ``str(value)``. ``setting_value`` reads a value back by the
 field's declared type, taking ``none`` or ``auto`` for any optional one.
 
 ``load_model`` rejects text that does not parse, an unknown kind, a
-feature that is unknown or a test-quality metric (M, L, B), a params line
-without exactly its dataclass's keys, a setting out of range, a split
-past the features, with a non-finite threshold or linking outside the
-nodes after it, an empty leaf, an array of the wrong size or with a
+feature that is unknown, repeated or a test-quality metric (M, L, B), a
+params line without exactly its dataclass's keys, a setting out of range,
+a split past the features, with a non-finite threshold or linking outside
+the nodes after it, an empty leaf, an array of the wrong size or with a
 non-finite value, a scale of 0, and lines after the model.
 """
 
@@ -160,6 +160,8 @@ def _parse_model(lines: list[str]) -> TrainedModel:
     bad = [name for name in names if metric_for_column(name) not in INDEPENDENT_VARIABLES]
     if bad:  # unknown columns, or test-quality metrics
         raise ModelFormatError(f"not independent variables: {', '.join(bad)}")
+    if len(set(names)) < len(names):
+        raise ModelFormatError(f"features repeat a column: {header['features']}")
     d, params = len(names), _parse_params(lines[4], params_class)
     if model_class is MLPModel:
         shape = lines[5].split()

@@ -14,6 +14,8 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
+import zipfile
 
 import pytest
 
@@ -236,6 +238,9 @@ def test_error_exit_codes(workdir, argv, code, message):
     ("rank", ["--q1", "-1", "--q3", "2"], "ranking needs at least 2 labeled rows, got 0"),
     ("rank", ["--dataset", "one-labeled.csv", "--features", "LOC", "--q1", "0.2", "--q3", "0.9"],
      "ranking needs at least 2 labeled rows, got 1"),
+    ("rank", ["--features", "LOC,LOC,WMC"], "features repeat the column 'LOC'"),
+    ("train", ["--classifier", "tree", "--config", "bad.cfg", "features = WMC,LOC,WMC"],
+     "features repeat the column 'WMC'"),
 ])
 def test_out_of_range_settings_exit_2_and_write_no_report(workdir, command, settings, message):
     (workdir / "one-labeled.csv").write_text("LOC,M\n1,0.1\n2,0.5\n", encoding="utf-8")
@@ -306,6 +311,52 @@ def test_extract_names_a_source_file_it_cannot_parse(workdir, name, data):
     code, _, stderr = run("extract", "--src", "corpus", "--out", "x")
     assert code == 2
     assert f"error: {path}: cannot parse" in stderr
+
+
+def test_extract_names_a_source_root_that_does_not_exist(workdir):
+    code, _, stderr = run("extract", "--src", "corpus,does/not/exist", "--out", "x")
+    assert code == 2
+    assert "error: does/not/exist: no such file or directory" in stderr
+    assert not os.path.exists("x")
+
+
+def _truncated_jar(path):
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("fix/Box.class", build_class("fix.Box", [("m", "()V", [RETURN])])[:30])
+
+
+@pytest.mark.parametrize("classes, message", [
+    ("not-a-zip.jar", "not-a-zip.jar: not a readable zip archive"),
+    ("classes", f"{os.path.join('classes', 'Box.class')}: truncated class file"),
+    ("cut.jar", "cut.jar!fix/Box.class: truncated class file"),
+], ids=["not-a-zip", "truncated-file", "truncated-jar-entry"])
+def test_a_bad_class_file_exits_2_naming_it(workdir, classes, message):
+    write_classes("classes", PAIRED)
+    with open(os.path.join("classes", "Box.class"), "r+b") as handle:
+        handle.truncate(30)
+    with open("not-a-zip.jar", "w", encoding="utf-8") as out:
+        out.write("plain text\n")
+    _truncated_jar("cut.jar")
+    code, _, stderr = run("extract", "--src", "corpus", "--classes", classes, "--out", "x")
+    assert code == 2
+    assert f"error: bad class files: {message}" in stderr
+    assert not os.path.exists("x")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--classifier", "mlp"],
+    ["evaluate", "--classifier", "mlp", "--k", "2"],
+], ids=["train", "evaluate"])
+def test_an_mlp_feature_that_overflows_standardization_exits_4(workdir, argv):
+    with open("huge.csv", "w", encoding="utf-8") as out:  # squaring k * 1e300 overflows
+        out.write("LOC,M\n" + "".join(f"{k}e300,{k / 40}\n" for k in range(1, 41)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the run
+        code, _, stderr = run(*argv, "--dataset", "huge.csv", "--features", "LOC",
+                              "--seed", "1", "--out", "out")
+    assert code == 4
+    assert "feature LOC cannot be standardized" in stderr
+    assert not os.path.exists("out")
 
 
 def test_extract_parses_a_long_else_if_chain(workdir):

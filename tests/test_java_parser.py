@@ -48,7 +48,7 @@ def test_empty_class_has_one_type_no_methods():
 
 def test_single_if_is_one_decision_point():
     _, decl = one_class("class A{void m(){if(x){}}}")
-    assert [d.kind for d in method(decl, "m").events.decisions] == ["if"]
+    assert method(decl, "m").events.decisions == ["if"]
 
 
 def test_block_comment_span_covers_three_lines():
@@ -122,7 +122,7 @@ def test_lambda_bodies_are_opaque():
     _, decl = one_class(src)
     calls = [c.name for c in method(decl, "m").events.calls]
     assert calls == ["run", "take"]
-    assert [d.kind for d in method(decl, "m").events.decisions] == []
+    assert method(decl, "m").events.decisions == []
 
 
 def test_anonymous_class_contents_fold_into_top_level():
@@ -138,7 +138,7 @@ def test_anonymous_class_contents_fold_into_top_level():
     assert len(decl.anonymous) == 1
     all_calls = [c.name for c in decl.all_events().calls]
     assert all_calls == ["helper"]
-    assert [d.kind for d in decl.all_events().decisions] == ["if"]
+    assert decl.all_events().decisions == ["if"]
 
 
 def test_nested_class_members_fold():
@@ -256,7 +256,9 @@ def test_a_text_block_is_a_parse_error_that_names_it():
 _TEXT_TESTS = ("at", "accept", "expect", "skip_balanced", "_past_balanced", "_declarator_head")
 # names a text test may take in place of a literal: the plumbing's own
 # parameters, and the prefix table, whose texts the test adds itself
-_TEXT_NAMES = {"text", "open_text", "close_text", "follows", "_PREFIX_OPS"}
+# (``at_name`` and ``at_keyword_in`` test the token's kind as well)
+_TEXT_NAMES = {"text", "open_text", "close_text", "follows", "name", "keywords",
+               "_PREFIX_OPS"}
 
 
 def _spelled_texts(node):
@@ -298,9 +300,8 @@ def test_every_text_the_parser_tests_is_one_operator_or_keyword_token():
     assert {"class", "{", "::", "...", "instanceof", "++", "&&", "||", ":", "[", "->",
             ">="} <= texts
     for text in texts:
-        tokens = tokenize(text).tokens
-        assert [(t.kind, t.text) for t in tokens[:-1]] in (
-            [("op", text)], [("keyword", text)]), text
+        lex = tokenize(text)
+        assert list(zip(lex.kinds, lex.texts))[:-1] in ([("op", text)], [("keyword", text)]), text
 
 
 @pytest.mark.parametrize("branches", [1000, 5000])
@@ -308,7 +309,7 @@ def test_a_long_else_if_chain_is_one_decision_per_branch(branches):
     chain = " else ".join(f"if (x == {k}) {{ x++; }}" for k in range(branches))
     _, decl = one_class(f"class A{{int x; void m(){{ {chain} else {{ x--; }} }}}}")
     m = method(decl, "m")
-    assert [d.kind for d in m.events.decisions] == ["if"] * branches
+    assert m.events.decisions == ["if"] * branches
     assert cyclomatic_complexity(m) == branches + 1
 
 
@@ -345,9 +346,12 @@ TREE_SNIPPETS = [
     " Object p = outer.new In();\n}",
 ]
 
-# sha256 of the canonical trees of the corpus fixtures and TREE_SNIPPETS, recorded
-# with the parser as it was before its duplicated code paths were merged.
-TREES_SHA256 = "aaad3f426bca49c4d10a3f73693ea5b61ea031b906626a481199a7c86fa905c7"
+# sha256 of the canonical trees of the corpus fixtures and TREE_SNIPPETS. Recorded
+# when the unread tree fields went, after the earlier trees with those fields
+# dropped (each Decision as its kind, each InitBlock as its events) were found
+# equal to the new ones; the earlier digest came from the parser as it was
+# before its duplicated code paths were merged.
+TREES_SHA256 = "6d2ce57c3529581e5e44212037f3a34b05653d77f7621e970d82827dcacf7304"
 
 
 def test_syntax_trees_match_the_recorded_digest():

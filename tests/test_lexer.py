@@ -6,7 +6,8 @@ documented difference (non-decimal numeric code points).
 
 ``reference_tokenize`` is the lexer that matched one token at a time
 before ``tokenize`` became a single ``finditer`` pass; a differential
-test holds the two to the same output.
+test holds the two to the same output. ``tokenize`` keeps each token's
+start offset, and ``position`` gives the line and column compared here.
 """
 
 import re
@@ -18,14 +19,20 @@ from hypothesis import given, settings, strategies as st
 from testability.javasrc.lexer import (
     KEYWORDS,
     CommentSpan,
-    LexResult,
     ParseError,
+    position,
     tokenize,
 )
 
 
+def token_rows(result):
+    """(kind, text, line, column) of every token of a LexResult."""
+    return [(kind, text, *position(result.newlines, start))
+            for kind, text, start in zip(result.kinds, result.texts, result.starts)]
+
+
 def lex(source):
-    return [(t.kind, t.text, t.line, t.col) for t in tokenize(source).tokens]
+    return token_rows(tokenize(source))
 
 
 TOKENS = [
@@ -116,14 +123,6 @@ def test_comment_spans_and_code_lines():
     assert result.code_lines == frozenset({2, 3})
 
 
-@pytest.mark.parametrize(
-    "source, n_lines",
-    [("", 0), ("a", 1), ("a\n", 1), ("a\nb", 2), ("a\n\n", 2), ("\n", 1)],
-)
-def test_n_lines_with_and_without_trailing_newline(source, n_lines):
-    assert tokenize(source).n_lines == n_lines
-
-
 _PIECES = [
     "a", "x1", "$y", "_z", "é", "class", "0x1F", "1.5e-3f", ".5", "1.", "1_0L",
     " ", "\t", "\n", "\r\n", ">", ">=", "<<=", "...", "->", "::", ".", "(", ")",
@@ -135,16 +134,16 @@ _PIECES = [
 @given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
 def test_each_token_starts_at_its_line_and_column(source):
     try:
-        tokens = tokenize(source).tokens
+        result = tokenize(source)
     except ParseError:
         return
     line_starts = [0]
     line_starts += [i + 1 for i, ch in enumerate(source) if ch == "\n"]
-    for tok in tokens:
-        offset = line_starts[tok.line - 1] + tok.col - 1
-        assert source[offset:offset + len(tok.text)] == tok.text
-    eof = tokens[-1]
-    assert line_starts[eof.line - 1] + eof.col - 1 == len(source)
+    for _kind, text, line, col in token_rows(result):
+        offset = line_starts[line - 1] + col - 1
+        assert source[offset:offset + len(text)] == text
+    _, _, line, col = token_rows(result)[-1]
+    assert line_starts[line - 1] + col - 1 == len(source)
 
 
 # -- the lexer before the single finditer pass, kept verbatim as the oracle ---
@@ -176,7 +175,8 @@ class ReferenceToken:
     col: int
 
 
-def reference_tokenize(text: str, path: str = "<string>") -> LexResult:
+def reference_tokenize(text: str, path: str = "<string>"):
+    """(tokens, comment spans, code lines)."""
     tokens: list[ReferenceToken] = []
     comments: list[CommentSpan] = []
     code_lines: set[int] = set()
@@ -202,25 +202,23 @@ def reference_tokenize(text: str, path: str = "<string>") -> LexResult:
             code_lines.add(start_line)
         pos += len(word)
     tokens.append(ReferenceToken("eof", "", line, len(text) - line_start + 1))
-    return LexResult(
-        tokens=tokens,
-        comments=comments,
-        code_lines=frozenset(code_lines),
-        n_lines=text.count("\n") + (1 if text and not text.endswith("\n") else 0),
-    )
+    return tokens, comments, frozenset(code_lines)
 
 
-def lex_outcome(lexer, source):
+def lex_outcome(source):
     try:
-        result = lexer(source)
+        result = tokenize(source)
     except ParseError as exc:
         return str(exc)
-    return (
-        [(t.kind, t.text, t.line, t.col) for t in result.tokens],
-        result.comments,
-        result.code_lines,
-        result.n_lines,
-    )
+    return token_rows(result), result.comments, result.code_lines
+
+
+def reference_outcome(source):
+    try:
+        tokens, comments, code_lines = reference_tokenize(source)
+    except ParseError as exc:
+        return str(exc)
+    return [(t.kind, t.text, t.line, t.col) for t in tokens], comments, code_lines
 
 
 _TEXT_BLOCK_OPENER = re.compile(r'"""[ \t\f\r]*\n')  # the ERRORS rows cover these
@@ -236,4 +234,4 @@ _DIFFERENTIAL_PIECES = _PIECES + [
     .filter(lambda source: not _TEXT_BLOCK_OPENER.search(source))
 )
 def test_tokenize_matches_the_one_token_at_a_time_reference(source):
-    assert lex_outcome(tokenize, source) == lex_outcome(reference_tokenize, source)
+    assert lex_outcome(source) == reference_outcome(source)

@@ -70,12 +70,13 @@ def _replace_line(text, prefix, new):
     _replace_line(DUMPS[1], "params", "params trees=3 features_per_split=auto min_leaf=1 "
                                       "bootstrap=2"),
     TREE + "leaf 1 1\n",
+    _replace_line(TREE, "features", "features LOC,LOC"),
 ], ids=["truncated", "self-link", "link-past-end", "feature-past-end", "negative-feature",
         "empty-leaf", "negative-leaf", "huge-node-count", "short-vector", "wrong-shape",
         "unknown-kind", "infinite-threshold", "nan-threshold", "infinite-weight", "nan-mean",
         "zero-scale", "one-zero-scale", "mutation-score-feature", "branch-coverage-feature",
         "extra-param", "missing-param", "repeated-param", "bootstrap-not-0-or-1",
-        "line-after-tree"])
+        "line-after-tree", "repeated-feature"])
 def test_malformed_text_raises_model_format_error(text):
     with pytest.raises(ModelFormatError):
         load_model(text)

@@ -1,0 +1,48 @@
+"""Every field of a syntax-tree or lexer dataclass is read somewhere.
+
+A field that is built but never read costs memory for each node of every
+parsed file. The check is by name: a field passes when some module under
+``src/testability`` reads an attribute of that name.
+"""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src",
+                   "testability")
+DATACLASS_MODULES = [os.path.join(SRC, "javasrc", name) for name in ("tree.py", "lexer.py")]
+
+
+def parse(path):
+    with open(path, encoding="utf-8") as handle:
+        return ast.parse(handle.read(), path)
+
+
+def is_dataclass(node):
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in node.decorator_list)
+
+
+def dataclass_fields(path):
+    for node in parse(path).body:
+        if isinstance(node, ast.ClassDef) and is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and "ClassVar" not in ast.unparse(item):
+                    yield f"{node.name}.{item.target.id}"
+
+
+def attributes_read():
+    read = set()
+    for dirpath, dirnames, filenames in os.walk(SRC):
+        for name in filenames:
+            if name.endswith(".py"):
+                read |= {node.attr for node in ast.walk(parse(os.path.join(dirpath, name)))
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return read
+
+
+def test_every_tree_and_lexer_field_is_read():
+    fields = [f for path in DATACLASS_MODULES for f in dataclass_fields(path)]
+    assert {"MethodDecl.annotations", "CommentSpan.start_line"} <= set(fields)
+    read = attributes_read()
+    assert [f for f in fields if f.split(".")[1] not in read] == []
