@@ -98,6 +98,8 @@ class RunConfig:
     epochs: int = 500
 
     def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise CliError(EXIT_INPUT, f"seed must be at least 0, got {self.seed}")
         if not 0.0 <= self.threshold <= 1.0:  # NaN fails too
             raise CliError(EXIT_INPUT, f"threshold must be in [0, 1], got {self.threshold!r}")
         if self.population not in ("raw", "labeled"):

@@ -116,8 +116,7 @@ def build_corpus_index(trees: list[SyntaxTree]) -> CorpusIndex:
     for qname in index.class_names():
         entry = entries[qname]
         referenced: set[str] = set()
-        names = entry.decl.declared_type_names() + entry.decl.all_events().type_refs
-        for name in names:
+        for name in set(entry.decl.events.type_refs):
             resolved = index.resolve(name, entry.decl.package)
             if resolved is not None and resolved != qname:
                 referenced.add(resolved)

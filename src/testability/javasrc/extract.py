@@ -4,13 +4,19 @@ Conventions (all metrics are reconstructions from the canonical CK/QMOOD
 definitions; the parser is name-based, so every rule below is purely
 syntactic and deterministic):
 
-  - "declared methods" excludes constructors; nested and anonymous class
-    members fold into the enclosing top-level class.
+  - one class is a top-level type. The members, events and names of its
+    nested, local and anonymous classes and of its enum constant bodies
+    fold into it, and so do the events of its enum constants' arguments.
+    Interface and annotation members are implicitly public, and their
+    fields static.
+  - "declared methods" excludes constructors.
   - a call is internal (NMCI) when its receiver is absent or ``this`` and
     its (simple name, arity) matches a declared method.
   - Ce counts distinct simple type names from field/parameter/return
     types, local declarations, object creations, and casts; primitives and
-    the class's own (and folded nested) names never count.
+    the names of the class and its named nested and local classes never
+    count. A lambda's body adds no events, but a class declared inside
+    one still adds its declared types.
   - inherited methods (MFA/IC/CBM) are counted over corpus-resolved
     ancestors only, skipping their private methods and constructors.
 """
@@ -27,7 +33,7 @@ from ..metrics import INDEPENDENT_VARIABLES, MetricId
 from .corpus import CorpusIndex, build_corpus_index
 from .lexer import PRIMITIVE_TYPES, ParseError
 from .parser import parse_source
-from .tree import EventSink, FieldDecl, MethodDecl, SyntaxTree, TypeDecl
+from .tree import MethodDecl, SyntaxTree, TypeDecl
 
 
 @dataclass(frozen=True)
@@ -35,26 +41,13 @@ class ClassFacts:
     """What several metric groups read of one class, built once per class."""
 
     decl: TypeDecl
-    methods: list[MethodDecl]  # declared methods, nested and anonymous ones folded in
+    methods: list[MethodDecl]  # declared methods
     signatures: frozenset[tuple[str, int]]  # (name, arity) of ``methods``
-    fields: list[FieldDecl]
-    events: EventSink  # every body's events, nested and anonymous ones folded in
 
 
 def class_facts(decl: TypeDecl) -> ClassFacts:
-    methods = [m for m in decl.all_methods() if not m.is_constructor]
-    return ClassFacts(
-        decl=decl,
-        methods=methods,
-        signatures=frozenset(m.signature for m in methods),
-        fields=decl.all_fields(),
-        events=decl.all_events(),
-    )
-
-
-def _is_public(method: MethodDecl, owner_kind: str) -> bool:
-    # interface and annotation members are implicitly public
-    return "public" in method.modifiers or owner_kind in ("interface", "annotation")
+    methods = [m for m in decl.methods if not m.is_constructor]
+    return ClassFacts(decl, methods, frozenset(m.signature for m in methods))
 
 
 def cyclomatic_complexity(method: MethodDecl) -> int:
@@ -81,20 +74,7 @@ def _size_metrics(facts: ClassFacts, tree: SyntaxTree) -> dict[MetricId, float]:
         lo = max(span.start_line, start)
         hi = min(span.end_line, end)
         loccom_lines.update(range(lo, hi + 1))
-    npm = nstam = nstaf = nof = 0
-    for owner in decl._flatten():
-        for m in owner.methods:
-            if m.is_constructor:
-                continue
-            if _is_public(m, owner.kind):
-                npm += 1
-            if "static" in m.modifiers:
-                nstam += 1
-        nof += len(owner.fields)
-        for f in owner.fields:
-            if "static" in f.modifiers or owner.kind in ("interface", "annotation"):
-                nstaf += 1
-    calls = facts.events.calls
+    calls = decl.events.calls
     nmci = sum(
         1
         for call in calls
@@ -104,10 +84,10 @@ def _size_metrics(facts: ClassFacts, tree: SyntaxTree) -> dict[MetricId, float]:
     return {
         MetricId.LOC: _loc(decl, tree),
         MetricId.LOCCOM: len(loccom_lines),
-        MetricId.NPM: npm,
-        MetricId.NSTAM: nstam,
-        MetricId.NOF: nof,
-        MetricId.NSTAF: nstaf,
+        MetricId.NPM: sum(1 for m in facts.methods if "public" in m.modifiers),
+        MetricId.NSTAM: sum(1 for m in facts.methods if "static" in m.modifiers),
+        MetricId.NOF: len(decl.fields),
+        MetricId.NSTAF: sum(1 for f in decl.fields if "static" in f.modifiers),
         MetricId.NMC: nmc,
         MetricId.NMCI: nmci,
         MetricId.NMCE: nmc - nmci,
@@ -118,7 +98,7 @@ def _complexity_metrics(facts: ClassFacts) -> dict[MetricId, float]:
     wmc, amc = _weighted_methods(facts.methods)
     invoked = {
         (c.name, c.argc)
-        for c in facts.events.calls
+        for c in facts.decl.events.calls
         if (c.name, c.argc) not in facts.signatures
     }
     rfc = len(facts.methods) + len(invoked)
@@ -127,16 +107,14 @@ def _complexity_metrics(facts: ClassFacts) -> dict[MetricId, float]:
 
 def _ancestor_signatures(index: CorpusIndex, qname: str) -> list[set[tuple[str, int]]]:
     """Per resolved ancestor: its own non-private, non-constructor signatures."""
-    out = []
-    for entry in index.ancestors(qname):
-        out.append(
-            {
-                m.signature
-                for m in entry.decl.methods
-                if not m.is_constructor and "private" not in m.modifiers
-            }
-        )
-    return out
+    return [
+        {
+            m.signature
+            for m in entry.decl.methods
+            if not (m.nested or m.is_constructor or "private" in m.modifiers)
+        }
+        for entry in index.ancestors(qname)
+    ]
 
 
 def _inheritance_metrics(
@@ -159,12 +137,10 @@ def _inheritance_metrics(
     return {MetricId.DIT: depth, MetricId.NOC: noc, MetricId.MFA: mfa}
 
 
-def _referenced_type_names(decl: TypeDecl, events: EventSink) -> set[str]:
-    own_names = {t.name for t in decl._flatten()}
-    names = set(decl.declared_type_names()) | set(events.type_refs)
+def _referenced_type_names(decl: TypeDecl) -> set[str]:
     return {
-        n for n in names
-        if n not in own_names and n not in PRIMITIVE_TYPES and n != "void"
+        n for n in decl.events.type_refs
+        if n not in decl.own_names and n not in PRIMITIVE_TYPES and n != "void"
     }
 
 
@@ -172,8 +148,8 @@ def _coupling_metrics(
     facts: ClassFacts, index: CorpusIndex, ancestors: list[set[tuple[str, int]]]
 ) -> dict[MetricId, float]:
     entry = index[facts.decl.qualified_name]
-    events = facts.events
-    ce = len(_referenced_type_names(facts.decl, events))
+    events = facts.decl.events
+    ce = len(_referenced_type_names(facts.decl))
     ca = len(entry.referenced_by)
     cbo = len(entry.references | entry.referenced_by)
 
@@ -207,7 +183,7 @@ def _coupling_metrics(
 
 def _cohesion_metrics(facts: ClassFacts) -> dict[MetricId, float]:
     methods = facts.methods
-    field_names = {f.name for f in facts.fields}
+    field_names = {f.name for f in facts.decl.fields}
     accessed = [
         {name for name in m.events.var_uses if name in field_names} for m in methods
     ]
@@ -240,7 +216,7 @@ def _cohesion_metrics(facts: ClassFacts) -> dict[MetricId, float]:
 
 
 def _encapsulation_metrics(facts: ClassFacts) -> dict[MetricId, float]:
-    fields = facts.fields
+    fields = facts.decl.fields
     hidden = sum(
         1 for f in fields if "private" in f.modifiers or "protected" in f.modifiers
     )
@@ -258,7 +234,7 @@ def _encapsulation_metrics(facts: ClassFacts) -> dict[MetricId, float]:
 
 def compute_test_effort_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, float]:
     facts = class_facts(decl)
-    calls = facts.events.calls
+    calls = decl.events.calls
     wmc, amc = _weighted_methods(facts.methods)
     t_not = sum(
         1
@@ -332,13 +308,20 @@ def find_java_files(roots: list[str]) -> list[str]:
     return files
 
 
+def _bad_root(root: str) -> str | None:
+    if not os.path.exists(root):
+        return f"{root}: no such file or directory"
+    if not (os.path.isdir(root) or root.endswith(".java")):
+        return f"{root}: not a directory or .java file"
+    return None
+
+
 def parse_corpus(roots: list[str]) -> ParsedCorpus:
     """Parse and index every Java file under ``roots``; CorpusParseError
-    lists every root that does not exist, and every file that cannot be
-    read, decoded or parsed, by path."""
+    lists every root that does not exist or is a file but not a .java
+    file, and every file that cannot be read, decoded or parsed, by path."""
     trees = []
-    failures = [f"{root}: no such file or directory"
-                for root in roots if not os.path.exists(root)]
+    failures = [message for message in map(_bad_root, roots) if message]
     for path in find_java_files(roots):
         try:
             with open(path, "r", encoding="utf-8") as handle:

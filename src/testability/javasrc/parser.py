@@ -11,6 +11,11 @@ Expression structure is not retained; parsing emits flat per-body events:
   - simple-name variable uses (bare identifiers and ``this.x``)
   - referenced type names from declared contexts (locals, news, casts)
 
+Nested, local and anonymous classes and enum constant bodies are folded
+while they are parsed: their members and events go straight into the
+top-level ``TypeDecl``. Every event lands in that type's sink, and a
+method body's events also in the method's own.
+
 The parser reads the lexer's token columns by index: it tests a token by
 its text, and by its kind only where a text could be an identifier or a
 literal. A line and column are computed from a token's start offset only
@@ -58,8 +63,8 @@ class _Parser:
         self.pos = 0
         self.path = path
         self.package = ""
-        self.sinks: list[EventSink] = [EventSink()]  # bottom sink catches strays
-        self.type_stack: list[TypeDecl] = []
+        self.decl: TypeDecl | None = None  # the top-level type being parsed
+        self.method_events: EventSink | None = None  # the events of the method being parsed
         self.suppress = 0
 
     # ---- token plumbing -------------------------------------------------
@@ -109,12 +114,14 @@ class _Parser:
     # ---- events ---------------------------------------------------------
 
     @contextmanager
-    def sink(self, sink: EventSink):
-        self.sinks.append(sink)
+    def method_body(self, events: EventSink | None):
+        """Every event goes to the top-level type's sink, and also to
+        ``events`` (a method's own) while one is given."""
+        outer, self.method_events = self.method_events, events
         try:
             yield
         finally:
-            self.sinks.pop()
+            self.method_events = outer
 
     @contextmanager
     def _suppressed(self):
@@ -124,21 +131,36 @@ class _Parser:
         finally:
             self.suppress -= 1
 
+    # Each event object is appended to both sinks, never copied.
+
     def emit_call(self, receiver: str | None, name: str, argc: int) -> None:
         if not self.suppress:
-            self.sinks[-1].calls.append(CallEvent(receiver, name, argc))
+            call = CallEvent(receiver, name, argc)
+            self.decl.events.calls.append(call)
+            if self.method_events is not None:
+                self.method_events.calls.append(call)
 
     def emit_decision(self, kind: str) -> None:
         if not self.suppress:
-            self.sinks[-1].decisions.append(kind)
+            self.decl.events.decisions.append(kind)
+            if self.method_events is not None:
+                self.method_events.decisions.append(kind)
 
     def emit_var_use(self, name: str) -> None:
         if not self.suppress:
-            self.sinks[-1].var_uses.append(name)
+            self.decl.events.var_uses.append(name)
+            if self.method_events is not None:
+                self.method_events.var_uses.append(name)
 
     def emit_type_refs(self, names) -> None:
         if not self.suppress:
-            self.sinks[-1].type_refs.extend(names)
+            self.decl.events.type_refs.extend(names)
+            if self.method_events is not None:
+                self.method_events.type_refs.extend(names)
+
+    def declare_type_refs(self, names) -> None:
+        """A declared field, parameter or return type counts even inside a lambda."""
+        self.decl.events.type_refs.extend(names)
 
     # ---- compilation unit -------------------------------------------------
 
@@ -243,36 +265,45 @@ class _Parser:
                 depth -= 1
             self.pos += 1
 
-    def type_declaration(self) -> TypeDecl:
+    def type_declaration(self) -> TypeDecl | None:
         start = self.pos
         self.modifiers_and_annotations()
         return self._type_declaration_rest(start)
 
-    def _type_declaration_rest(self, start: int) -> TypeDecl:
-        """The type declaration whose modifiers begin at token ``start``."""
+    def _type_declaration_rest(self, start: int) -> TypeDecl | None:
+        """The type declaration whose modifiers begin at token ``start``. A
+        top-level one is returned; a nested or local one folds into the
+        top-level type being parsed, and None is returned."""
         if self.at("@") and self.texts[self.pos + 1] == "interface":
             self.pos += 2
-            return self.class_like("annotation", start)
-        if self.accept("class"):
-            return self.class_like("class", start)
-        if self.accept("interface"):
-            return self.class_like("interface", start)
-        if self.accept("enum"):
-            return self.enum_declaration(start)
-        self.fail(f"expected type declaration, found {self.texts[self.pos]!r}")
-
-    def class_like(self, kind: str, start: int) -> TypeDecl:
-        decl = TypeDecl(kind=kind, name=self.expect_ident(), package=self.package)
-        if self.at("<"):
-            self.skip_type_params()
-        if self.accept("extends"):
-            if kind in ("interface", "annotation"):
-                decl.extends_names = tuple(self.type_name_list())
-            else:
-                decl.extends_names = (self.type_base_name(),)
+            kind = "annotation"
+        elif self.at("class") or self.at("interface") or self.at("enum"):
+            kind = self.texts[self.pos]
+            self.pos += 1
+        else:
+            self.fail(f"expected type declaration, found {self.texts[self.pos]!r}")
+        name = self.expect_ident()
+        top = self.decl is None
+        if top:
+            self.decl = TypeDecl(kind=kind, name=name, package=self.package)
+        self.decl.own_names.add(name)
+        if kind != "enum":
+            if self.at("<"):
+                self.skip_type_params()
+            if self.accept("extends"):
+                if kind in ("interface", "annotation"):
+                    extends = tuple(self.type_name_list())
+                else:
+                    extends = (self.type_base_name(),)
+                if top:
+                    self.decl.extends_names = extends
         if self.accept("implements"):
             self.type_name_list()
-        decl.line_span = (self.line(start), self.class_body(decl))
+        end = self.class_body(name, kind, nested=not top)
+        if not top:
+            return None
+        decl, self.decl = self.decl, None
+        decl.line_span = (self.line(start), end)
         return decl
 
     def type_base_name(self) -> str:
@@ -289,49 +320,33 @@ class _Parser:
             names.append(self.type_base_name())
         return names
 
-    def enum_declaration(self, start: int) -> TypeDecl:
-        decl = TypeDecl(kind="enum", name=self.expect_ident(), package=self.package)
-        if self.accept("implements"):
-            self.type_name_list()
+    def class_body(self, name: str, kind: str, nested: bool) -> int:
+        """The body at cur of the type ``name`` (an anonymous class or enum
+        constant body is parsed as a class named by its supertype);
+        returns the line of its closing brace."""
         self.expect("{")
-        self.type_stack.append(decl)
-        try:
-            constant_init = EventSink()
-            while self.at("@") or self.at_ident():
-                while self.at("@"):
-                    self.annotation()
-                self.expect_ident()
-                if self.at("("):
-                    with self.sink(constant_init):
-                        self.call_arguments()
-                if self.at("{"):
-                    decl.anonymous.append(self.anonymous_class(f"{decl.name}$const"))
-                if not self.accept(","):
-                    break
-            if constant_init.calls or constant_init.decisions or constant_init.var_uses:
-                decl.inits.append(constant_init)
-            end = self.class_members(decl) if self.accept(";") else self.line(self.expect("}"))
-        finally:
-            self.type_stack.pop()
-        decl.line_span = (self.line(start), end)
-        return decl
+        with self.method_body(None):  # a class inside a method is not the method's body
+            if kind == "enum":
+                self.enum_constants(name)
+                if not self.accept(";"):
+                    return self.line(self.expect("}"))
+            return self.class_members(name, kind, nested)
 
-    def anonymous_class(self, name: str) -> TypeDecl:
-        """The class body at cur of an enum constant or an anonymous class."""
-        decl = TypeDecl(kind="class", name=name, package=self.package)
-        decl.line_span = (self.line(self.pos), self.class_body(decl))
-        return decl
+    def enum_constants(self, name: str) -> None:
+        while self.at("@") or self.at_ident():
+            while self.at("@"):
+                self.annotation()
+            self.expect_ident()
+            if self.at("("):
+                self.call_arguments()
+            if self.at("{"):
+                self.class_body(name, "class", nested=True)
+            if not self.accept(","):
+                return
 
-    def class_body(self, decl: TypeDecl) -> int:
-        self.expect("{")
-        self.type_stack.append(decl)
-        try:
-            return self.class_members(decl)
-        finally:
-            self.type_stack.pop()
-
-    def class_members(self, decl: TypeDecl) -> int:
+    def class_members(self, name: str, kind: str, nested: bool) -> int:
         """Parse members until the closing brace; returns its line."""
+        implicit = kind in ("interface", "annotation")  # members public, fields static
         while True:
             if self.at("}"):
                 return self.line(self.expect("}"))
@@ -341,35 +356,38 @@ class _Parser:
                 continue
             start = self.pos
             mods, annos = self.modifiers_and_annotations()
+            if implicit:
+                mods.add("public")
             if self.at("{"):
-                decl.inits.append(EventSink())
-                with self.sink(decl.inits[-1]):
-                    self.block()
+                self.block()  # initializer
                 continue
             if self.at("class") or self.at("interface") or self.at("enum") or (
                 self.at("@") and self.texts[self.pos + 1] == "interface"
             ):
-                decl.nested.append(self._type_declaration_rest(start))
+                self._type_declaration_rest(start)
                 continue
             if self.at("<"):
                 self.skip_type_params()
-            if self.at_name(decl.name.split("$")[0]) and self.texts[self.pos + 1] == "(":
-                name = self.expect_ident()
-                decl.methods.append(self.method_rest((), name, mods, annos, True))
+            if self.at_name(name) and self.texts[self.pos + 1] == "(":
+                self.pos += 1
+                self.method_rest(name, mods, annos, True, nested)
                 continue
             try:
                 _text, type_names = self.parse_type()
             except _Backtrack:
                 self.fail(f"expected member declaration, found {self.texts[self.pos]!r}")
-            name = self.expect_ident()
+            member = self.expect_ident()
+            self.declare_type_refs(type_names)
             if self.at("("):
-                decl.methods.append(self.method_rest(type_names, name, mods, annos, False))
+                self.method_rest(member, mods, annos, False, nested)
             else:
-                self.field_rest(decl, type_names, name, mods)
+                if implicit:
+                    mods.add("static")
+                self.field_rest(type_names, member, mods)
 
-    def method_rest(self, return_names: tuple[str, ...], name: str, mods: set[str],
-                    annos: list[str], is_constructor: bool) -> MethodDecl:
-        param_types, param_names = self.parameter_list()
+    def method_rest(self, name: str, mods: set[str], annos: list[str],
+                    is_constructor: bool, nested: bool) -> None:
+        param_types = self.parameter_list()
         self.declarator_dims()  # archaic `int m()[]`
         if self.accept("throws"):
             self.type_name_list()
@@ -378,24 +396,22 @@ class _Parser:
             modifiers=frozenset(mods),
             annotations=tuple(annos),
             param_types=tuple(param_types),
-            param_type_names=tuple(param_names),
-            return_type_names=return_names,
             is_constructor=is_constructor,
+            nested=nested,
         )
+        self.decl.methods.append(method)
         if self.accept("default"):  # annotation member default value
             with self._suppressed():
                 self.variable_initializer()
         if self.at("{"):
-            with self.sink(method.events):
+            with self.method_body(method.events):
                 self.block()
         else:
             self.expect(";")
-        return method
 
-    def parameter_list(self) -> tuple[list[str], list[str]]:
+    def parameter_list(self) -> list[str]:
         self.expect("(")
         types: list[str] = []
-        names: list[str] = []
         if not self.at(")"):
             while True:
                 self.modifiers_and_annotations()  # final / annotations
@@ -407,25 +423,24 @@ class _Parser:
                     type_text += "[]"
                 self.expect_ident()
                 types.append(type_text + self.declarator_dims())
-                names.extend(type_names)
+                self.declare_type_refs(type_names)
                 if not self.accept(","):
                     break
         self.expect(")")
-        return types, names
+        return types
 
-    def field_rest(self, decl: TypeDecl, type_names: tuple[str, ...], name: str,
-                   mods: set[str]) -> None:
+    def field_rest(self, type_names: tuple[str, ...], name: str, mods: set[str]) -> None:
+        modifiers = frozenset(mods)
         while True:
             self.declarator_dims()
-            fld = FieldDecl(name=name, type_names=type_names, modifiers=frozenset(mods))
+            self.decl.fields.append(FieldDecl(name=name, modifiers=modifiers))
             if self.accept("="):
-                with self.sink(fld.events):
-                    self.variable_initializer()
-            decl.fields.append(fld)
+                self.variable_initializer()
             if not self.accept(","):
                 self.expect(";")
                 return
             name = self.expect_ident()
+            self.declare_type_refs(type_names)
 
     def declarator_dims(self) -> str:
         """'[]' pairs after a declared name, as in `int a[][]`."""
@@ -929,10 +944,8 @@ class _Parser:
             self._creator_array_rest()
             return
         self.call_arguments()
-        if self.at("{"):
-            anon = self.anonymous_class(f"{simple_name}$anon")
-            if self.type_stack:
-                self.type_stack[-1].anonymous.append(anon)
+        if self.at("{"):  # anonymous class
+            self.class_body(simple_name, "class", nested=True)
 
     def _creator_array_rest(self) -> None:
         while self.at("["):

@@ -7,6 +7,11 @@ referenced type names), comment spans, code lines, and each type
 declaration's line span. It is not a general-purpose AST; expression
 structure beyond those events, and every position but a type's span, is
 discarded. A tier-1 test fails when a field here is never read.
+
+Each ``TypeDecl`` is a top-level type, the class the dataset is keyed by.
+The parser folds every nested, local and anonymous class and every enum
+constant body into it: their methods and fields join its own, their
+events join its ``events``, and their names join its ``own_names``.
 """
 
 from __future__ import annotations
@@ -33,23 +38,16 @@ class EventSink:
     var_uses: list[str] = field(default_factory=list)
     type_refs: list[str] = field(default_factory=list)  # simple type names
 
-    def extend(self, other: "EventSink") -> None:
-        self.calls.extend(other.calls)
-        self.decisions.extend(other.decisions)
-        self.var_uses.extend(other.var_uses)
-        self.type_refs.extend(other.type_refs)
-
 
 @dataclass
 class MethodDecl:
     name: str
-    modifiers: frozenset[str]
+    modifiers: frozenset[str]  # with an interface's or annotation's implicit 'public'
     annotations: tuple[str, ...]
     param_types: tuple[str, ...]  # normalized source text, e.g. 'List<String>'
-    param_type_names: tuple[str, ...]  # simple names referenced by the params
-    return_type_names: tuple[str, ...]  # empty for constructors
     is_constructor: bool
-    events: EventSink = field(default_factory=EventSink)
+    nested: bool  # declared in a nested, local or anonymous class or an enum constant body
+    events: EventSink = field(default_factory=EventSink)  # its own body's events
 
     @property
     def arity(self) -> int:
@@ -63,9 +61,7 @@ class MethodDecl:
 @dataclass
 class FieldDecl:
     name: str
-    type_names: tuple[str, ...]
-    modifiers: frozenset[str]
-    events: EventSink = field(default_factory=EventSink)  # initializer expression
+    modifiers: frozenset[str]  # with an interface's or annotation's implicit 'public static'
 
 
 @dataclass
@@ -75,51 +71,16 @@ class TypeDecl:
     extends_names: tuple[str, ...] = ()  # classes: 0..1; interfaces: any
     fields: list[FieldDecl] = field(default_factory=list)
     methods: list[MethodDecl] = field(default_factory=list)
-    inits: list[EventSink] = field(default_factory=list)  # initializer blocks
-    nested: list["TypeDecl"] = field(default_factory=list)
-    anonymous: list["TypeDecl"] = field(default_factory=list)
+    # every body's events; type_refs also holds each declared field, parameter
+    # and return type name, even where a lambda hides the body's events
+    events: EventSink = field(default_factory=EventSink)
+    own_names: set[str] = field(default_factory=set)  # its name and its named nested types'
     line_span: tuple[int, int] = (0, 0)
     package: str = ""
 
     @property
     def qualified_name(self) -> str:
         return f"{self.package}.{self.name}" if self.package else self.name
-
-    def _flatten(self) -> list["TypeDecl"]:
-        out = [self]
-        for child in self.nested + self.anonymous:
-            out.extend(child._flatten())
-        return out
-
-    # Nested and anonymous classes fold their contents into the top-level
-    # class the dataset is keyed by.
-    def all_methods(self) -> list[MethodDecl]:
-        return [m for t in self._flatten() for m in t.methods]
-
-    def all_fields(self) -> list[FieldDecl]:
-        return [f for t in self._flatten() for f in t.fields]
-
-    def all_events(self) -> EventSink:
-        sink = EventSink()
-        for t in self._flatten():
-            for m in t.methods:
-                sink.extend(m.events)
-            for f in t.fields:
-                sink.extend(f.events)
-            for init in t.inits:
-                sink.extend(init)
-        return sink
-
-    def declared_type_names(self) -> list[str]:
-        """Simple type names from field/param/return declarations, flattened."""
-        names: list[str] = []
-        for t in self._flatten():
-            for f in t.fields:
-                names.extend(f.type_names)
-            for m in t.methods:
-                names.extend(m.param_type_names)
-                names.extend(m.return_type_names)
-        return names
 
 
 @dataclass

@@ -241,6 +241,8 @@ def test_error_exit_codes(workdir, argv, code, message):
     ("rank", ["--features", "LOC,LOC,WMC"], "features repeat the column 'LOC'"),
     ("train", ["--classifier", "tree", "--config", "bad.cfg", "features = WMC,LOC,WMC"],
      "features repeat the column 'WMC'"),
+    ("evaluate", ["--seed", "-1"], "seed must be at least 0, got -1"),
+    ("train", ["--classifier", "tree", "--seed", "-2"], "seed must be at least 0, got -2"),
 ])
 def test_out_of_range_settings_exit_2_and_write_no_report(workdir, command, settings, message):
     (workdir / "one-labeled.csv").write_text("LOC,M\n1,0.1\n2,0.5\n", encoding="utf-8")
@@ -317,6 +319,15 @@ def test_extract_names_a_source_root_that_does_not_exist(workdir):
     code, _, stderr = run("extract", "--src", "corpus,does/not/exist", "--out", "x")
     assert code == 2
     assert "error: does/not/exist: no such file or directory" in stderr
+    assert not os.path.exists("x")
+
+
+@pytest.mark.parametrize("roots", ["notes.txt", "corpus,notes.txt"], ids=["alone", "with-corpus"])
+def test_extract_names_a_source_root_that_is_not_java(workdir, roots):
+    (workdir / "notes.txt").write_text("class A {}\n", encoding="utf-8")
+    code, _, stderr = run("extract", "--src", roots, "--out", "x")
+    assert code == 2
+    assert "error: notes.txt: not a directory or .java file" in stderr
     assert not os.path.exists("x")
 
 

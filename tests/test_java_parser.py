@@ -28,7 +28,7 @@ def one_class(src, name="A"):
 
 
 def method(decl, name):
-    return next(m for m in decl.all_methods() if m.name == name)
+    return next(m for m in decl.methods if m.name == name)
 
 
 def code_metrics(tree, decl):
@@ -135,10 +135,11 @@ def test_anonymous_class_contents_fold_into_top_level():
         void helper(){}
     }"""
     _, decl = one_class(src)
-    assert len(decl.anonymous) == 1
-    all_calls = [c.name for c in decl.all_events().calls]
+    assert [(m.name, m.nested) for m in decl.methods] == [
+        ("m", False), ("run", True), ("helper", False)]
+    all_calls = [c.name for c in decl.events.calls]
     assert all_calls == ["helper"]
-    assert decl.all_events().decisions == ["if"]
+    assert decl.events.decisions == ["if"]
 
 
 def test_nested_class_members_fold():
@@ -148,8 +149,56 @@ def test_nested_class_members_fold():
         void outer(){}
     }"""
     _, decl = one_class(src)
-    assert {f.name for f in decl.all_fields()} == {"a", "b"}
-    assert {m.name for m in decl.all_methods()} == {"inner", "outer"}
+    assert {f.name for f in decl.fields} == {"a", "b"}
+    assert {m.name for m in decl.methods} == {"inner", "outer"}
+
+
+# a method with a call, an `if` and a `new Foo()`, declared with a parameter type
+BODY = "public void n(Bar b) { if (x) g(new Foo()); }"
+
+
+@pytest.mark.parametrize("src, npm, wmc, nmc, ce", [
+    (f"class A {{ {BODY} }}", 1, 2, 1, 2),
+    (f"class A {{ static class B {{ {BODY} }} }}", 1, 2, 1, 2),
+    (f"class A {{ interface I {{ {BODY.replace('public', 'default')} }} }}", 1, 2, 1, 2),
+    (f"class A {{ Object o = new Object() {{ {BODY} }}; }}", 1, 2, 1, 3),
+    # the lambda hides the events of the class inside it, not its declared types
+    (f"class A {{ void m() {{ run(() -> new Object() {{ {BODY} }}); }} }}", 1, 2, 1, 1),
+    (f"class A {{ void m() {{ class L {{ {BODY} }} }} }}", 1, 3, 1, 2),
+    (f"enum A {{ K {{ {BODY} }} }}", 1, 2, 1, 2),
+], ids=["class", "nested-class", "nested-interface", "anonymous-in-field", "anonymous-in-lambda",
+        "local-class", "enum-constant-body"])
+def test_a_method_counts_wherever_it_is_declared(src, npm, wmc, nmc, ce):
+    tree, decl = one_class(src)
+    metrics = code_metrics(tree, decl)
+    assert [metrics[M.NPM], metrics[M.WMC], metrics[M.NMC], metrics[M.CE]] == [npm, wmc, nmc, ce]
+
+
+def test_a_local_class_folds_like_an_anonymous_one():
+    body = "void n() { Foo f = new Foo(); g(); }"
+    local = code_metrics(*one_class(f"class A {{ void m() {{ class L {{ {body} }} }} }}"))
+    anonymous = code_metrics(*one_class(f"class A {{ void m() {{ new L() {{ {body} }}; }} }}"))
+    assert [local[M.WMC], local[M.NMC], local[M.CE]] == [2, 1, 1]  # L is A's own name
+    assert [anonymous[M.WMC], anonymous[M.NMC], anonymous[M.CE]] == [2, 1, 2]
+
+
+def test_enum_constant_arguments_keep_their_type_references():
+    index = build_corpus_index([parse_source("enum E { A(new Foo()); }", "E.java"),
+                                parse_source("class Foo {}", "Foo.java")])
+    assert indexed_metrics(index, "E")[M.CE] == 1
+    assert index["E"].references == {"Foo"}
+
+
+def test_only_an_ancestors_own_methods_are_inherited():
+    trees = [parse_source("class P { void own() {} class In { void inner() {} } }", "P.java"),
+             parse_source("class C extends P { void m() {} }", "C.java")]
+    index = build_corpus_index(trees)
+    assert indexed_metrics(index, "C")[M.MFA] == 0.5  # own() of P, not inner()
+
+
+def test_a_class_named_with_a_dollar_has_a_constructor():
+    _, decl = one_class("class A$B { A$B() {} void m() {} }")
+    assert [(m.name, m.is_constructor) for m in decl.methods] == [("A$B", True), ("m", False)]
 
 
 def test_parse_error_has_location():
@@ -238,7 +287,7 @@ def test_generics_and_shift_operators_parse():
         }
     }"""
     _, decl = one_class(src)
-    assert decl.fields[0].type_names == ("Map", "String", "List", "Integer")
+    assert decl.events.type_refs == ["Map", "String", "List", "Integer"]
 
 
 def test_self_type_reference_excluded_from_ce():
@@ -318,7 +367,7 @@ def canonical(value):
     if dataclasses.is_dataclass(value):
         return [type(value).__name__] + [
             [f.name, canonical(getattr(value, f.name))] for f in dataclasses.fields(value)]
-    if isinstance(value, frozenset):  # modifier names or line numbers
+    if isinstance(value, (set, frozenset)):  # names or line numbers
         return sorted(value)
     if isinstance(value, (list, tuple)):
         return [type(value).__name__] + [canonical(v) for v in value]
@@ -347,11 +396,13 @@ TREE_SNIPPETS = [
 ]
 
 # sha256 of the canonical trees of the corpus fixtures and TREE_SNIPPETS. Recorded
-# when the unread tree fields went, after the earlier trees with those fields
-# dropped (each Decision as its kind, each InitBlock as its events) were found
-# equal to the new ones; the earlier digest came from the parser as it was
-# before its duplicated code paths were merged.
-TREES_SHA256 = "6d2ce57c3529581e5e44212037f3a34b05653d77f7621e970d82827dcacf7304"
+# when the parser began to fold nested and anonymous classes into the top-level
+# type, after the earlier trees, folded through their own helpers (implicit
+# interface modifiers added, declared type names joined to the type refs),
+# were found equal to the new ones as multisets. The digests before it came
+# from the trees with the unread fields, and from the parser as it was before
+# its duplicated code paths were merged.
+TREES_SHA256 = "08e0d86ce9208dfa3d214cf9eb1003fb83d0393dfb5b5cc500f71c8f48eef9ed"
 
 
 def test_syntax_trees_match_the_recorded_digest():
