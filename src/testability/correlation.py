@@ -42,6 +42,25 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
     return ranks
 
 
+#: Why a constant sequence has no Spearman correlation.
+_CONSTANT = "constant sequence has no rank ordering"
+
+
+def _centred_ranks(values: np.ndarray) -> np.ndarray | None:
+    """The average ranks of ``values`` minus their mean; None when ``values``
+    is constant, since then the ranks carry no ordering."""
+    if np.all(values == values[0]):
+        return None
+    ranks = average_ranks(values)
+    return ranks - ranks.mean()
+
+
+def _rho(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Pearson correlation of two centred rank vectors, clipped to [-1, 1]."""
+    rho = float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))
+    return max(-1.0, min(1.0, rho))
+
+
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rho: Pearson correlation of the two rank vectors."""
     x = np.asarray(x, dtype=np.float64)
@@ -50,14 +69,10 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
         raise LengthMismatch(f"length {x.size} vs {y.size}")
     if x.size < 3:
         raise DegenerateInput("need at least 3 observations")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        raise DegenerateInput("constant sequence has no rank ordering")
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    rho = float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))
-    return max(-1.0, min(1.0, rho))
+    rx, ry = _centred_ranks(x), _centred_ranks(y)
+    if rx is None or ry is None:
+        raise DegenerateInput(_CONSTANT)
+    return _rho(rx, ry)
 
 
 @dataclass(frozen=True)
@@ -96,16 +111,15 @@ def correlation_table(
         kind = "raw"
     if len(data) < 3:
         raise DegenerateInput("need at least 3 records")
-    target_values = data.column(target)
+    target_ranks = _centred_ranks(data.column(target))  # ranked once for every feature
     full: list[tuple[MetricId, float]] = []
     skipped: list[tuple[MetricId, str]] = []
     for metric, values in zip(features, data.column(features).T):
-        try:
-            rho = spearman(values, target_values)
-        except DegenerateInput as exc:
-            skipped.append((metric, str(exc)))
-            continue
-        full.append((metric, rho))
+        ranks = None if target_ranks is None else _centred_ranks(values)
+        if ranks is None:
+            skipped.append((metric, _CONSTANT))
+        else:
+            full.append((metric, _rho(ranks, target_ranks)))
     entries = sorted(
         (e for e in full if abs(e[1]) >= threshold),
         key=lambda e: (-abs(e[1]), e[0].column),

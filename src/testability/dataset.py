@@ -11,6 +11,11 @@ canonical column names, "." decimal separator. Metadata columns carried by
 the published dataset (project, url, commit, class and test paths) are not
 features; the class/test paths double as record identifiers. Every metric
 invariant is checked as a boolean array over the whole matrix.
+
+Ingest converts a row's metric cells in one ``map(float, ...)``; a row where
+that fails (a bad cell, or a row too short) is parsed again cell by cell, so
+its error names its first bad cell. Written CSV cells are formatted a column
+at a time where the column allows it (see ``cell_columns``).
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import io
 from array import array
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Iterable, Sequence, TextIO
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -228,6 +234,7 @@ def ingest_csv(
         raise MissingColumn(missing)
 
     last_cell = {metric: j for j, metric in enumerate(metric_cols.values())}
+    metric_cells = _cell_getter(list(metric_cols))
     buffer = array("d")
     row_nos: list[int] = []
     ids: dict[tuple[str, str], None] = {}  # (class id, test id) in row order
@@ -235,10 +242,13 @@ def ingest_csv(
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            parsed = _parse_metric_cells(row_no, row, metric_cols)
+            try:
+                parsed = list(map(float, metric_cells(row)))
+            except (ValueError, IndexError):  # a bad cell, or a row too short
+                parsed = _parse_metric_cells(row_no, row, metric_cols)
             class_id = _id_cell(row_no, row, header, id_cols.get("class_id"))
             test_id = _id_cell(row_no, row, header, id_cols.get("test_id"))
-            buffer.extend(parsed)
+            buffer.fromlist(parsed)
             row_nos.append(row_no)
             if (class_id, test_id) in ids:  # an id made of the row number never repeats
                 raise DuplicateRecord(class_id, test_id)
@@ -256,10 +266,18 @@ def ingest_csv(
     return RawDataset([c for c, _ in ids], [t for _, t in ids], columns, values, note)
 
 
+def _cell_getter(indices: list[int]) -> Callable[[list[str]], tuple[str, ...]]:
+    """A function giving a row's cells at ``indices`` as a tuple; IndexError on a short row."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: tuple(row[i] for i in indices)
+
+
 def _parse_metric_cells(
     row_no: int, row: list[str], metric_cols: dict[int, MetricId]
 ) -> list[float]:
-    """The row's metric cells in header order, each stripped and parsed by ``float()``."""
+    """The row's metric cells in header order, each stripped and parsed by
+    ``float()``; the first cell that does not parse is a BadCell."""
     parsed = []
     for i, metric in metric_cols.items():
         cell = row[i].strip() if i < len(row) else ""
@@ -385,9 +403,19 @@ def format_metric_value(metric: MetricId, value: float) -> str:
 def cell_columns(data: RawDataset, columns: Sequence[MetricId]) -> list[list[str]]:
     """CSV text column by column, each headed by its name: class_id, test_id,
     then each metric's canonical cells."""
-    return [["class_id", *data.class_ids], ["test_id", *data.test_ids], *(
-        [m.column, *(format_metric_value(m, v) for v in data.column(m).tolist())]
-        for m in columns)]
+    return [["class_id", *data.class_ids], ["test_id", *data.test_ids],
+            *([m.column, *_metric_cells(m, data.column(m))] for m in columns)]
+
+
+def _metric_cells(metric: MetricId, values: np.ndarray) -> Iterable[str]:
+    """``format_metric_value`` of each value, decided once for the column: a
+    float column is its reprs, a count column of whole values below 2**63 is
+    its int64 texts, and any other column goes cell by cell."""
+    if metric not in COUNT_METRICS:
+        return map(repr, values.tolist())
+    if ((np.trunc(values) == values) & (np.abs(values) < 2.0 ** 63)).all():
+        return map(str, values.astype(np.int64).tolist())
+    return (format_metric_value(metric, v) for v in values.tolist())
 
 
 def write_records_csv(

@@ -31,7 +31,7 @@ import numpy as np
 from ..dataset import RawDataset
 from ..metrics import INDEPENDENT_VARIABLES, MetricId
 from .corpus import CorpusIndex, build_corpus_index
-from .lexer import PRIMITIVE_TYPES, ParseError
+from .lexer import ParseError
 from .parser import parse_source
 from .tree import MethodDecl, SyntaxTree, TypeDecl
 
@@ -138,10 +138,7 @@ def _inheritance_metrics(
 
 
 def _referenced_type_names(decl: TypeDecl) -> set[str]:
-    return {
-        n for n in decl.events.type_refs
-        if n not in decl.own_names and n not in PRIMITIVE_TYPES and n != "void"
-    }
+    return {n for n in decl.events.type_refs if n not in decl.own_names}
 
 
 def _coupling_metrics(

@@ -6,6 +6,16 @@ hidden layer is sigmoid, the two-unit output is a softmax read as the
 probability of Effective, and the loss is mean cross-entropy. Momentum
 gradient descent keeps the update rule simple and exactly differentiable,
 which the finite-difference gradient check in the test suite relies on.
+
+One ``_Pass`` runs the forward pass, and for a fit the loss and gradients,
+for training and prediction alike. It allocates its (n, h) and (n, 2)
+arrays and the weight gradients once, and each epoch writes into them
+with ``matmul(..., out=)`` and in-place ufuncs, in the same float
+expressions and order as a freshly allocating pass, so the weights are
+the same bits. The sigmoid is exp(min(z, 0)) / (1 + exp(-|z|)): no
+branch, no overflow. The softmax of two units reads its two columns with
+``maximum`` and ``add``, and each row's own class is a ``take`` over the
+flat probabilities.
 """
 
 from __future__ import annotations
@@ -51,39 +61,84 @@ class MLPModel:
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         X = model_rows(X, len(self.feature_ids))
         xs = (X - self.mean) / self.scale
-        probs = _forward(xs, self.w1, self.b1, self.w2, self.b2)[1]
+        probs = _Pass(xs, None, self.w1.shape[1]).forward(self.w1, self.b1, self.w2, self.b2)
         return probs[:, 1]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))  # never overflows: exp of a non-positive number
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(z: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """The logistic function of z, written over z; ``spare`` (z's shape) is scratch.
+
+    exp(min(z, 0)) / (1 + exp(-|z|)) never overflows and has no branch: it
+    is 1 / (1 + e) for z >= 0 and e / (1 + e) below, bit for bit.
+    """
+    np.abs(z, out=spare)
+    np.negative(spare, out=spare)
+    np.exp(spare, out=spare)
+    spare += 1.0
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= spare
+    return z
 
 
-def _forward(xs, w1, b1, w2, b2):
-    hidden = _sigmoid(xs @ w1 + b1)
-    logits = hidden @ w2 + b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
-    probs = ez / ez.sum(axis=1, keepdims=True)
-    return hidden, probs
+class _Pass:
+    """A forward pass, and for a fit its loss and gradients, over fixed rows.
 
+    Every (n, h) and (n, 2) array and the weight gradients are allocated
+    here, once; each call writes into them, so a fit allocates nothing per
+    epoch beyond the two bias gradients. A call's results live in these
+    buffers until the next call.
+    """
 
-def loss_and_gradients(xs, y, w1, b1, w2, b2):
-    """Mean cross-entropy and its exact gradients w.r.t. all parameters."""
-    n = xs.shape[0]
-    hidden, probs = _forward(xs, w1, b1, w2, b2)
-    eps = np.finfo(np.float64).tiny
-    loss = -float(np.mean(np.log(probs[np.arange(n), y] + eps)))
-    delta2 = probs.copy()
-    delta2[np.arange(n), y] -= 1.0
-    delta2 /= n
-    gw2 = hidden.T @ delta2
-    gb2 = delta2.sum(axis=0)
-    delta1 = (delta2 @ w2.T) * hidden * (1.0 - hidden)
-    gw1 = xs.T @ delta1
-    gb1 = delta1.sum(axis=0)
-    return loss, (gw1, gb1, gw2, gb2)
+    def __init__(self, xs: np.ndarray, y: np.ndarray | None, h: int):
+        n, d = xs.shape
+        self.xs = xs
+        if y is not None:  # flat index of each row's own class in probs
+            self.own = np.arange(n) * 2 + y
+        self.hidden = np.empty((n, h))
+        self.spare = np.empty((n, h))  # the sigmoid's scratch, then delta1
+        self.probs = np.empty((n, 2))  # logits, then probs, then delta2
+        self.row = np.empty(n)
+        self.log_own = np.empty(n)
+        self.gw1 = np.empty((d, h))
+        self.gw2 = np.empty((h, 2))
+
+    def forward(self, w1, b1, w2, b2) -> np.ndarray:
+        """The softmax probabilities, one row per input row."""
+        hidden, probs, row = self.hidden, self.probs, self.row
+        np.matmul(self.xs, w1, out=hidden)
+        hidden += b1
+        _sigmoid(hidden, self.spare)
+        np.matmul(hidden, w2, out=probs)
+        probs += b2
+        np.maximum(probs[:, 0], probs[:, 1], out=row)  # each row's larger logit
+        probs -= row[:, None]
+        np.exp(probs, out=probs)
+        np.add(probs[:, 0], probs[:, 1], out=row)
+        probs /= row[:, None]
+        return probs
+
+    def loss_and_gradients(self, w1, b1, w2, b2):
+        """Mean cross-entropy and its exact gradients w.r.t. all parameters."""
+        n = self.xs.shape[0]
+        delta2 = self.forward(w1, b1, w2, b2)
+        own, log_own, hidden = self.row, self.log_own, self.hidden
+        delta2.take(self.own, out=own, mode="clip")
+        np.add(own, np.finfo(np.float64).tiny, out=log_own)
+        np.log(log_own, out=log_own)
+        loss = -float(np.mean(log_own))
+        own -= 1.0  # probs minus the one-hot labels, over n
+        delta2.put(self.own, own)
+        delta2 /= n
+        np.matmul(hidden.T, delta2, out=self.gw2)
+        gb2 = delta2.sum(axis=0)
+        delta1 = np.matmul(delta2, w2.T, out=self.spare)
+        delta1 *= hidden
+        np.subtract(1.0, hidden, out=hidden)  # hidden is not read again in this pass
+        delta1 *= hidden
+        np.matmul(self.xs.T, delta1, out=self.gw1)
+        gb1 = delta1.sum(axis=0)
+        return loss, (self.gw1, gb1, self.gw2, gb2)
 
 
 def train_mlp(
@@ -116,13 +171,15 @@ def train_mlp(
 
     velocity = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
     parameters = [w1, b1, w2, b2]
+    epoch_pass = _Pass(xs, y, h)
     for epoch in range(params.epochs):
-        loss, grads = loss_and_gradients(xs, y, *parameters)
+        loss, grads = epoch_pass.loss_and_gradients(*parameters)
         if not math.isfinite(loss):
             raise NonFiniteLoss(epoch)
         for p, v, g in zip(parameters, velocity, grads):
             v *= params.momentum
-            v -= params.learning_rate * g
+            g *= params.learning_rate
+            v -= g
             p += v
 
     return MLPModel(

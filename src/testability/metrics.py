@@ -79,10 +79,6 @@ class MetricId(enum.Enum):
         """Canonical CSV column name."""
         return self.value
 
-    @property
-    def design_property(self) -> DesignProperty:
-        return _DESIGN_PROPERTY[self]
-
 
 _GROUPS: dict[DesignProperty, tuple[MetricId, ...]] = {
     DesignProperty.SIZE: (
@@ -104,10 +100,6 @@ _GROUPS: dict[DesignProperty, tuple[MetricId, ...]] = {
         MetricId.T_WMC, MetricId.T_AMC,
     ),
     DesignProperty.TEST_QUALITY: (MetricId.L, MetricId.B, MetricId.M),
-}
-
-_DESIGN_PROPERTY: dict[MetricId, DesignProperty] = {
-    m: prop for prop, members in _GROUPS.items() for m in members
 }
 
 #: The 28 code metrics, in canonical column order.

@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import signal
@@ -32,7 +33,7 @@ from testability.learn import (
 from testability.learn import tree
 from testability.learn.evaluation import pooled_report, stratified_kfold
 from testability.learn.forest import RandomForestModel
-from testability.learn.mlp import _sigmoid, loss_and_gradients
+from testability.learn.mlp import _Pass, _sigmoid
 from testability.learn.tree import (
     DecisionTreeModel,
     TreeNode,
@@ -41,7 +42,7 @@ from testability.learn.tree import (
     column_codes,
     entropy_bits,
 )
-from testability.metrics import MetricId
+from testability.metrics import INDEPENDENT_VARIABLES, MetricId
 
 FEATURES_2D = (MetricId.LOC, MetricId.WMC)
 
@@ -567,14 +568,27 @@ def reference_sigmoid(z):
     return out
 
 
+def where_sigmoid(z):
+    """The np.where form the in-place _sigmoid replaced."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid_of(z):
+    return _sigmoid(z.copy(), np.empty_like(z))  # _sigmoid writes over its argument
+
+
 def test_sigmoid_is_bit_identical_to_the_masked_form():
     rng = np.random.default_rng(11)
     edges = [0.0, -0.0, np.inf, -np.inf, 709.8, -709.8, 745.2, -745.2, 1e-320, -1e-320]
     for z in [rng.standard_normal((1000, 18)) * scale for scale in (0.1, 1, 30, 300)] + [
-            np.array(edges)]:
-        assert np.array_equal(_sigmoid(z).view(np.uint64), reference_sigmoid(z).view(np.uint64))
+            np.array(edges), rng.standard_normal(10**6) * 40]:
+        bits = sigmoid_of(z).view(np.uint64)
+        assert np.array_equal(bits, reference_sigmoid(z).view(np.uint64))
+        assert np.array_equal(bits, where_sigmoid(z).view(np.uint64))
     z = np.array([np.nan, -np.nan, 1.0])
-    assert np.array_equal(_sigmoid(z), reference_sigmoid(z), equal_nan=True)
+    assert np.array_equal(sigmoid_of(z), reference_sigmoid(z), equal_nan=True)
+    assert np.array_equal(sigmoid_of(z), where_sigmoid(z), equal_nan=True)
 
 
 def test_mlp_gradients_match_central_finite_differences():
@@ -585,21 +599,138 @@ def test_mlp_gradients_match_central_finite_differences():
     b1 = rng.normal(scale=0.1, size=4)
     w2 = rng.normal(scale=0.5, size=(4, 2))
     b2 = rng.normal(scale=0.1, size=2)
-    _, grads = loss_and_gradients(xs, y, w1, b1, w2, b2)
+    epoch_pass = _Pass(xs, y, 4)  # the code a fit runs each epoch
+    _, grads = epoch_pass.loss_and_gradients(w1, b1, w2, b2)
+    grads = [g.copy() for g in grads]  # the pass writes over them on its next call
     eps = 1e-6
     for p, g in zip((w1, b1, w2, b2), grads):
         flat = p.ravel()
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            up, _ = loss_and_gradients(xs, y, w1, b1, w2, b2)
+            up, _ = epoch_pass.loss_and_gradients(w1, b1, w2, b2)
             flat[i] = keep - eps
-            down, _ = loss_and_gradients(xs, y, w1, b1, w2, b2)
+            down, _ = epoch_pass.loss_and_gradients(w1, b1, w2, b2)
             flat[i] = keep
             numeric = (up - down) / (2 * eps)
             analytic = g.ravel()[i]
             scale = max(abs(numeric), abs(analytic), 1e-8)
             assert abs(numeric - analytic) / scale < 1e-5
+
+
+# The fit this module's buffered pass replaced: every epoch allocates its
+# arrays afresh. _reference_forward and _reference_loss_and_gradients are
+# verbatim, and reference_train_mlp is train_mlp's loop around them.
+
+
+def _reference_forward(xs, w1, b1, w2, b2):
+    hidden = where_sigmoid(xs @ w1 + b1)
+    logits = hidden @ w2 + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    probs = ez / ez.sum(axis=1, keepdims=True)
+    return hidden, probs
+
+
+def _reference_loss_and_gradients(xs, y, w1, b1, w2, b2):
+    n = xs.shape[0]
+    hidden, probs = _reference_forward(xs, w1, b1, w2, b2)
+    eps = np.finfo(np.float64).tiny
+    loss = -float(np.mean(np.log(probs[np.arange(n), y] + eps)))
+    delta2 = probs.copy()
+    delta2[np.arange(n), y] -= 1.0
+    delta2 /= n
+    gw2 = hidden.T @ delta2
+    gb2 = delta2.sum(axis=0)
+    delta1 = (delta2 @ w2.T) * hidden * (1.0 - hidden)
+    gw1 = xs.T @ delta1
+    gb1 = delta1.sum(axis=0)
+    return loss, (gw1, gb1, gw2, gb2)
+
+
+def reference_train_mlp(matrix, params, seed):
+    """(w1, b1, w2, b2) of the allocating fit, or the NonFiniteLoss it raises."""
+    X = matrix.X
+    y = matrix.y.astype(np.intp)
+    d = X.shape[1]
+    h = params.hidden if params.hidden is not None else math.ceil((d + 2) / 2)
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    xs = (X - mean) / scale
+    rng = np.random.default_rng(seed)
+    w1 = rng.uniform(-0.5, 0.5, size=(d, h)) / math.sqrt(d)
+    b1 = np.zeros(h)
+    w2 = rng.uniform(-0.5, 0.5, size=(h, 2)) / math.sqrt(h)
+    b2 = np.zeros(2)
+    velocity = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
+    parameters = [w1, b1, w2, b2]
+    for epoch in range(params.epochs):
+        loss, grads = _reference_loss_and_gradients(xs, y, *parameters)
+        if not math.isfinite(loss):
+            raise NonFiniteLoss(epoch)
+        for p, v, g in zip(parameters, velocity, grads):
+            v *= params.momentum
+            v -= params.learning_rate * g
+            p += v
+    return parameters
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_fit_matches_the_reference(fm, params, seed):
+    model = train_mlp(fm, params, seed=seed)
+    for got, want in zip((model.w1, model.b1, model.w2, model.b2),
+                         reference_train_mlp(fm, params, seed)):
+        assert np.array_equal(bits(got), bits(want))
+    xs = (fm.X - model.mean) / model.scale
+    want = _reference_forward(xs, model.w1, model.b1, model.w2, model.b2)[1][:, 1]
+    assert np.array_equal(bits(model.predict_scores(fm.X)), bits(want))
+    assert np.array_equal(bits(model.predict_scores(fm.X[0])), bits(want[:1]))  # n = 1
+
+
+@pytest.mark.parametrize("n, d, params", [
+    (2, 2, MLPParams(epochs=40)),
+    (60, 2, MLPParams(hidden=1, epochs=60)),
+    (60, 2, MLPParams(epochs=0)),
+    (280, 34, MLPParams(epochs=30)),
+    (10000, 34, MLPParams(epochs=25)),
+], ids=["n2", "hidden1", "epochs0", "fold-size", "10k-by-34"])
+def test_mlp_fit_is_bit_identical_to_the_allocating_reference(n, d, params):
+    rng = np.random.default_rng(n + d)
+    X = rng.integers(0, 40, size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
+    y = (X[:, 0] + rng.normal(0, 10, n) > X[:, 0].mean()).astype(int)
+    y[:2] = (0, 1)
+    assert_fit_matches_the_reference(FeatureMatrix(INDEPENDENT_VARIABLES[:d], X, y), params, 3)
+
+
+def test_an_epoch_over_one_row_is_bit_identical_to_the_allocating_reference():
+    rng = np.random.default_rng(8)
+    xs = rng.normal(size=(1, 3))
+    w1, b1 = rng.normal(size=(3, 2)), rng.normal(size=2)
+    w2, b2 = rng.normal(size=(2, 2)), rng.normal(size=2)
+    for label in (0, 1):
+        y = np.array([label])
+        loss, grads = _Pass(xs, y, 2).loss_and_gradients(w1, b1, w2, b2)
+        want_loss, want_grads = _reference_loss_and_gradients(xs, y, w1, b1, w2, b2)
+        assert bits(loss) == bits(want_loss)
+        for got, want in zip(grads, want_grads):
+            assert np.array_equal(bits(got), bits(want))
+
+
+def test_a_diverging_fit_stops_at_the_reference_epoch():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(50, 2))
+    fm = matrix_2d(X, (X[:, 0] > 0).astype(int))
+    params = MLPParams(learning_rate=1e300, momentum=3.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteLoss) as want:
+            reference_train_mlp(fm, params, 1)
+        with pytest.raises(NonFiniteLoss) as got:
+            train_mlp(fm, params, seed=1)
+    assert got.value.epoch == want.value.epoch == 21
 
 
 def test_mlp_zero_epochs_is_untrained_baseline():

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, TextIO
@@ -16,18 +17,25 @@ from testability.dataset import (
     BadCell,
     DegenerateSplit,
     DuplicateRecord,
+    FeatureMatrix,
     ForbiddenFeature,
     IngestError,
     InvalidRecord,
     MissingColumn,
     RawDataset,
     TooFewValues,
+    _check_invariants,
+    _id_cell,
+    cell_columns,
     compute_quartiles,
+    format_metric_value,
     ingest_csv,
     label_by_quartiles,
     to_feature_matrix,
+    write_records_csv,
 )
 from testability.metrics import (
+    ALL_METRICS,
     COUNT_METRICS,
     INDEPENDENT_VARIABLES,
     UNIT_INTERVAL_METRICS,
@@ -436,3 +444,312 @@ def test_ingest_matches_the_row_by_row_reference(text, require):
         assert got[1].endswith(f": {expected[1]}")
     else:
         assert got == expected
+
+
+# -- one record's invariants, the dataset's shape and the CSV round trip --------
+
+
+RECORD = {
+    MetricId.NMC: 5.0, MetricId.NMCI: 2.0, MetricId.NMCE: 3.0,
+    MetricId.DAM: 0.5, MetricId.MFA: 0.0, MetricId.CAM: 1.0,
+    MetricId.LCOM3: 1.2, MetricId.M: 0.7, MetricId.LOC: 10.0,
+}
+
+
+def make_record(**overrides):
+    """A one-row dataset of RECORD with some columns replaced."""
+    metrics = dict(RECORD)
+    for key, value in overrides.items():
+        metrics[MetricId(key)] = value
+    return RawDataset(("a.B",), ("a.BTest",), tuple(metrics), [list(metrics.values())])
+
+
+def ingest_violations(data):
+    """The violations ingest reports for the dataset's one row; [] when it is valid."""
+    buffer = io.StringIO()
+    buffer.write("class_id,test_id," + ",".join(m.column for m in data.columns) + "\n")
+    buffer.write(",".join([data.class_ids[0], data.test_ids[0],
+                           *map(repr, data.values[0].tolist())]) + "\n")
+    try:
+        ingest_csv(buffer.getvalue())
+    except InvalidRecord as exc:
+        assert exc.row == 2
+        return list(exc.violations)
+    return []
+
+
+def test_valid_record_has_no_violations():
+    assert ingest_violations(make_record()) == []
+
+
+def test_dam_range_violation():
+    violations = ingest_violations(make_record(DAM=1.3))
+    assert violations == ["DAM out of [0,1]"]
+
+
+def test_nmc_identity_violation():
+    violations = ingest_violations(make_record(NMCI=4.0, NMCE=2.0, NMC=5.0))
+    assert "NMC != NMCI+NMCE" in violations
+
+
+def test_count_integrality_and_sign():
+    assert "LOC is not an integer" in ingest_violations(make_record(LOC=1.5))
+    assert "LOC is negative" in ingest_violations(make_record(LOC=-1.0))
+
+
+def test_lcom3_upper_range():
+    assert ingest_violations(make_record(LCOM3=2.0)) == []
+    assert "LCOM3 out of [0,2]" in ingest_violations(make_record(LCOM3=2.5))
+
+
+def test_violations_are_listed_by_column_then_check():
+    violations = ingest_violations(make_record(NMC=-1.5, DAM=float("inf"), LOC=2.5, M=1.5))
+    assert violations == [
+        "NMC is negative", "NMC is not an integer", "DAM is not finite",
+        "M out of [0,1]", "LOC is not an integer", "NMC != NMCI+NMCE",
+    ]
+
+
+def test_records_are_immutable():
+    data = make_record()
+    with pytest.raises(ValueError, match="read-only"):
+        data.values[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        data.columns = ()
+
+
+def test_dataset_values_must_be_rows_by_columns():
+    with pytest.raises(ValueError, match="rows x columns"):
+        RawDataset(("a",), ("t",), (MetricId.LOC,), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="rows x columns"):
+        RawDataset(("a",), (), (MetricId.LOC,), np.zeros((1, 1)))
+
+
+def test_feature_matrix_rejects_test_quality_features():
+    with pytest.raises(ValueError, match="test-quality"):
+        FeatureMatrix(feature_ids=(MetricId.M,), X=np.zeros((1, 1)), y=np.zeros(1))
+
+
+def test_feature_matrix_rejects_ragged_and_nan():
+    with pytest.raises(ValueError):
+        FeatureMatrix(feature_ids=(MetricId.LOC,), X=np.zeros((2, 2)), y=np.zeros(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        FeatureMatrix(
+            feature_ids=(MetricId.LOC,), X=np.array([[np.nan]]), y=np.zeros(1)
+        )
+
+
+@given(
+    st.lists(
+        st.floats(min_value=0, max_value=1e6).map(lambda v: float(round(v, 6))),
+        min_size=34, max_size=34,
+    ),
+    st.floats(min_value=0, max_value=1).map(lambda v: float(round(v, 9))),
+)
+def test_serialization_round_trip_is_identity(values, score):
+    metrics = dict(zip(INDEPENDENT_VARIABLES, values))
+    metrics[MetricId.M] = score
+    # force integrality where the vocabulary demands it
+    for metric in list(metrics):
+        if metric in COUNT_METRICS:
+            metrics[metric] = float(int(metrics[metric]))
+        if metric in (MetricId.MFA, MetricId.DAM, MetricId.CAM):
+            metrics[metric] = min(1.0, metrics[metric] / 1e6)
+        if metric is MetricId.LCOM3:
+            metrics[metric] = min(2.0, metrics[metric] / 1e6)
+    metrics[MetricId.NMC] = metrics[MetricId.NMCI] + metrics[MetricId.NMCE]
+    data = RawDataset(("p.C",), ("p.CTest",), tuple(metrics), [list(metrics.values())])
+    columns = list(INDEPENDENT_VARIABLES) + [MetricId.M]
+    buffer = io.StringIO()
+    write_records_csv(buffer, data, columns)
+    back = ingest_csv(buffer.getvalue())
+    assert back.class_ids == data.class_ids
+    assert back.test_ids == data.test_ids
+    assert back.records == data.records
+
+
+# -- the per-cell ingest loop the converting one replaced, kept as a reference ---
+# percell_ingest_csv is ingest_csv as it was before whole rows were converted
+# by one ``map(float, ...)``: every metric cell is stripped and parsed alone.
+
+
+def percell_ingest_csv(stream, require=(), provenance=""):
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError("empty input: no header row") from None
+    except csv.Error as exc:
+        raise IngestError(f"row {reader.line_num}: {exc}") from None
+    header = [h.strip() for h in header]
+
+    metric_cols = {}
+    id_cols = {}
+    ignored = []
+    for i, name in enumerate(header):
+        if name in _ID_COLUMNS:
+            id_cols.setdefault(_ID_COLUMNS[name], i)
+        elif name in METADATA_COLUMNS:
+            pass
+        else:
+            metric = metric_for_column(name)
+            if metric is None:
+                ignored.append(name)
+            else:
+                metric_cols[i] = metric
+
+    columns = tuple(dict.fromkeys(metric_cols.values()))
+    missing = [m.column for m in require if m not in columns]
+    if missing:
+        raise MissingColumn(missing)
+
+    last_cell = {metric: j for j, metric in enumerate(metric_cols.values())}
+    buffer = array("d")
+    row_nos = []
+    ids = {}
+    try:
+        for row_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            parsed = []
+            for i, metric in metric_cols.items():
+                cell = row[i].strip() if i < len(row) else ""
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise BadCell(row_no, metric.column, cell) from None
+            class_id = _id_cell(row_no, row, header, id_cols.get("class_id"))
+            test_id = _id_cell(row_no, row, header, id_cols.get("test_id"))
+            buffer.extend(parsed)
+            row_nos.append(row_no)
+            if (class_id, test_id) in ids:
+                raise DuplicateRecord(class_id, test_id)
+            ids[class_id, test_id] = None
+    except csv.Error as exc:
+        raise IngestError(f"row {reader.line_num}: {exc}") from None
+    finally:
+        values = np.frombuffer(buffer, dtype=np.float64).reshape(len(row_nos), len(metric_cols))
+        values = values.take([last_cell[m] for m in columns], axis=1)
+        _check_invariants(columns, values, row_nos)
+
+    note = provenance
+    if ignored:
+        note = f"{provenance} (ignored columns: {', '.join(ignored)})".strip()
+    return RawDataset([c for c, _ in ids], [t for _, t in ids], columns, values, note)
+
+
+#: Whitespace that str.strip and float() both remove, ASCII and not.
+SPACES = ["", " ", "\t", "\n", "\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u2028",
+          "\u3000"]
+#: Number spellings float() takes and refuses: signs, exponents, digit
+#: separators, nan/inf spellings and non-ASCII digits.
+NUMBERS = ["0", "-0", "+0", "1", "12", "0.25", "1.5", ".5", "5.", "1e3", "1E-2", "-3",
+           "1_000", "1_0.2_5", "1__0", "_1", "1_", "1e1_0", "nan", "NaN", "-nan", "+nan",
+           "inf", "-Inf", "+INF", "infinity", "-Infinity", "iNfInItY", "infinit", "nan1",
+           "١٢", "٣.٥", "１２", "१e२", "1e400",
+           "4.9e-324", "1e-400", "0x10", "1e", "--1", "1,5", "x", "", "1 2", "²"]
+ODD_HEADERS = ["LOC", "LOCCOM", "AMC", "M"]
+
+
+@st.composite
+def odd_cells_csv(draw):
+    """CSV text whose metric cells wrap a number spelling in whitespace, with
+    short, blank and duplicate-id rows."""
+    metrics = draw(st.lists(st.sampled_from(ODD_HEADERS), min_size=1, max_size=5))
+    ids = draw(st.lists(st.sampled_from(["class_id", "test_id"]), unique=True))
+    header = draw(st.permutations(metrics + ids))
+    rows = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["full", "full", "full", "short", "blank", "duplicate"]))
+        if shape == "duplicate" and len(rows) > 1:
+            rows.append(list(draw(st.sampled_from(rows[1:]))))
+            continue
+        cells = [draw(st.sampled_from(["a", "b", " a"])) if name in ids else
+                 draw(st.sampled_from(SPACES)) + draw(st.sampled_from(NUMBERS))
+                 + draw(st.sampled_from(SPACES)) for name in header]
+        if shape == "short":
+            cells = cells[:draw(st.integers(0, len(cells)))]
+        elif shape == "blank":
+            cells = [draw(st.sampled_from(SPACES)) for _ in range(draw(st.integers(0, 2)))]
+        rows.append(cells)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def exact_outcome(ingest, text):
+    """The error's type and text, or the dataset with its values as bits."""
+    try:
+        data = ingest(text, provenance="in.csv")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (data.class_ids, data.test_ids, data.columns, data.provenance,
+            data.values.shape, data.values.view(np.uint64).tolist())
+
+
+@settings(max_examples=800, deadline=None)
+@given(odd_cells_csv())
+def test_ingest_matches_the_per_cell_loop_bit_for_bit(text):
+    assert exact_outcome(ingest_csv, text) == exact_outcome(percell_ingest_csv, text)
+
+
+def test_ingest_keeps_the_sign_of_zero_and_names_the_first_bad_cell():
+    data = ingest_csv("LOC,AMC\n-0, -0.0 \n")
+    assert data.values.view(np.uint64).tolist() == [[1 << 63, 1 << 63]]
+    with pytest.raises(BadCell, match=r"^row 3, column AMC: bad cell '1,5'$"):
+        ingest_csv('LOC,AMC,M\n1,2,0.5\n١," 1,5 ",x\n')
+    with pytest.raises(BadCell, match=r"^row 2, column M: bad cell ''$"):
+        ingest_csv("LOC,AMC,M\n1,2\n")
+
+
+# -- cell_columns against format_metric_value, cell by cell ---------------------
+
+
+EDGE_COLUMNS = {
+    MetricId.LOC: [0.0, -0.0, 3.0, 2.0**53 + 1, 2.0**53 + 2, 2.0**63 - 1024, 7.0, 1.0],
+    MetricId.WMC: [1.0, 2.0**63, 5.0, 0.0, -0.0, 1e20, 2.0, 3.0],  # at or past 2**63
+    MetricId.RFC: [2.0**63, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],  # just past int64
+    MetricId.IC: [1.0, 1e19, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0],  # past int64, below 2**64
+    MetricId.NOC: [1.0, 1.5, -0.0, 2.0, 0.25, 1e20, 4.0, 2.0**53 + 1],  # fractional counts
+    MetricId.CBO: [-1.0, -(2.0**63), 0.0, 1.0, 2.0, 3.0, 4.0, 5.0],  # negative counts
+    MetricId.AMC: [0.0, -0.0, 1.5, 1e20, 2.0**63, 1e-300, 5e-324, 3.0],  # a float column
+    MetricId.M: [0.1, 0.2, 0.30000000000000004, 1.0, 0.0, -0.0, 1 / 3, 2 / 3],
+    MetricId.LOCCOM: [float("nan"), float("inf"), -float("inf"), 1.0, 2.0, 3.0, 4.0, 5.0],
+}
+
+
+def test_cell_columns_equal_format_metric_value_on_edge_values():
+    columns = tuple(EDGE_COLUMNS)
+    data = RawDataset([f"c{i}" for i in range(8)], [f"t{i}" for i in range(8)], columns,
+                      np.array(list(EDGE_COLUMNS.values())).T)
+    expected = [[m.column, *(format_metric_value(m, v) for v in values)]
+                for m, values in EDGE_COLUMNS.items()]
+    assert cell_columns(data, columns)[2:] == expected
+    assert expected[0][1:3] == ["0", "0"] and expected[1][6] == "100000000000000000000"
+    assert expected[1][2] == expected[2][1] == "9223372036854775808"
+    assert expected[3][2] == "10000000000000000000" and expected[4][2] == "1.5"
+
+
+@pytest.mark.parametrize("value, error", [(float("nan"), ValueError),
+                                          (float("inf"), OverflowError)])
+def test_a_count_that_is_not_finite_fails_as_format_metric_value_does(value, error):
+    data = RawDataset(["c"], ["t"], (MetricId.LOC,), [[value]])
+    with pytest.raises(error):
+        format_metric_value(MetricId.LOC, value)
+    with pytest.raises(error):
+        cell_columns(data, (MetricId.LOC,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(ALL_METRICS), st.lists(
+    st.one_of(st.integers(-(2**64), 2**64).map(float), st.floats(allow_nan=False,
+                                                                 allow_infinity=False)),
+    min_size=3, max_size=3)), min_size=1, max_size=6, unique_by=lambda c: c[0]))
+def test_cell_columns_equal_format_metric_value(columns):
+    metrics = tuple(m for m, _ in columns)
+    data = RawDataset(["a", "b", "c"], ["x", "y", "z"], metrics,
+                      np.array([values for _, values in columns]).T)
+    assert cell_columns(data, metrics)[2:] == [
+        [m.column, *(format_metric_value(m, v) for v in values)] for m, values in columns]

@@ -5,6 +5,7 @@ from testability.metrics import (
     INDEPENDENT_VARIABLES,
     TEST_EFFORT_METRICS,
     TEST_QUALITY_METRICS,
+    _GROUPS,
     DesignProperty,
     MetricId,
     metric_for_column,
@@ -29,13 +30,15 @@ def test_exactly_37_members():
 
 
 def test_groups_partition_the_vocabulary():
+    assert set(_GROUPS) == set(DesignProperty) == set(GROUPS)
     seen = set()
     for prop, expected in GROUPS.items():
-        members = {m.column for m in MetricId if m.design_property is prop}
+        members = {m.column for m in _GROUPS[prop]}
+        assert len(members) == len(_GROUPS[prop])
         assert members == expected
         assert not members & seen
         seen |= members
-    assert len(seen) == 37
+    assert seen == {m.column for m in MetricId}
 
 
 def test_independent_variables_are_code_plus_test_effort():
