@@ -37,6 +37,7 @@ from .dataset import (
     label_by_quartiles,
     to_feature_matrix,
 )
+from .forkpool import WorkerDied, fork_pool
 from .learn import (
     FoldTrainingError,
     ForestParams,
@@ -299,7 +300,18 @@ def cmd_extract(config: RunConfig, args) -> Outcome:
     if not config.src:
         raise CliError(EXIT_INPUT, "no source directories given (--src)")
     try:
-        corpus = javasrc.parse_corpus(config.src)
+        with fork_pool() as pool:
+            return _extract(config, pool)
+    except WorkerDied as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from None
+
+
+def _extract(config: RunConfig, pool) -> Outcome:
+    # the class files are read in the pool while the sources parse, but a
+    # failure among them is reported only where it was reported in series
+    nbi_job = pool.submit(classfile.nbi_for_paths, config.classes) if config.classes else None
+    try:
+        corpus = javasrc.parse_corpus(config.src, pool)
     except javasrc.CorpusParseError as exc:
         for failure in exc.failures:
             print(f"error: {failure}", file=sys.stderr)
@@ -318,9 +330,9 @@ def cmd_extract(config: RunConfig, args) -> Outcome:
     if not pairs:
         raise CliError(EXIT_INPUT, "no paired (class, test class) combinations found")
     nbi = None
-    if config.classes:
+    if nbi_job is not None:
         try:
-            nbi = classfile.nbi_for_paths(config.classes)
+            nbi = nbi_job.result()
         except (OSError, classfile.ClassFileError) as exc:
             raise CliError(EXIT_INPUT, f"bad class files: {exc}")
     data = javasrc.extract_records(corpus, pairs, nbi_by_class=nbi)  # ValueError: exit 2

@@ -1,18 +1,25 @@
-"""Java source parsing and static metric extraction."""
+"""Java source parsing and static metric extraction.
+
+``parse_corpus`` parses the files in worker processes. Each worker turns
+each class into a ``ClassSummary`` that already holds the metrics of the
+class alone (size, complexity, cohesion, encapsulation, Ce and the six
+test-effort metrics). The parent indexes the summaries; ``extract_records``
+adds the metrics that need the index (DIT, NOC, MFA, CBO, IC, CBM, Ca).
+"""
 
 from .corpus import (
     ClassEntry,
+    ClassSummary,
     CorpusIndex,
     CyclicHierarchy,
     DuplicateClass,
-    build_corpus_index,
 )
 from .extract import (
     CorpusParseError,
     PairingError,
     ParsedCorpus,
+    build_corpus_index,
     compute_code_metrics,
-    compute_test_effort_metrics,
     cyclomatic_complexity,
     extract_records,
     find_java_files,
@@ -26,6 +33,7 @@ from .tree import SyntaxTree, TypeDecl
 
 __all__ = [
     "ClassEntry",
+    "ClassSummary",
     "CorpusIndex",
     "CorpusParseError",
     "CyclicHierarchy",
@@ -37,7 +45,6 @@ __all__ = [
     "TypeDecl",
     "build_corpus_index",
     "compute_code_metrics",
-    "compute_test_effort_metrics",
     "cyclomatic_complexity",
     "extract_records",
     "find_java_files",

@@ -1,5 +1,10 @@
 """Cross-file index: class lookup, superclass resolution, reference graph.
 
+The index is built from ``ClassSummary`` records, one per top-level
+class, not from syntax trees: a summary is what a worker process sends
+back for each class it parsed, so it holds only what the index and the
+index-derived metrics read, plus the metrics that need no index.
+
 Resolution is name-based: a superclass or referenced type name resolves to
 a corpus class when its qualified name matches, else when its simple name
 does (same package preferred, then lexicographically smallest qualified
@@ -10,8 +15,32 @@ re-indexing a permuted corpus yields identical relations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .tree import SyntaxTree, TypeDecl
+from ..metrics import MetricId
+
+Signature = tuple[str, int]  # (method name, arity), or (called name, argument count)
+
+
+@dataclass(frozen=True)
+class ClassSummary:
+    """One top-level class as the index and its metrics read it."""
+
+    name: str
+    package: str
+    path: str  # the source file
+    superclass: str | None  # the extends name of a class
+    type_refs: frozenset[str]  # every referenced type name, its own names too
+    inheritable: frozenset[Signature]  # own methods: not nested, constructors or private
+    signatures: frozenset[Signature]  # declared methods
+    internal_calls: frozenset[Signature]  # calls with no receiver, or on this or super
+    methods: tuple[tuple[Signature, bool], ...]  # per declared method: calls super?
+    code: dict[MetricId, float]  # the code metrics that need no index
+    test_effort: dict[MetricId, float]  # the six test-effort metrics
+
+    @property
+    def qualified_name(self) -> str:
+        return f"{self.package}.{self.name}" if self.package else self.name
 
 
 class DuplicateClass(ValueError):
@@ -24,17 +53,12 @@ class CyclicHierarchy(ValueError):
 
 @dataclass
 class ClassEntry:
-    decl: TypeDecl
-    unit: SyntaxTree
+    summary: ClassSummary
     parent: str | None = None  # resolved qualified name
     external_parent: str | None = None  # unresolved extends text
     children: list[str] = field(default_factory=list)
     references: frozenset[str] = frozenset()  # resolved corpus classes referenced
     referenced_by: frozenset[str] = frozenset()
-
-    @property
-    def qualified_name(self) -> str:
-        return self.decl.qualified_name
 
 
 class CorpusIndex:
@@ -42,7 +66,7 @@ class CorpusIndex:
         self.entries = entries
         self._by_simple: dict[str, list[str]] = {}
         for qname, entry in entries.items():
-            self._by_simple.setdefault(entry.decl.name, []).append(qname)
+            self._by_simple.setdefault(entry.summary.name, []).append(qname)
         for names in self._by_simple.values():
             names.sort()
 
@@ -81,24 +105,24 @@ class CorpusIndex:
         return out
 
 
-def build_corpus_index(trees: list[SyntaxTree]) -> CorpusIndex:
+def index_classes(summaries: Iterable[ClassSummary]) -> CorpusIndex:
+    """Index the classes in corpus order; DuplicateClass names both files
+    of a class declared twice, CyclicHierarchy the classes of a cycle."""
     entries: dict[str, ClassEntry] = {}
-    for tree in trees:
-        for decl in tree.types:
-            qname = decl.qualified_name
-            if qname in entries:
-                raise DuplicateClass(
-                    f"{qname} declared in both {entries[qname].unit.path} and {tree.path}"
-                )
-            entries[qname] = ClassEntry(decl=decl, unit=tree)
+    for summary in summaries:
+        qname = summary.qualified_name
+        if qname in entries:
+            raise DuplicateClass(
+                f"{qname} declared in both {entries[qname].summary.path} and {summary.path}"
+            )
+        entries[qname] = ClassEntry(summary=summary)
     index = CorpusIndex(entries)
 
     for qname in index.class_names():
         entry = entries[qname]
-        decl = entry.decl
-        if decl.kind in ("class",) and decl.extends_names:
-            extends = decl.extends_names[0]
-            resolved = index.resolve(extends, decl.package)
+        extends = entry.summary.superclass
+        if extends is not None:
+            resolved = index.resolve(extends, entry.summary.package)
             if resolved is not None and resolved != qname:
                 entry.parent = resolved
             else:
@@ -116,8 +140,8 @@ def build_corpus_index(trees: list[SyntaxTree]) -> CorpusIndex:
     for qname in index.class_names():
         entry = entries[qname]
         referenced: set[str] = set()
-        for name in set(entry.decl.events.type_refs):
-            resolved = index.resolve(name, entry.decl.package)
+        for name in entry.summary.type_refs:
+            resolved = index.resolve(name, entry.summary.package)
             if resolved is not None and resolved != qname:
                 referenced.add(resolved)
         entry.references = frozenset(referenced)

@@ -19,18 +19,29 @@ syntactic and deterministic):
     one still adds its declared types.
   - inherited methods (MFA/IC/CBM) are counted over corpus-resolved
     ancestors only, skipping their private methods and constructors.
+
+Extraction runs in two steps. Worker processes parse the files and turn
+each class into a ``ClassSummary`` (``summarize``), which carries every
+metric of the class alone: size (all but NBI), complexity, cohesion,
+encapsulation, Ce and the six test-effort metrics. The parent indexes the
+summaries in file order and adds the seven metrics that read other
+classes through the index: DIT, NOC, MFA, CBO, IC, CBM and Ca
+(``compute_code_metrics``). NBI comes from the class files.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..dataset import RawDataset
+from ..forkpool import fork_pool
 from ..metrics import INDEPENDENT_VARIABLES, MetricId
-from .corpus import CorpusIndex, build_corpus_index
+from .corpus import ClassEntry, ClassSummary, CorpusIndex, Signature, index_classes
 from .lexer import ParseError
 from .parser import parse_source
 from .tree import MethodDecl, SyntaxTree, TypeDecl
@@ -42,7 +53,7 @@ class ClassFacts:
 
     decl: TypeDecl
     methods: list[MethodDecl]  # declared methods
-    signatures: frozenset[tuple[str, int]]  # (name, arity) of ``methods``
+    signatures: frozenset[Signature]  # of ``methods``
 
 
 def class_facts(decl: TypeDecl) -> ClassFacts:
@@ -105,79 +116,6 @@ def _complexity_metrics(facts: ClassFacts) -> dict[MetricId, float]:
     return {MetricId.WMC: wmc, MetricId.AMC: amc, MetricId.RFC: rfc}
 
 
-def _ancestor_signatures(index: CorpusIndex, qname: str) -> list[set[tuple[str, int]]]:
-    """Per resolved ancestor: its own non-private, non-constructor signatures."""
-    return [
-        {
-            m.signature
-            for m in entry.decl.methods
-            if not (m.nested or m.is_constructor or "private" in m.modifiers)
-        }
-        for entry in index.ancestors(qname)
-    ]
-
-
-def _inheritance_metrics(
-    facts: ClassFacts, index: CorpusIndex, ancestors: list[set[tuple[str, int]]]
-) -> dict[MetricId, float]:
-    entry = index[facts.decl.qualified_name]
-    depth = 0
-    cursor = entry
-    while cursor.parent is not None:
-        depth += 1
-        cursor = index[cursor.parent]
-    external = cursor.external_parent
-    if external is not None and external.rsplit(".", 1)[-1] != "Object":
-        depth += 1
-    noc = len(entry.children)
-    inherited: set[tuple[str, int]] = set().union(*ancestors)
-    inherited -= facts.signatures
-    denom = len(inherited) + len(facts.methods)
-    mfa = len(inherited) / denom if denom and ancestors else 0.0
-    return {MetricId.DIT: depth, MetricId.NOC: noc, MetricId.MFA: mfa}
-
-
-def _referenced_type_names(decl: TypeDecl) -> set[str]:
-    return {n for n in decl.events.type_refs if n not in decl.own_names}
-
-
-def _coupling_metrics(
-    facts: ClassFacts, index: CorpusIndex, ancestors: list[set[tuple[str, int]]]
-) -> dict[MetricId, float]:
-    entry = index[facts.decl.qualified_name]
-    events = facts.decl.events
-    ce = len(_referenced_type_names(facts.decl))
-    ca = len(entry.referenced_by)
-    cbo = len(entry.references | entry.referenced_by)
-
-    own = facts.signatures
-    internal_style = {
-        (c.name, c.argc) for c in events.calls if c.receiver in (None, "this", "super")
-    }
-    ic = 0
-    for signatures in ancestors:
-        overrides = bool(own & signatures)
-        calls_inherited = any(
-            sig in signatures and sig not in own for sig in internal_style
-        )
-        if overrides or calls_inherited:
-            ic += 1
-    ancestor_union: set[tuple[str, int]] = set().union(*ancestors)
-    cbm = sum(
-        1
-        for m in facts.methods
-        if m.signature in ancestor_union
-        or any(c.receiver == "super" for c in m.events.calls)
-    )
-    return {
-        MetricId.CBO: cbo,
-        MetricId.IC: ic,
-        MetricId.CBM: cbm,
-        MetricId.CA: ca,
-        MetricId.CE: ce,
-    }
-
-
 def _cohesion_metrics(facts: ClassFacts) -> dict[MetricId, float]:
     methods = facts.methods
     field_names = {f.name for f in facts.decl.fields}
@@ -229,9 +167,8 @@ def _encapsulation_metrics(facts: ClassFacts) -> dict[MetricId, float]:
     }
 
 
-def compute_test_effort_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[MetricId, float]:
-    facts = class_facts(decl)
-    calls = decl.events.calls
+def _test_effort_metrics(facts: ClassFacts, tree: SyntaxTree) -> dict[MetricId, float]:
+    calls = facts.decl.events.calls
     wmc, amc = _weighted_methods(facts.methods)
     t_not = sum(
         1
@@ -244,7 +181,7 @@ def compute_test_effort_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[Metric
         if c.name.startswith("assert") or c.name == "fail"
     )
     return {
-        MetricId.T_LOC: _loc(decl, tree),
+        MetricId.T_LOC: _loc(facts.decl, tree),
         MetricId.T_NOT: t_not,
         MetricId.T_NOA: t_noa,
         MetricId.T_NMC: len(calls),
@@ -253,20 +190,106 @@ def compute_test_effort_metrics(decl: TypeDecl, tree: SyntaxTree) -> dict[Metric
     }
 
 
-def compute_code_metrics(
-    decl: TypeDecl, tree: SyntaxTree, index: CorpusIndex
-) -> dict[MetricId, float]:
-    """All source-derived code metrics (everything in Table-order but NBI)."""
+def _summary(decl: TypeDecl, tree: SyntaxTree) -> ClassSummary:
     facts = class_facts(decl)
-    ancestors = _ancestor_signatures(index, decl.qualified_name)
-    metrics: dict[MetricId, float] = {}
-    metrics.update(_size_metrics(facts, tree))
-    metrics.update(_complexity_metrics(facts))
-    metrics.update(_inheritance_metrics(facts, index, ancestors))
-    metrics.update(_coupling_metrics(facts, index, ancestors))
-    metrics.update(_cohesion_metrics(facts))
-    metrics.update(_encapsulation_metrics(facts))
+    type_refs = frozenset(decl.events.type_refs)
+    code: dict[MetricId, float] = {}
+    code.update(_size_metrics(facts, tree))
+    code.update(_complexity_metrics(facts))
+    code[MetricId.CE] = len(type_refs - decl.own_names)
+    code.update(_cohesion_metrics(facts))
+    code.update(_encapsulation_metrics(facts))
+    return ClassSummary(
+        name=decl.name,
+        package=decl.package,
+        path=tree.path,
+        superclass=decl.superclass,
+        type_refs=type_refs,
+        inheritable=frozenset(
+            m.signature
+            for m in decl.methods
+            if not (m.nested or m.is_constructor or "private" in m.modifiers)
+        ),
+        signatures=facts.signatures,
+        internal_calls=frozenset(
+            (c.name, c.argc)
+            for c in decl.events.calls
+            if c.receiver in (None, "this", "super")
+        ),
+        methods=tuple(
+            (m.signature, any(c.receiver == "super" for c in m.events.calls))
+            for m in facts.methods
+        ),
+        code=code,
+        test_effort=_test_effort_metrics(facts, tree),
+    )
+
+
+def summarize(tree: SyntaxTree) -> list[ClassSummary]:
+    """The summary of each class of one parsed file, in declaration order."""
+    return [_summary(decl, tree) for decl in tree.types]
+
+
+# ---- metrics that read the index --------------------------------------------
+
+
+def _inheritance_metrics(
+    entry: ClassEntry, chain: list[ClassEntry], ancestors: list[frozenset[Signature]]
+) -> dict[MetricId, float]:
+    depth = len(chain)
+    external = (chain[-1] if chain else entry).external_parent
+    if external is not None and external.rsplit(".", 1)[-1] != "Object":
+        depth += 1
+    noc = len(entry.children)
+    inherited: set[Signature] = set().union(*ancestors)
+    inherited -= entry.summary.signatures
+    denom = len(inherited) + len(entry.summary.methods)
+    mfa = len(inherited) / denom if denom and ancestors else 0.0
+    return {MetricId.DIT: depth, MetricId.NOC: noc, MetricId.MFA: mfa}
+
+
+def _coupling_metrics(
+    entry: ClassEntry, ancestors: list[frozenset[Signature]]
+) -> dict[MetricId, float]:
+    own = entry.summary.signatures
+    ic = 0
+    for signatures in ancestors:
+        overrides = bool(own & signatures)
+        calls_inherited = any(
+            sig in signatures and sig not in own for sig in entry.summary.internal_calls
+        )
+        if overrides or calls_inherited:
+            ic += 1
+    ancestor_union: set[Signature] = set().union(*ancestors)
+    cbm = sum(
+        1
+        for signature, calls_super in entry.summary.methods
+        if signature in ancestor_union or calls_super
+    )
+    return {
+        MetricId.CBO: len(entry.references | entry.referenced_by),
+        MetricId.IC: ic,
+        MetricId.CBM: cbm,
+        MetricId.CA: len(entry.referenced_by),
+    }
+
+
+def compute_code_metrics(index: CorpusIndex, qualified_name: str) -> dict[MetricId, float]:
+    """All source-derived code metrics (everything in Table-order but NBI):
+    the class's own from its summary, and those that read the index."""
+    entry = index[qualified_name]
+    chain = index.ancestors(qualified_name)
+    # per resolved ancestor: its own non-private, non-constructor signatures
+    ancestors = [a.summary.inheritable for a in chain]
+    metrics = dict(entry.summary.code)
+    metrics.update(_inheritance_metrics(entry, chain, ancestors))
+    metrics.update(_coupling_metrics(entry, ancestors))
     return metrics
+
+
+def build_corpus_index(trees: list[SyntaxTree]) -> CorpusIndex:
+    """Index already parsed trees, by way of their summaries, in tree order."""
+    return index_classes(summary for tree in trees for summary in summarize(tree))
 
 
 # ---- corpus extraction ------------------------------------------------------
@@ -274,8 +297,11 @@ def compute_code_metrics(
 
 @dataclass(frozen=True)
 class ParsedCorpus:
-    trees: list[SyntaxTree]
+    """An indexed corpus. ``trees`` is for a caller that parsed the files
+    itself; ``parse_corpus`` keeps only the summaries, in the index."""
+
     index: CorpusIndex
+    trees: Sequence[SyntaxTree] = ()
 
 
 class CorpusParseError(Exception):
@@ -313,23 +339,48 @@ def _bad_root(root: str) -> str | None:
     return None
 
 
-def parse_corpus(roots: list[str]) -> ParsedCorpus:
-    """Parse and index every Java file under ``roots``; CorpusParseError
-    lists every root that does not exist or is a file but not a .java
-    file, and every file that cannot be read, decoded or parsed, by path."""
-    trees = []
-    failures = [message for message in map(_bad_root, roots) if message]
-    for path in find_java_files(roots):
+def summarize_files(paths: list[str]) -> list[list[ClassSummary] | str]:
+    """Per file, in order: the summaries of its classes, or the message that
+    says why it could not be read, decoded or parsed. Runs in a worker."""
+    out: list[list[ClassSummary] | str] = []
+    for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                trees.append(parse_source(handle.read(), path))
+                out.append(summarize(parse_source(handle.read(), path)))
         except (OSError, ParseError) as exc:
-            failures.append(str(exc))
+            out.append(str(exc))
         except (UnicodeDecodeError, RecursionError) as exc:  # bad encoding, deep nesting
-            failures.append(f"{path}: cannot parse: {exc}")
+            out.append(f"{path}: cannot parse: {exc}")
+    return out
+
+
+#: Java files in one worker job. Jobs are small enough to spread a corpus
+#: evenly over the workers, and large enough that sending them costs little.
+FILES_PER_JOB = 50
+
+
+def parse_corpus(roots: list[str], pool=None) -> ParsedCorpus:
+    """Parse every Java file under ``roots`` in worker processes (in
+    ``pool``, else in a pool of its own) and index their classes.
+
+    CorpusParseError lists every root that does not exist or is a file but
+    not a .java file, and every file that cannot be read, decoded or
+    parsed, by path and in file order."""
+    failures = [message for message in map(_bad_root, roots) if message]
+    files = find_java_files(roots)
+    jobs = [files[i:i + FILES_PER_JOB] for i in range(0, len(files), FILES_PER_JOB)]
+    summaries: list[ClassSummary] = []
+    with nullcontext(pool) if pool is not None else fork_pool(max(1, len(jobs))) as pool:
+        futures = [pool.submit(summarize_files, job) for job in jobs]
+        for future in futures:
+            for result in future.result():
+                if isinstance(result, str):
+                    failures.append(result)
+                else:
+                    summaries.extend(result)
     if failures:
         raise CorpusParseError(failures)
-    return ParsedCorpus(trees=trees, index=build_corpus_index(trees))
+    return ParsedCorpus(index=index_classes(summaries))
 
 
 def read_pairing_file(path: str) -> list[tuple[str, str]]:
@@ -364,10 +415,10 @@ def pair_classes(
         return list(explicit)
     pairs = []
     for qname in index.class_names():
-        decl = index[qname].decl
-        test = index.resolve(f"{decl.name}Test", decl.package)
+        summary = index[qname].summary
+        test = index.resolve(f"{summary.name}Test", summary.package)
         if test is None:
-            test = index.resolve(f"Test{decl.name}", decl.package)
+            test = index.resolve(f"Test{summary.name}", summary.package)
         if test is not None and test != qname:
             pairs.append((qname, test))
     return pairs
@@ -393,12 +444,10 @@ def extract_records(
             raise ValueError(f"no class file for: {', '.join(missing)}")
     rows = []
     for prod, test in pairs:
-        prod_entry = corpus.index[prod]
-        test_entry = corpus.index[test]
-        metrics = compute_code_metrics(prod_entry.decl, prod_entry.unit, corpus.index)
+        metrics = compute_code_metrics(corpus.index, prod)
         if nbi_by_class is not None:
             metrics[MetricId.NBI] = nbi_by_class[prod]
-        metrics.update(compute_test_effort_metrics(test_entry.decl, test_entry.unit))
+        metrics.update(corpus.index[test].summary.test_effort)
         rows.append([metrics[m] for m in columns])
     values = np.array(rows, dtype=np.float64).reshape(len(pairs), len(columns))
     return RawDataset([p for p, _ in pairs], [t for _, t in pairs], columns, values)

@@ -285,18 +285,18 @@ class _Parser:
         name = self.expect_ident()
         top = self.decl is None
         if top:
-            self.decl = TypeDecl(kind=kind, name=name, package=self.package)
+            self.decl = TypeDecl(name=name, package=self.package)
         self.decl.own_names.add(name)
         if kind != "enum":
             if self.at("<"):
                 self.skip_type_params()
             if self.accept("extends"):
-                if kind in ("interface", "annotation"):
-                    extends = tuple(self.type_name_list())
+                if kind == "class":
+                    superclass = self.type_base_name()
+                    if top:
+                        self.decl.superclass = superclass
                 else:
-                    extends = (self.type_base_name(),)
-                if top:
-                    self.decl.extends_names = extends
+                    self.type_name_list()
         if self.accept("implements"):
             self.type_name_list()
         end = self.class_body(name, kind, nested=not top)

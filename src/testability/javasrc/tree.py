@@ -66,9 +66,8 @@ class FieldDecl:
 
 @dataclass
 class TypeDecl:
-    kind: str  # class | interface | enum | annotation
     name: str
-    extends_names: tuple[str, ...] = ()  # classes: 0..1; interfaces: any
+    superclass: str | None = None  # the extends name of a class; None for other kinds
     fields: list[FieldDecl] = field(default_factory=list)
     methods: list[MethodDecl] = field(default_factory=list)
     # every body's events; type_refs also holds each declared field, parameter

@@ -14,13 +14,13 @@ each fold's scores are written back to that fold's test rows.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..dataset import FeatureMatrix
+from ..forkpool import fork_pool
 from .base import ModelKind, SingleClassInput
 from .forest import ForestParams, RandomForestModel, train_random_forest
 from .mlp import MLPModel, MLPParams, train_mlp
@@ -142,20 +142,11 @@ def evaluate(
     Raises FoldTrainingError for the first fold, in fold order, whose
     training failed or whose worker process died.
     """
-    # imported here, not at module top: importing them lengthens every CLI start
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     folds = stratified_kfold(matrix, k=k, seed=seed)
     if isinstance(params, ForestParams):  # a bad setting is not a fold's failure
         params.candidates_per_split(len(matrix.feature_ids))
     scores = np.empty(matrix.n_rows, dtype=np.float64)
-    # fork: a worker starts with the package imported, where spawn would import it again
-    pool = ProcessPoolExecutor(
-        max_workers=min(k, len(os.sched_getaffinity(0))),
-        mp_context=multiprocessing.get_context("fork"),
-    )
-    try:
+    with fork_pool(k) as pool:
         futures = [
             pool.submit(_fold_scores, matrix, kind, params, seed, train_idx, test_idx)
             for train_idx, test_idx in folds
@@ -165,8 +156,6 @@ def evaluate(
                 scores[test_idx] = future.result()
             except Exception as exc:  # includes BrokenProcessPool when a worker dies
                 raise FoldTrainingError(fold_no, exc) from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
     return pooled_report(kind, matrix.y, scores, k, seed)
 
 

@@ -10,6 +10,7 @@ bytes, manifest hashes or serialized models fails here.
 import contextlib
 import hashlib
 import io
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -22,6 +23,7 @@ import pytest
 from classfile_builder import IMPLICIT_CTOR, NOP, RETURN, build_class
 from conftest import CORPUS_DIR, FIXTURES
 from testability.cli import main
+from testability.javasrc import extract
 from testability.learn import ModelKind, evaluation
 from testability.metrics import INDEPENDENT_VARIABLES
 
@@ -395,6 +397,39 @@ def test_a_dead_cross_validation_worker_exits_4_naming_the_classifier(workdir, m
                           "--out", "out")
     assert code == 4
     assert f"{ModelKind.RANDOM_FOREST.value}: training failed on fold 0" in stderr
+
+
+def _exit_worker(*args):
+    os._exit(1)
+
+
+@pytest.mark.parametrize("classes", [[], ["--classes", "classes"]], ids=["source", "nbi"])
+def test_a_dead_extraction_worker_exits_2_and_leaves_no_process(workdir, monkeypatch,
+                                                                 classes):
+    write_classes("classes", PAIRED)
+    monkeypatch.setattr(extract, "summarize_files", _exit_worker)
+    code, _, stderr = run("extract", "--src", "corpus", *classes, "--out", "x")
+    assert code == 2
+    assert stderr.startswith("error: a worker process died: ")
+    assert stderr.count("\n") == 1 and "terminated abruptly" in stderr
+    assert multiprocessing.active_children() == []
+    assert not os.path.exists("x")
+
+
+def test_unparsable_files_in_different_jobs_are_listed_in_file_order(workdir):
+    os.makedirs("many")
+    names = [f"C{k:03d}" for k in range(extract.FILES_PER_JOB + 2)]
+    bad = {names[0], names[extract.FILES_PER_JOB + 1]}  # first and second job
+    for name in names:
+        body = "{ void m( { }" if name in bad else "{}"
+        with open(os.path.join("many", f"{name}.java"), "w", encoding="utf-8") as out:
+            out.write(f"class {name} {body}\n")
+    code, _, stderr = run("extract", "--src", "many", "--out", "x")
+    assert code == 2
+    lines = stderr.splitlines()
+    assert len(lines) == 3 and lines[2] == "error: 2 source path(s) failed to parse"
+    for line, name in zip(lines, sorted(bad)):
+        assert line.startswith(f"error: {os.path.join('many', name)}.java:1:")
 
 
 def test_importing_the_cli_loads_no_process_pool_modules():

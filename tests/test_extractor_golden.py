@@ -26,12 +26,17 @@ from classfile_builder import (
     tableswitch,
 )
 
+from conftest import CORPUS_DIR
 from testability.classfile import count_nbi, parse_classfile
-from testability.javasrc import extract_records, pair_classes
-from testability.javasrc.extract import (
-    compute_code_metrics,
-    compute_test_effort_metrics,
+from testability.javasrc import (
+    ParsedCorpus,
+    build_corpus_index,
+    extract_records,
+    find_java_files,
+    pair_classes,
+    parse_source,
 )
+from testability.javasrc.extract import compute_code_metrics
 from testability.metrics import INDEPENDENT_VARIABLES, MetricId as M
 
 # (LOC, LOCCOM, NPM, NSTAM, NOF, NSTAF, NMC, NMCI, NMCE) then
@@ -178,8 +183,7 @@ def fixture_nbi_map() -> dict[str, int]:
 
 @pytest.mark.parametrize("qname", sorted(EXPECTED_CODE))
 def test_code_metrics_match_hand_computation(corpus_index, qname):
-    entry = corpus_index[qname]
-    actual = compute_code_metrics(entry.decl, entry.unit, corpus_index)
+    actual = compute_code_metrics(corpus_index, qname)
     for metric, expected in EXPECTED_CODE[qname].items():
         if isinstance(expected, int):
             assert actual[metric] == expected, f"{qname} {metric.column}"
@@ -191,8 +195,7 @@ def test_code_metrics_match_hand_computation(corpus_index, qname):
 
 @pytest.mark.parametrize("qname", sorted(EXPECTED_TEST))
 def test_test_effort_metrics_match_hand_computation(corpus_index, qname):
-    entry = corpus_index[qname]
-    actual = compute_test_effort_metrics(entry.decl, entry.unit)
+    actual = corpus_index[qname].summary.test_effort
     for metric, expected in EXPECTED_TEST[qname].items():
         if isinstance(expected, int):
             assert actual[metric] == expected, f"{qname} {metric.column}"
@@ -244,8 +247,6 @@ def test_nmc_identity_holds_for_all_extracted(corpus):
 def test_reextraction_is_bit_identical(corpus):
     from testability.javasrc import parse_corpus
 
-    from conftest import CORPUS_DIR
-
     first = extract_records(corpus, pair_classes(corpus.index))
     again = extract_records(parse_corpus([CORPUS_DIR]), pair_classes(corpus.index))
     assert (first.class_ids, first.test_ids, first.columns) == (
@@ -253,14 +254,31 @@ def test_reextraction_is_bit_identical(corpus):
     assert first.values.tobytes() == again.values.tobytes()
 
 
-def test_index_is_order_independent(corpus):
-    from testability.javasrc import build_corpus_index
-    from testability.javasrc.extract import compute_code_metrics as compute
+def parse_each_file():
+    """The fixture corpus parsed file by file in this process, in file order."""
+    trees = []
+    for path in find_java_files([CORPUS_DIR]):
+        with open(path, encoding="utf-8") as handle:
+            trees.append(parse_source(handle.read(), path))
+    return trees
 
-    reversed_index = build_corpus_index(list(reversed(corpus.trees)))
+
+def test_index_is_order_independent(corpus):
+    reversed_index = build_corpus_index(list(reversed(parse_each_file())))
     for qname in EXPECTED_CODE:
-        a = corpus.index[qname]
-        b = reversed_index[qname]
-        assert compute(a.decl, a.unit, corpus.index) == compute(
-            b.decl, b.unit, reversed_index
+        assert compute_code_metrics(corpus.index, qname) == compute_code_metrics(
+            reversed_index, qname
         )
+
+
+def test_trees_indexed_in_process_give_the_records_of_parse_corpus(corpus):
+    trees = parse_each_file()
+    serial = ParsedCorpus(trees=trees, index=build_corpus_index(trees))
+    pairs = pair_classes(corpus.index)
+    assert pair_classes(serial.index) == pairs
+    for nbi in (None, fixture_nbi_map()):
+        first = extract_records(serial, pairs, nbi_by_class=nbi)
+        again = extract_records(corpus, pairs, nbi_by_class=nbi)
+        assert (first.class_ids, first.test_ids, first.columns) == (
+            again.class_ids, again.test_ids, again.columns)
+        assert first.values.tobytes() == again.values.tobytes()
