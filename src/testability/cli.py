@@ -7,7 +7,9 @@ handler returns the files it will write, as (path, text) pairs, and the
 line to print; ``main`` alone writes them, atomically and in order, and
 then prints. correlate, evaluate and rank each run one stage of
 ``STAGES`` through ``run_analysis``, and pipeline runs all three; each
-writes a manifest whose hash every one of its reports embeds.
+writes a manifest whose hash every one of its reports embeds. Only
+extract reads Java sources and class files, so only it imports
+``javasrc`` and ``classfile``.
 
 Exit codes: 0 success, 2 input error, 3 labeling degeneracy, 4 training
 failure, 5 prediction schema mismatch.
@@ -19,11 +21,12 @@ import argparse
 import io
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import classfile, dataset, javasrc, reports
+from . import dataset, reports
 from .correlation import correlation_table
 from .dataset import (
     LABELS,
@@ -48,8 +51,8 @@ from .learn import (
     SingleClassInput,
     TooFewPerClass,
     TreeParams,
+    cross_validate,
     dump_model,
-    evaluate,
     load_model,
     train_model,
 )
@@ -307,6 +310,8 @@ def cmd_extract(config: RunConfig, args) -> Outcome:
 
 
 def _extract(config: RunConfig, pool) -> Outcome:
+    from . import classfile, javasrc  # only extract reads Java sources and class files
+
     # the class files are read in the pool while the sources parse, but a
     # failure among them is reported only where it was reported in series
     nbi_job = pool.submit(classfile.nbi_for_paths, config.classes) if config.classes else None
@@ -398,36 +403,43 @@ def cmd_predict(config: RunConfig, args) -> Outcome:
 
 
 # ---- analysis stages -------------------------------------------------------------
-# Each stage takes (config, raw, labeled, matrix), where matrix is None unless
-# the stage needs it, and returns its result and the line printed when it runs alone.
+# Each stage takes (config, raw, labeled, matrix, pool), where matrix is None
+# unless the stage needs it and pool is the fork pool of an evaluate stage,
+# and returns a function that gives its result and the line printed when it
+# runs alone. evaluate's function waits for the folds it submitted, so the
+# stages after it run while they train.
 
 
-def _correlate(config: RunConfig, raw, labeled, matrix):
+def _correlate(config: RunConfig, raw, labeled, matrix, pool):
     population = labeled if config.population == "labeled" else raw
     report = correlation_table(population, threshold=config.threshold,
                                features=config.feature_ids())  # DegenerateInput: exit 2
-    return report, (
+    return lambda: (report, (
         f"correlations over {report.population} {report.population_kind} records; "
-        f"{len(report.entries)} metrics above |rho| >= {config.threshold:g}")
+        f"{len(report.entries)} metrics above |rho| >= {config.threshold:g}"))
 
 
-def _evaluate(config: RunConfig, raw, labeled, matrix):
+def _evaluate(config: RunConfig, raw, labeled, matrix, pool):
     kinds = _classifier_kinds(config)
     seed = _require_seed(config)
-    results = []
-    for kind in kinds:
-        try:
-            results.append(evaluate(matrix, kind, config.params(kind), k=config.k, seed=seed))
-        except (FoldTrainingError, SingleClassInput, TooFewPerClass, NonFiniteLoss) as exc:
-            raise CliError(EXIT_TRAINING, f"{kind.value}: {exc}")
-    return results, "\n".join(
-        f"{r.classifier.value}: accuracy={r.accuracy:.3f} auc={r.auc:.3f}" for r in results)
+    reports = cross_validate(pool, matrix, kinds, config.params, config.k, seed)
+
+    def collect():
+        results = []
+        for kind in kinds:
+            try:
+                results.append(next(reports))
+            except (FoldTrainingError, SingleClassInput, TooFewPerClass, NonFiniteLoss) as exc:
+                raise CliError(EXIT_TRAINING, f"{kind.value}: {exc}")
+        return results, "\n".join(
+            f"{r.classifier.value}: accuracy={r.accuracy:.3f} auc={r.auc:.3f}" for r in results)
+    return collect
 
 
-def _rank(config: RunConfig, raw, labeled, matrix):
+def _rank(config: RunConfig, raw, labeled, matrix, pool):
     tables = [rank_features(matrix, algorithm) for algorithm in RankingAlgorithm]
-    return tables, "rank-1 features -> " + ", ".join(
-        f"{t.algorithm.value}: {t.entries[0][0].column}" for t in tables if t.entries)
+    return lambda: (tables, "rank-1 features -> " + ", ".join(
+        f"{t.algorithm.value}: {t.entries[0][0].column}" for t in tables if t.entries))
 
 
 #: command: (stage, whether it needs the feature matrix, (report file, renderer) pairs)
@@ -442,12 +454,29 @@ STAGES = {
 
 
 def run_analysis(config: RunConfig, args) -> Outcome:
-    """Run one stage, or all of them for ``pipeline``: the manifest, then the reports."""
+    """Run one stage, or all of them for ``pipeline``: the manifest, then the reports.
+
+    The stages start in order, and the cross-validation folds train in a
+    fork pool while the parent runs the stages after evaluate (ranking, in
+    pipeline). Results are taken in stage order, so a failure is reported
+    where a serial run reports it: a stage that fails first takes the
+    results of the stages before it, and their failures come first.
+    """
     stages = list(STAGES.values()) if args.command == "pipeline" else [STAGES[args.command]]
     raw, labeled = _ingest_and_label(config)
     needs_matrix = any(needs for _, needs, _ in stages)
     matrix = to_feature_matrix(labeled, config.feature_ids()) if needs_matrix else None
-    results = [stage(config, raw, labeled, matrix) for stage, _, _ in stages]
+    evaluates = any(stage is _evaluate for stage, _, _ in stages)
+    with fork_pool() if evaluates else nullcontext() as pool:
+        pending = []
+        for stage, _, _ in stages:
+            try:
+                pending.append(stage(config, raw, labeled, matrix, pool))
+            except Exception:
+                for result in pending:  # an earlier stage's failure is reported first
+                    result()
+                raise
+        results = [result() for result in pending]
     manifest, run_hash = _manifest(config, args.command, raw, labeled)
     outputs = [(os.path.join(config.out, "manifest.txt"), manifest)]
     for (_, _, artefacts), (result, _) in zip(stages, results):

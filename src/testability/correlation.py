@@ -7,6 +7,7 @@ metric data is tie-heavy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,17 +48,33 @@ _CONSTANT = "constant sequence has no rank ordering"
 
 
 def _centred_ranks(values: np.ndarray) -> np.ndarray | None:
-    """The average ranks of ``values`` minus their mean; None when ``values``
-    is constant, since then the ranks carry no ordering."""
+    """Twice the average ranks of ``values`` minus their mean, as int64; None
+    when ``values`` is constant, since then the ranks carry no ordering.
+
+    An average rank is a multiple of 0.5 and the mean rank is (n + 1) / 2,
+    so the doubled, centred ranks are exact integers.
+    """
     if np.all(values == values[0]):
         return None
-    ranks = average_ranks(values)
-    return ranks - ranks.mean()
+    doubled = (average_ranks(values) * 2).astype(np.int64)
+    doubled -= values.size + 1
+    return doubled
 
 
 def _rho(rx: np.ndarray, ry: np.ndarray) -> float:
-    """Pearson correlation of two centred rank vectors, clipped to [-1, 1]."""
-    rho = float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))
+    """Pearson correlation of two centred rank vectors, clipped to [-1, 1].
+
+    ``rx`` and ``ry`` are doubled as ``_centred_ranks`` gives them, so the
+    three dot products are exact int64 sums, with no BLAS call, and each
+    divided by 4 is the float ``@`` of the centred ranks bit for bit: every
+    product is a multiple of 1/4, and every partial sum of the float form
+    stays below 2**53 / 4, where such multiples are exact. By
+    Cauchy-Schwarz the partial sums are at most (n**3 - n) / 12 in
+    magnitude, which keeps them below that bound up to about 300k rows;
+    the int64 sums stay exact far beyond that.
+    """
+    sxy, sxx, syy = (int(a @ b) / 4 for a, b in ((rx, ry), (rx, rx), (ry, ry)))
+    rho = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, rho))
 
 

@@ -19,7 +19,7 @@ class WorkerDied(RuntimeError):
 @contextmanager
 def fork_pool(jobs: int | None = None):
     """A ``ProcessPoolExecutor`` of forked workers: one per available CPU,
-    and no more than ``jobs`` when given.
+    and no more than ``jobs`` (but at least one) when given.
 
     Leaving the block cancels every job not yet started and waits for the
     workers to exit, so none outlives it. A dead worker that escapes the
@@ -32,7 +32,7 @@ def fork_pool(jobs: int | None = None):
     workers = len(os.sched_getaffinity(0))
     # fork: a worker starts with the package imported, where spawn would import it again
     pool = ProcessPoolExecutor(
-        max_workers=workers if jobs is None else min(jobs, workers),
+        max_workers=workers if jobs is None else max(1, min(jobs, workers)),
         mp_context=multiprocessing.get_context("fork"),
     )
     try:

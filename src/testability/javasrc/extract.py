@@ -370,7 +370,7 @@ def parse_corpus(roots: list[str], pool=None) -> ParsedCorpus:
     files = find_java_files(roots)
     jobs = [files[i:i + FILES_PER_JOB] for i in range(0, len(files), FILES_PER_JOB)]
     summaries: list[ClassSummary] = []
-    with nullcontext(pool) if pool is not None else fork_pool(max(1, len(jobs))) as pool:
+    with nullcontext(pool) if pool is not None else fork_pool(len(jobs)) as pool:
         futures = [pool.submit(summarize_files, job) for job in jobs]
         for future in futures:
             for result in future.result():

@@ -14,6 +14,7 @@ from .evaluation import (
     FoldTrainingError,
     TooFewPerClass,
     auc,
+    cross_validate,
     evaluate,
     stratified_kfold,
     train_model,
@@ -41,6 +42,7 @@ __all__ = [
     "TrainedModel",
     "TreeParams",
     "auc",
+    "cross_validate",
     "dump_model",
     "evaluate",
     "load_model",

@@ -6,16 +6,26 @@ test folds are pooled before accuracy, class-weighted precision/recall/F,
 and AUC are computed. Pooling rather than per-fold averaging is recorded
 in the report so the choice stays auditable.
 
-The k folds train in parallel worker processes, one per available CPU up
-to k. Reports do not depend on the worker count or on which fold finishes
-first: a fold's model depends only on the seed and the fold's rows, and
-each fold's scores are written back to that fold's test rows.
+The folds train in worker processes of one fork pool. ``cross_validate``
+submits every fold of every classifier it is given at once, in classifier
+order and then fold order, so the pool never drains between classifiers
+and the caller can do other work while they train; ``evaluate`` is its
+one-classifier case in a pool of its own. Reports do not depend on the
+worker count or on which fold finishes first: a fold's model depends only
+on the seed and the fold's rows, and each fold's scores are written back
+to that fold's test rows.
+
+Failures come out in the order a serial run meets them: classifier order,
+then fold order. The folds' own errors (a bad k, too few rows of a class)
+come at the first classifier's turn, a bad setting at its classifier's
+turn, and a failed fold or a dead worker as FoldTrainingError at that
+fold's turn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,6 +140,69 @@ def _fold_scores(matrix: FeatureMatrix, kind: ModelKind, params, seed: int,
     return train_model(sub, kind, params, seed=seed).predict_scores(matrix.X[test_idx])
 
 
+def cross_validate(
+    pool,
+    matrix: FeatureMatrix,
+    kinds: Sequence[ModelKind],
+    params_of: Callable[[ModelKind], object],
+    k: int = 10,
+    seed: int = 0,
+) -> Iterator[EvalReport]:
+    """k-fold CV of each classifier of ``kinds``, all on the same folds, in
+    the fork pool ``pool``: train on each fold's complement, pool
+    out-of-fold scores.
+
+    Submits every fold of every kind before it returns, and returns an
+    iterator of the reports in ``kinds`` order. The iterator raises, at
+    the turn of the kind it belongs to: the folds' own ValueError
+    (TooFewPerClass, a bad k) at the first kind's; the ValueError of a bad
+    setting from ``params_of(kind)`` (None means defaults) at that kind's,
+    and no later kind is submitted; and FoldTrainingError for the first
+    fold, in fold order, whose training failed or whose worker died.
+    """
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    def submit(*args):
+        try:
+            return pool.submit(_fold_scores, matrix, *args)
+        except BrokenProcessPool as exc:  # a worker died: this job fails as its running jobs did
+            failed = Future()
+            failed.set_exception(exc)
+            return failed
+
+    try:
+        folds = stratified_kfold(matrix, k=k, seed=seed)
+    except ValueError as exc:  # the folds' own error comes at the first kind's turn
+        return _collect([(kinds[0], exc)], [], matrix.y, k, seed)
+    jobs: list[tuple[ModelKind, list | ValueError]] = []
+    for kind in kinds:
+        try:
+            params = params_of(kind)
+            if isinstance(params, ForestParams):  # a bad setting is not a fold's failure
+                params.candidates_per_split(len(matrix.feature_ids))
+        except ValueError as exc:
+            jobs.append((kind, exc))
+            break
+        jobs.append((kind, [submit(kind, params, seed, train_idx, test_idx)
+                            for train_idx, test_idx in folds]))
+    return _collect(jobs, folds, matrix.y, k, seed)
+
+
+def _collect(jobs, folds, labels: np.ndarray, k: int, seed: int) -> Iterator[EvalReport]:
+    """Each kind's report in turn, from its folds' futures, or its error."""
+    for kind, futures in jobs:
+        if isinstance(futures, ValueError):
+            raise futures
+        scores = np.empty(labels.size, dtype=np.float64)
+        for fold_no, ((_, test_idx), future) in enumerate(zip(folds, futures)):
+            try:
+                scores[test_idx] = future.result()
+            except Exception as exc:  # includes BrokenProcessPool when a worker dies
+                raise FoldTrainingError(fold_no, exc) from exc
+        yield pooled_report(kind, labels, scores, k, seed)
+
+
 def evaluate(
     matrix: FeatureMatrix,
     kind: ModelKind,
@@ -137,26 +210,10 @@ def evaluate(
     k: int = 10,
     seed: int = 0,
 ) -> EvalReport:
-    """k-fold CV: train on each fold's complement, pool out-of-fold scores.
-
-    Raises FoldTrainingError for the first fold, in fold order, whose
-    training failed or whose worker process died.
-    """
-    folds = stratified_kfold(matrix, k=k, seed=seed)
-    if isinstance(params, ForestParams):  # a bad setting is not a fold's failure
-        params.candidates_per_split(len(matrix.feature_ids))
-    scores = np.empty(matrix.n_rows, dtype=np.float64)
+    """k-fold CV of one classifier in a pool of its own (``cross_validate``)."""
     with fork_pool(k) as pool:
-        futures = [
-            pool.submit(_fold_scores, matrix, kind, params, seed, train_idx, test_idx)
-            for train_idx, test_idx in folds
-        ]
-        for fold_no, ((_, test_idx), future) in enumerate(zip(folds, futures)):
-            try:
-                scores[test_idx] = future.result()
-            except Exception as exc:  # includes BrokenProcessPool when a worker dies
-                raise FoldTrainingError(fold_no, exc) from exc
-    return pooled_report(kind, matrix.y, scores, k, seed)
+        (report,) = cross_validate(pool, matrix, [kind], lambda _: params, k, seed)
+    return report
 
 
 def pooled_report(kind: ModelKind, labels: np.ndarray, scores: np.ndarray,

@@ -5,7 +5,9 @@ sequences, draws its bootstrap rows and then its split candidates from it,
 so tree i depends only on the seed, i and the data. The trees grow in
 lockstep on one engine (``tree.grow_trees``): each round scores the next
 node of every tree together. A tree's bootstrap is a set of row indices
-into the training matrix, not a copy of its rows.
+into the training matrix, not a copy of its rows. Prediction routes every
+row through every tree at once (``tree.tree_scores``); a row's votes are a
+count of 0/1 outcomes, so they do not depend on the order of the trees.
 """
 
 from __future__ import annotations
@@ -58,9 +60,7 @@ class RandomForestModel:
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Fraction of trees voting Effective, per row."""
         X = model_rows(X, len(self.feature_ids))
-        votes = np.zeros(X.shape[0], dtype=np.float64)
-        for root in self.roots:
-            votes += tree_scores(root, X) >= 0.5
+        votes = np.count_nonzero(tree_scores(self.roots, X) >= 0.5, axis=0)
         return votes / len(self.roots)
 
 

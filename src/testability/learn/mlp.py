@@ -16,6 +16,11 @@ the same bits. The sigmoid is exp(min(z, 0)) / (1 + exp(-|z|)): no
 branch, no overflow. The softmax of two units reads its two columns with
 ``maximum`` and ``add``, and each row's own class is a ``take`` over the
 flat probabilities.
+
+A fit keeps w1, b1, w2 and b2 as views of one flat parameter vector, and
+the gradients and the velocity as flat vectors of the same layout
+(``_views``), so a momentum step is four ufunc calls over the whole
+vector, with the same float operations per element as one step per array.
 """
 
 from __future__ import annotations
@@ -65,6 +70,17 @@ class MLPModel:
         return probs[:, 1]
 
 
+#: Added to each row's own-class probability before its log, so the log is finite.
+_TINY = np.finfo(np.float64).tiny
+
+
+def _views(flat: np.ndarray, d: int, h: int):
+    """(w1, b1, w2, b2) of shapes (d, h), (h,), (h, 2) and (2,) as views of
+    ``flat``, a vector of d * h + 3 * h + 2 values in that order."""
+    w1, b1, w2, b2 = np.split(flat, np.cumsum([d * h, h, 2 * h]))
+    return w1.reshape(d, h), b1, w2.reshape(h, 2), b2
+
+
 def _sigmoid(z: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """The logistic function of z, written over z; ``spare`` (z's shape) is scratch.
 
@@ -84,10 +100,9 @@ def _sigmoid(z: np.ndarray, spare: np.ndarray) -> np.ndarray:
 class _Pass:
     """A forward pass, and for a fit its loss and gradients, over fixed rows.
 
-    Every (n, h) and (n, 2) array and the weight gradients are allocated
+    Every (n, h) and (n, 2) array and the flat gradient are allocated
     here, once; each call writes into them, so a fit allocates nothing per
-    epoch beyond the two bias gradients. A call's results live in these
-    buffers until the next call.
+    epoch. A call's results live in these buffers until the next call.
     """
 
     def __init__(self, xs: np.ndarray, y: np.ndarray | None, h: int):
@@ -100,8 +115,8 @@ class _Pass:
         self.probs = np.empty((n, 2))  # logits, then probs, then delta2
         self.row = np.empty(n)
         self.log_own = np.empty(n)
-        self.gw1 = np.empty((d, h))
-        self.gw2 = np.empty((h, 2))
+        self.grad = np.empty(d * h + 3 * h + 2)
+        self.gw1, self.gb1, self.gw2, self.gb2 = _views(self.grad, d, h)
 
     def forward(self, w1, b1, w2, b2) -> np.ndarray:
         """The softmax probabilities, one row per input row."""
@@ -119,26 +134,27 @@ class _Pass:
         return probs
 
     def loss_and_gradients(self, w1, b1, w2, b2):
-        """Mean cross-entropy and its exact gradients w.r.t. all parameters."""
+        """Mean cross-entropy and its exact gradient w.r.t. all parameters,
+        flat in the layout of ``_views``."""
         n = self.xs.shape[0]
         delta2 = self.forward(w1, b1, w2, b2)
         own, log_own, hidden = self.row, self.log_own, self.hidden
         delta2.take(self.own, out=own, mode="clip")
-        np.add(own, np.finfo(np.float64).tiny, out=log_own)
+        np.add(own, _TINY, out=log_own)
         np.log(log_own, out=log_own)
-        loss = -float(np.mean(log_own))
+        loss = -float(np.add.reduce(log_own) / n)
         own -= 1.0  # probs minus the one-hot labels, over n
         delta2.put(self.own, own)
         delta2 /= n
         np.matmul(hidden.T, delta2, out=self.gw2)
-        gb2 = delta2.sum(axis=0)
+        np.add.reduce(delta2, axis=0, out=self.gb2)
         delta1 = np.matmul(delta2, w2.T, out=self.spare)
         delta1 *= hidden
         np.subtract(1.0, hidden, out=hidden)  # hidden is not read again in this pass
         delta1 *= hidden
         np.matmul(self.xs.T, delta1, out=self.gw1)
-        gb1 = delta1.sum(axis=0)
-        return loss, (self.gw1, gb1, self.gw2, gb2)
+        np.add.reduce(delta1, axis=0, out=self.gb1)
+        return loss, self.grad
 
 
 def train_mlp(
@@ -164,23 +180,21 @@ def train_mlp(
     xs = (X - mean) / scale
 
     rng = np.random.default_rng(seed)
-    w1 = rng.uniform(-0.5, 0.5, size=(d, h)) / math.sqrt(d)
-    b1 = np.zeros(h)
-    w2 = rng.uniform(-0.5, 0.5, size=(h, 2)) / math.sqrt(h)
-    b2 = np.zeros(2)
+    theta = np.zeros(d * h + 3 * h + 2)
+    w1, b1, w2, b2 = _views(theta, d, h)
+    w1[:] = rng.uniform(-0.5, 0.5, size=(d, h)) / math.sqrt(d)
+    w2[:] = rng.uniform(-0.5, 0.5, size=(h, 2)) / math.sqrt(h)
 
-    velocity = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
-    parameters = [w1, b1, w2, b2]
+    velocity = np.zeros_like(theta)
     epoch_pass = _Pass(xs, y, h)
     for epoch in range(params.epochs):
-        loss, grads = epoch_pass.loss_and_gradients(*parameters)
+        loss, grad = epoch_pass.loss_and_gradients(w1, b1, w2, b2)
         if not math.isfinite(loss):
             raise NonFiniteLoss(epoch)
-        for p, v, g in zip(parameters, velocity, grads):
-            v *= params.momentum
-            g *= params.learning_rate
-            v -= g
-            p += v
+        velocity *= params.momentum
+        grad *= params.learning_rate
+        velocity -= grad
+        theta += velocity
 
     return MLPModel(
         feature_ids=matrix.feature_ids,

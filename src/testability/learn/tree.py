@@ -16,6 +16,10 @@ tree's next one in preorder, or every pending node of a tree that draws no
 candidates) and scores them together in slices of at most ``SLICE_CELLS``
 (row, candidate) cells, which bounds the working set of a round. The
 feature rankers and ``auc`` share ``column_codes`` through ``value_counts``.
+
+Prediction (``tree_scores``) lays the trees of a model out as flat node
+arrays and routes every row through every tree at once, one level per
+step, in place of a walk over the nodes.
 """
 
 from __future__ import annotations
@@ -68,31 +72,50 @@ class DecisionTreeModel:
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Probability of Effective per row, from reached-leaf distributions."""
         X = model_rows(X, len(self.feature_ids))
-        return tree_scores(self.root, X)
+        return tree_scores([self.root], X)[0]
 
 
-def tree_scores(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Leaf Effective-fraction per row, routing whole index blocks at once."""
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            non_eff, eff = node.counts
-            out[idx] = eff / (eff + non_eff)
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
+def tree_scores(roots: Sequence[TreeNode], X: np.ndarray) -> np.ndarray:
+    """Each tree's leaf Effective-fraction for each row, shape (trees, rows).
+
+    The trees are laid out breadth first in flat node arrays (feature,
+    threshold, left child, leaf score; a right child follows its left
+    one), and every (tree, row) pair goes down one level per step, all
+    pairs at once, until each sits on a leaf. Rows go in blocks of at most
+    ``SLICE_CELLS`` pairs, which bounds the working set. A leaf's score is
+    ``eff / (eff + non_eff)`` of its counts.
+    """
+    nodes = list(roots)  # tree t's root is node t
+    left = []  # 0 marks a leaf: node 0 is a root, no one's child
+    for node in nodes:  # the loop visits the children it appends
+        left.append(0 if node.is_leaf else len(nodes))
+        if not node.is_leaf:
+            nodes += (node.left, node.right)
+    left = np.array(left)
+    feature = np.array([node.feature for node in nodes])
+    threshold = np.array([node.threshold for node in nodes], dtype=np.float64)
+    score = np.array([node.counts[1] / sum(node.counts) if node.is_leaf else 0.0
+                      for node in nodes])
+    trees, n = len(roots), X.shape[0]
+    out = np.empty((trees, n))
+    step = max(1, SLICE_CELLS // trees)
+    for start in range(0, n, step):
+        block = X[start : start + step]
+        at = np.repeat(np.arange(trees), block.shape[0])  # pair t * rows + r's node
+        live = np.flatnonzero(left[at])
+        while live.size:
+            node = at[live]
+            stay_left = block[live % block.shape[0], feature[node]] <= threshold[node]
+            at[live] = left[node] + ~stay_left
+            live = live[left[at[live]] > 0]
+        out[:, start : start + step] = score[at].reshape(trees, -1)
     return out
 
 
 def _xlog2x(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    nz = p > 0
-    out[nz] = p[nz] * np.log2(p[nz])
+    """p * log2(p) for each p in [0, 1], with 0 where p is 0."""
+    out = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    out *= p
     return out
 
 
@@ -303,7 +326,8 @@ def grow_trees(
                     nodes.append((rows, every))
                     continue
                 draw = rngs[t].choice(d, size=n_candidates, replace=False)
-                nodes.append((rows, np.sort(draw)))
+                draw.sort()
+                nodes.append((rows, draw))
                 break
         for (t, node, rows, depth), split in zip(waiting, best_splits(coded, nodes, min_leaf)):
             if split is None:

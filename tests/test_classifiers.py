@@ -30,10 +30,11 @@ from testability.learn import (
     train_model,
     train_random_forest,
 )
+from testability.forkpool import fork_pool
 from testability.learn import tree
-from testability.learn.evaluation import pooled_report, stratified_kfold
+from testability.learn.evaluation import cross_validate, pooled_report, stratified_kfold
 from testability.learn.forest import RandomForestModel
-from testability.learn.mlp import _Pass, _sigmoid
+from testability.learn.mlp import _Pass, _sigmoid, _views
 from testability.learn.tree import (
     DecisionTreeModel,
     TreeNode,
@@ -220,6 +221,23 @@ def test_split_scorer_ties_go_to_the_smaller_feature_then_the_smaller_threshold(
     # information is smaller
     X = np.array([[0], [0], [0], [0], [1], [1], [2], [2]], dtype=float)
     assert score_one(X, np.array([0, 1, 0, 1, 0, 1, 0, 1]), [0], 1) == (0, 0.5)
+
+
+def masked_xlog2x(p):
+    """The masked form that the ``where=`` log in _xlog2x replaced."""
+    out = np.zeros_like(p)
+    nz = p > 0
+    out[nz] = p[nz] * np.log2(p[nz])
+    return out
+
+
+def test_xlog2x_is_bit_identical_to_the_masked_form():
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, 1.0, 5e-324, 2.5e-323, tiny / 3, tiny, tiny * 2, 0.5, 1 / 3,
+             1 - 2**-53, 2**-53, 1e-300]
+    p = np.concatenate([edges, np.random.default_rng(4).random(10_000)])
+    for q in (p, 1.0 - p, np.array(edges)[:, None] * np.array([1.0, 0.25])):
+        assert np.array_equal(_xlog2x(q).view(np.uint64), masked_xlog2x(q).view(np.uint64))
 
 
 # -- lockstep growth against one tree at a time -----------------------------------
@@ -427,6 +445,74 @@ def test_unlimited_depth_auto_hidden_and_zero_epochs_stay_valid():
     assert MLPParams(hidden=None, epochs=0).epochs == 0
 
 
+# -- flat prediction against the per-node walk -----------------------------------
+
+
+def walk_scores(root, X):
+    """The per-node walk that flat prediction replaced: one tree's scores."""
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if node.is_leaf:
+            non_eff, eff = node.counts
+            out[idx] = eff / (eff + non_eff)
+            continue
+        mask = X[idx, node.feature] <= node.threshold
+        stack.append((node.left, idx[mask]))
+        stack.append((node.right, idx[~mask]))
+    return out
+
+
+def split_points(root):
+    """Every (feature, threshold) of a tree's internal nodes."""
+    stack, points = [root], []
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            points.append((node.feature, node.threshold))
+            stack += [node.left, node.right]
+    return points
+
+
+CELLS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 3.0, 1e300, -1e300])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flat_prediction_equals_the_per_node_walk(data):
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(2, 24))
+    X = np.array(data.draw(st.lists(st.lists(CELLS, min_size=d, max_size=d),
+                                    min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = (0, 1)
+    min_leaf = data.draw(st.integers(1, 4))  # large ones leave one-leaf trees
+    fm = FeatureMatrix(INDEPENDENT_VARIABLES[:d], X, y)
+    single = train_decision_tree(fm, TreeParams(min_leaf=min_leaf))
+    forest_params = ForestParams(trees=data.draw(st.integers(1, 7)), min_leaf=min_leaf)
+    forest = train_random_forest(fm, forest_params, seed=data.draw(st.integers(0, 9)))
+    probes = [X]  # the training rows, then rows that sit on each threshold
+    for feature, threshold in split_points(single.root) + [
+            p for root in forest.roots for p in split_points(root)]:
+        row = X[0].copy()
+        row[feature] = threshold
+        probes.append(row[None])
+    P = np.vstack(probes)
+    want_tree = walk_scores(single.root, P)
+    want_votes = np.zeros(P.shape[0])
+    for root in forest.roots:
+        want_votes += walk_scores(root, P) >= 0.5
+    want_forest = want_votes / len(forest.roots)
+    for cells in (1, 5, tree.SLICE_CELLS):  # one (tree, row) pair per block, a few, all
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree, "SLICE_CELLS", cells)
+            assert np.array_equal(bits(single.predict_scores(P)), bits(want_tree))
+            assert np.array_equal(bits(forest.predict_scores(P)), bits(want_forest))
+
+
 # -- AUC ------------------------------------------------------------------------
 
 
@@ -525,6 +611,57 @@ def test_a_pool_of_one_worker_gives_the_serial_report(kind, monkeypatch):
     assert default == serial_report(fm, kind, params, k=5, seed=3)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_kind_in_one_pool_gives_the_serial_reports(workers, monkeypatch):
+    fm = fixture_matrix()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    with fork_pool() as pool:
+        reports = list(cross_validate(pool, fm, list(ModelKind), CV_PARAMS.get, k=5, seed=3))
+    assert reports == [serial_report(fm, kind, CV_PARAMS[kind], k=5, seed=3)
+                       for kind in ModelKind]
+
+
+class InlinePool:
+    """A pool that runs each job as it is submitted; after ``healthy`` jobs
+    it is broken, as a pool is once a worker has died."""
+
+    def __init__(self, healthy=None):
+        self.healthy = healthy
+        self.submitted = []
+
+    def submit(self, fn, matrix, kind, *args):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        if len(self.submitted) == self.healthy:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        self.submitted.append(kind)
+        future = Future()
+        future.set_result(fn(matrix, kind, *args))
+        return future
+
+
+def test_a_bad_setting_is_raised_at_its_turn_and_stops_submission():
+    fm = fixture_matrix()
+    pool = InlinePool()
+    params = {**CV_PARAMS, ModelKind.RANDOM_FOREST: ForestParams(trees=2, features_per_split=99)}
+    reports = cross_validate(pool, fm, list(ModelKind), params.get, k=3, seed=1)
+    assert pool.submitted == [ModelKind.DECISION_TREE] * 3
+    assert next(reports) == serial_report(fm, ModelKind.DECISION_TREE,
+                                          CV_PARAMS[ModelKind.DECISION_TREE], k=3, seed=1)
+    with pytest.raises(ValueError, match="features_per_split must be at most"):
+        next(reports)
+
+
+def test_a_pool_that_breaks_while_jobs_are_submitted_fails_the_first_missing_fold():
+    fm = fixture_matrix()
+    pool = InlinePool(healthy=4)  # every tree fold, then the first forest fold
+    reports = cross_validate(pool, fm, list(ModelKind), CV_PARAMS.get, k=3, seed=1)
+    assert next(reports).classifier is ModelKind.DECISION_TREE
+    with pytest.raises(FoldTrainingError, match="^training failed on fold 1: a child process"):
+        next(reports)
+
+
 def test_a_dead_worker_is_a_fold_training_error(monkeypatch):
     monkeypatch.setattr(evaluation, "train_model", lambda *args, **kwargs: os._exit(1))
     with pytest.raises(FoldTrainingError) as caught:
@@ -600,8 +737,8 @@ def test_mlp_gradients_match_central_finite_differences():
     w2 = rng.normal(scale=0.5, size=(4, 2))
     b2 = rng.normal(scale=0.1, size=2)
     epoch_pass = _Pass(xs, y, 4)  # the code a fit runs each epoch
-    _, grads = epoch_pass.loss_and_gradients(w1, b1, w2, b2)
-    grads = [g.copy() for g in grads]  # the pass writes over them on its next call
+    _, grad = epoch_pass.loss_and_gradients(w1, b1, w2, b2)
+    grads = _views(grad.copy(), 3, 4)  # the pass writes over it on its next call
     eps = 1e-6
     for p, g in zip((w1, b1, w2, b2), grads):
         flat = p.ravel()
@@ -713,7 +850,8 @@ def test_an_epoch_over_one_row_is_bit_identical_to_the_allocating_reference():
     w2, b2 = rng.normal(size=(2, 2)), rng.normal(size=2)
     for label in (0, 1):
         y = np.array([label])
-        loss, grads = _Pass(xs, y, 2).loss_and_gradients(w1, b1, w2, b2)
+        loss, grad = _Pass(xs, y, 2).loss_and_gradients(w1, b1, w2, b2)
+        grads = _views(grad, 3, 2)
         want_loss, want_grads = _reference_loss_and_gradients(xs, y, w1, b1, w2, b2)
         assert bits(loss) == bits(want_loss)
         for got, want in zip(grads, want_grads):

@@ -24,7 +24,7 @@ from classfile_builder import IMPLICIT_CTOR, NOP, RETURN, build_class
 from conftest import CORPUS_DIR, FIXTURES
 from testability.cli import main
 from testability.javasrc import extract
-from testability.learn import ModelKind, evaluation
+from testability.learn import ModelKind, evaluation, train_model
 from testability.metrics import INDEPENDENT_VARIABLES
 
 DATA = ["--dataset", "metrics.csv", "--config", "run.cfg"]
@@ -399,6 +399,21 @@ def test_a_dead_cross_validation_worker_exits_4_naming_the_classifier(workdir, m
     assert f"{ModelKind.RANDOM_FOREST.value}: training failed on fold 0" in stderr
 
 
+def _fail_trees(matrix, kind, params=None, seed=0):
+    if kind is ModelKind.DECISION_TREE:
+        raise ValueError("no tree")
+    return train_model(matrix, kind, params, seed)
+
+
+def test_a_failing_tree_fold_in_pipeline_exits_4_while_later_jobs_wait(workdir, monkeypatch):
+    monkeypatch.setattr(evaluation, "train_model", _fail_trees)
+    code, _, stderr = run("pipeline", *DATA, "--seed", "1", "--out", "out")
+    assert code == 4
+    assert stderr == f"error: {ModelKind.DECISION_TREE.value}: training failed on fold 0: no tree\n"
+    assert multiprocessing.active_children() == []
+    assert not os.path.exists("out")
+
+
 def _exit_worker(*args):
     os._exit(1)
 
@@ -432,12 +447,21 @@ def test_unparsable_files_in_different_jobs_are_listed_in_file_order(workdir):
         assert line.startswith(f"error: {os.path.join('many', name)}.java:1:")
 
 
-def test_importing_the_cli_loads_no_process_pool_modules():
+def loaded_by_importing_the_cli(packages):
+    """The modules of ``packages`` that a fresh interpreter holds after importing the CLI."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     script = ("import sys, testability.cli; "
-              "print(sorted(m for m in sys.modules "
-              "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+              f"print(sorted(m for m in sys.modules for p in {packages!r} "
+              "if m == p or m.startswith(p + '.')))")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_process_pool_modules():
+    assert loaded_by_importing_the_cli(("concurrent", "multiprocessing")) == "[]"
+
+
+def test_importing_the_cli_loads_no_java_front_end():
+    assert loaded_by_importing_the_cli(("testability.javasrc", "testability.classfile")) == "[]"

@@ -8,6 +8,8 @@ from scipy.stats import rankdata
 from testability.correlation import (
     DegenerateInput,
     LengthMismatch,
+    _centred_ranks,
+    _rho,
     average_ranks,
     correlation_table,
     spearman,
@@ -159,3 +161,39 @@ def test_correlation_table_skips_constant_metrics():
     report = correlation_table(data, features=[MetricId.LOC])
     assert report.full_table == ()
     assert report.skipped[0][0] is MetricId.LOC
+
+
+# -- exact integer dot products against the float form ------------------------
+
+
+def float_rho(x, y):
+    """The float form the int64 dot products replaced: centred ranks and BLAS ``@``."""
+    rx = average_ranks(x) - average_ranks(x).mean()
+    ry = average_ranks(y) - average_ranks(y).mean()
+    return max(-1.0, min(1.0, float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))))
+
+
+def int_rho(x, y):
+    return _rho(_centred_ranks(np.asarray(x, float)), _centred_ranks(np.asarray(y, float)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 3000), st.integers(1, 50))
+def test_rho_from_int64_dot_products_is_the_float_form_bit_for_bit(seed, n, distinct):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, distinct, size=n) * 0.5  # tie-heavy
+    y = np.where(rng.random(n) < 0.5, x, rng.integers(0, distinct + 1, size=n))
+    x[:2], y[:2] = (0.0, 1.0), (0.0, 1.0)  # never constant
+    got, want = int_rho(x, y), float_rho(x, y)
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [30_000, 200_000])
+def test_rho_from_int64_dot_products_is_exact_on_long_columns(n):
+    rng = np.random.default_rng(n)
+    x = rng.integers(0, 40, size=n).astype(float)
+    y = x + rng.integers(0, 3, size=n)
+    z = rng.permutation(n).astype(float)  # no ties: the largest sums of squares
+    for a, b in ((x, y), (x, z), (z, z[::-1])):
+        assert np.float64(int_rho(a, b)).view(np.uint64) == \
+            np.float64(float_rho(a, b)).view(np.uint64)
