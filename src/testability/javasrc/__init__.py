@@ -1,10 +1,11 @@
 """Java source parsing and static metric extraction.
 
 ``parse_corpus`` parses the files in worker processes. Each worker turns
-each class into a ``ClassSummary`` that already holds the metrics of the
-class alone (size, complexity, cohesion, encapsulation, Ce and the six
-test-effort metrics). The parent indexes the summaries; ``extract_records``
-adds the metrics that need the index (DIT, NOC, MFA, CBO, IC, CBM, Ca).
+each class into a compact ``ClassSummary`` that already holds the metrics
+of the class alone (size, complexity, cohesion, encapsulation, Ce and the
+six test-effort metrics, as one float array). The parent indexes the
+summaries; ``extract_records`` adds the metrics that need the index (DIT,
+NOC, MFA, CBO, IC, CBM, Ca).
 """
 
 from .corpus import (

@@ -5,6 +5,14 @@ class, not from syntax trees: a summary is what a worker process sends
 back for each class it parsed, so it holds only what the index and the
 index-derived metrics read, plus the metrics that need no index.
 
+A summary is kept small, because the parent holds one for every class of
+the corpus and unpickles them all. It holds no dict and no set: its 26
+metric values are one ``array('d')`` in ``SUMMARY_METRICS`` order, and
+its name sets are de-duplicated tuples in first-seen order. Its names are
+interned, and each distinct (name, arity) tuple of a class is one object
+that its signature tuples and ``methods`` share, so pickle writes each
+once. A reader builds a frozenset where it runs set algebra.
+
 Resolution is name-based: a superclass or referenced type name resolves to
 a corpus class when its qualified name matches, else when its simple name
 does (same package preferred, then lexicographically smallest qualified
@@ -14,12 +22,27 @@ re-indexing a permuted corpus yields identical relations.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..metrics import MetricId
+from ..metrics import TEST_EFFORT_METRICS, MetricId
 
 Signature = tuple[str, int]  # (method name, arity), or (called name, argument count)
+
+#: The code metrics of a class that need no index, in canonical column order.
+OWN_CODE_METRICS: tuple[MetricId, ...] = (
+    MetricId.LOC, MetricId.LOCCOM, MetricId.NPM, MetricId.NSTAM, MetricId.NOF,
+    MetricId.NSTAF, MetricId.NMC, MetricId.NMCI, MetricId.NMCE,
+    MetricId.WMC, MetricId.AMC, MetricId.RFC,
+    MetricId.CE,
+    MetricId.LCOM, MetricId.LCOM3, MetricId.CAM,
+    MetricId.DAM, MetricId.NPRIF, MetricId.NPRIM, MetricId.NPROM,
+)
+
+#: The order of ``ClassSummary.values``: the own code metrics, then the six
+#: test-effort metrics.
+SUMMARY_METRICS: tuple[MetricId, ...] = OWN_CODE_METRICS + TEST_EFFORT_METRICS
 
 
 @dataclass(frozen=True)
@@ -30,13 +53,12 @@ class ClassSummary:
     package: str
     path: str  # the source file
     superclass: str | None  # the extends name of a class
-    type_refs: frozenset[str]  # every referenced type name, its own names too
-    inheritable: frozenset[Signature]  # own methods: not nested, constructors or private
-    signatures: frozenset[Signature]  # declared methods
-    internal_calls: frozenset[Signature]  # calls with no receiver, or on this or super
+    type_refs: tuple[str, ...]  # every referenced type name, its own names too
+    inheritable: tuple[Signature, ...]  # own methods: not nested, constructors or private
+    signatures: tuple[Signature, ...]  # declared methods
+    internal_calls: tuple[Signature, ...]  # calls with no receiver, or on this or super
     methods: tuple[tuple[Signature, bool], ...]  # per declared method: calls super?
-    code: dict[MetricId, float]  # the code metrics that need no index
-    test_effort: dict[MetricId, float]  # the six test-effort metrics
+    values: array  # array('d') of the SUMMARY_METRICS, in that order
 
     @property
     def qualified_name(self) -> str:

@@ -22,16 +22,21 @@ syntactic and deterministic):
 
 Extraction runs in two steps. Worker processes parse the files and turn
 each class into a ``ClassSummary`` (``summarize``), which carries every
-metric of the class alone: size (all but NBI), complexity, cohesion,
-encapsulation, Ce and the six test-effort metrics. The parent indexes the
-summaries in file order and adds the seven metrics that read other
-classes through the index: DIT, NOC, MFA, CBO, IC, CBM and Ca
-(``compute_code_metrics``). NBI comes from the class files.
+metric of the class alone as one float array in ``SUMMARY_METRICS``
+order: size (all but NBI), complexity, cohesion, encapsulation, Ce and
+the six test-effort metrics, of which T-LOC, T-NMC, T-WMC and T-AMC are
+the class's LOC, NMC, WMC and AMC. Its name sets travel as tuples of
+interned names. The parent indexes the summaries in file order and adds
+the seven metrics that read other classes through the index: DIT, NOC,
+MFA, CBO, IC, CBM and Ca (``compute_code_metrics``), building frozensets
+of signatures only where it compares them. NBI comes from the class files.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,8 +45,16 @@ import numpy as np
 
 from ..dataset import RawDataset
 from ..forkpool import fork_pool
-from ..metrics import INDEPENDENT_VARIABLES, MetricId
-from .corpus import ClassEntry, ClassSummary, CorpusIndex, Signature, index_classes
+from ..metrics import INDEPENDENT_VARIABLES, TEST_EFFORT_METRICS, MetricId
+from .corpus import (
+    OWN_CODE_METRICS,
+    SUMMARY_METRICS,
+    ClassEntry,
+    ClassSummary,
+    CorpusIndex,
+    Signature,
+    index_classes,
+)
 from .lexer import ParseError
 from .parser import parse_source
 from .tree import MethodDecl, SyntaxTree, TypeDecl
@@ -66,17 +79,6 @@ def cyclomatic_complexity(method: MethodDecl) -> int:
     return 1 + len(method.events.decisions)
 
 
-def _loc(decl: TypeDecl, tree: SyntaxTree) -> int:
-    start, end = decl.line_span
-    return sum(1 for line in tree.code_lines if start <= line <= end)
-
-
-def _weighted_methods(methods: list[MethodDecl]) -> tuple[int, float]:
-    """WMC and AMC: the summed and the mean cyclomatic complexity."""
-    wmc = sum(cyclomatic_complexity(m) for m in methods)
-    return wmc, wmc / len(methods) if methods else 0.0
-
-
 def _size_metrics(facts: ClassFacts, tree: SyntaxTree) -> dict[MetricId, float]:
     decl = facts.decl
     start, end = decl.line_span
@@ -93,7 +95,7 @@ def _size_metrics(facts: ClassFacts, tree: SyntaxTree) -> dict[MetricId, float]:
     )
     nmc = len(calls)
     return {
-        MetricId.LOC: _loc(decl, tree),
+        MetricId.LOC: sum(1 for line in tree.code_lines if start <= line <= end),
         MetricId.LOCCOM: len(loccom_lines),
         MetricId.NPM: sum(1 for m in facts.methods if "public" in m.modifiers),
         MetricId.NSTAM: sum(1 for m in facts.methods if "static" in m.modifiers),
@@ -106,13 +108,15 @@ def _size_metrics(facts: ClassFacts, tree: SyntaxTree) -> dict[MetricId, float]:
 
 
 def _complexity_metrics(facts: ClassFacts) -> dict[MetricId, float]:
-    wmc, amc = _weighted_methods(facts.methods)
+    methods = facts.methods
+    wmc = sum(cyclomatic_complexity(m) for m in methods)
+    amc = wmc / len(methods) if methods else 0.0
     invoked = {
         (c.name, c.argc)
         for c in facts.decl.events.calls
         if (c.name, c.argc) not in facts.signatures
     }
-    rfc = len(facts.methods) + len(invoked)
+    rfc = len(methods) + len(invoked)
     return {MetricId.WMC: wmc, MetricId.AMC: amc, MetricId.RFC: rfc}
 
 
@@ -167,9 +171,11 @@ def _encapsulation_metrics(facts: ClassFacts) -> dict[MetricId, float]:
     }
 
 
-def _test_effort_metrics(facts: ClassFacts, tree: SyntaxTree) -> dict[MetricId, float]:
-    calls = facts.decl.events.calls
-    wmc, amc = _weighted_methods(facts.methods)
+def _test_effort_metrics(
+    facts: ClassFacts, code: dict[MetricId, float]
+) -> dict[MetricId, float]:
+    """T-LOC, T-NMC, T-WMC and T-AMC are the class's LOC, NMC, WMC and AMC,
+    taken from its ``code`` metrics."""
     t_not = sum(
         1
         for m in facts.methods
@@ -177,51 +183,64 @@ def _test_effort_metrics(facts: ClassFacts, tree: SyntaxTree) -> dict[MetricId, 
     )
     t_noa = sum(
         1
-        for c in calls
+        for c in facts.decl.events.calls
         if c.name.startswith("assert") or c.name == "fail"
     )
     return {
-        MetricId.T_LOC: _loc(facts.decl, tree),
+        MetricId.T_LOC: code[MetricId.LOC],
         MetricId.T_NOT: t_not,
         MetricId.T_NOA: t_noa,
-        MetricId.T_NMC: len(calls),
-        MetricId.T_WMC: wmc,
-        MetricId.T_AMC: amc,
+        MetricId.T_NMC: code[MetricId.NMC],
+        MetricId.T_WMC: code[MetricId.WMC],
+        MetricId.T_AMC: code[MetricId.AMC],
     }
+
+
+def _distinct(items) -> tuple:
+    """The items once each, in first-seen order."""
+    return tuple(dict.fromkeys(items))
 
 
 def _summary(decl: TypeDecl, tree: SyntaxTree) -> ClassSummary:
     facts = class_facts(decl)
-    type_refs = frozenset(decl.events.type_refs)
-    code: dict[MetricId, float] = {}
-    code.update(_size_metrics(facts, tree))
-    code.update(_complexity_metrics(facts))
-    code[MetricId.CE] = len(type_refs - decl.own_names)
-    code.update(_cohesion_metrics(facts))
-    code.update(_encapsulation_metrics(facts))
+    metrics: dict[MetricId, float] = {}
+    metrics.update(_size_metrics(facts, tree))
+    metrics.update(_complexity_metrics(facts))
+    metrics[MetricId.CE] = len(set(decl.events.type_refs) - decl.own_names)
+    metrics.update(_cohesion_metrics(facts))
+    metrics.update(_encapsulation_metrics(facts))
+    metrics.update(_test_effort_metrics(facts, metrics))
+
+    shared: dict[Signature, Signature] = {}  # one tuple per signature, its name interned
+
+    def signature(name: str, arity: int) -> Signature:
+        found = shared.get((name, arity))
+        if found is None:
+            found = shared[name, arity] = (sys.intern(name), arity)
+        return found
+
     return ClassSummary(
-        name=decl.name,
-        package=decl.package,
+        name=sys.intern(decl.name),
+        package=sys.intern(decl.package),
         path=tree.path,
-        superclass=decl.superclass,
-        type_refs=type_refs,
-        inheritable=frozenset(
-            m.signature
+        superclass=decl.superclass and sys.intern(decl.superclass),
+        type_refs=_distinct(map(sys.intern, decl.events.type_refs)),
+        inheritable=_distinct(
+            signature(m.name, m.arity)
             for m in decl.methods
             if not (m.nested or m.is_constructor or "private" in m.modifiers)
         ),
-        signatures=facts.signatures,
-        internal_calls=frozenset(
-            (c.name, c.argc)
+        signatures=_distinct(signature(m.name, m.arity) for m in facts.methods),
+        internal_calls=_distinct(
+            signature(c.name, c.argc)
             for c in decl.events.calls
             if c.receiver in (None, "this", "super")
         ),
         methods=tuple(
-            (m.signature, any(c.receiver == "super" for c in m.events.calls))
+            (signature(m.name, m.arity), any(c.receiver == "super" for c in m.events.calls))
             for m in facts.methods
         ),
-        code=code,
-        test_effort=_test_effort_metrics(facts, tree),
+        values=array("d", [metrics[m] for m in SUMMARY_METRICS]),
     )
 
 
@@ -234,7 +253,10 @@ def summarize(tree: SyntaxTree) -> list[ClassSummary]:
 
 
 def _inheritance_metrics(
-    entry: ClassEntry, chain: list[ClassEntry], ancestors: list[frozenset[Signature]]
+    entry: ClassEntry,
+    chain: list[ClassEntry],
+    ancestors: list[frozenset[Signature]],
+    own: frozenset[Signature],
 ) -> dict[MetricId, float]:
     depth = len(chain)
     external = (chain[-1] if chain else entry).external_parent
@@ -242,16 +264,15 @@ def _inheritance_metrics(
         depth += 1
     noc = len(entry.children)
     inherited: set[Signature] = set().union(*ancestors)
-    inherited -= entry.summary.signatures
+    inherited -= own
     denom = len(inherited) + len(entry.summary.methods)
     mfa = len(inherited) / denom if denom and ancestors else 0.0
     return {MetricId.DIT: depth, MetricId.NOC: noc, MetricId.MFA: mfa}
 
 
 def _coupling_metrics(
-    entry: ClassEntry, ancestors: list[frozenset[Signature]]
+    entry: ClassEntry, ancestors: list[frozenset[Signature]], own: frozenset[Signature]
 ) -> dict[MetricId, float]:
-    own = entry.summary.signatures
     ic = 0
     for signatures in ancestors:
         overrides = bool(own & signatures)
@@ -280,10 +301,11 @@ def compute_code_metrics(index: CorpusIndex, qualified_name: str) -> dict[Metric
     entry = index[qualified_name]
     chain = index.ancestors(qualified_name)
     # per resolved ancestor: its own non-private, non-constructor signatures
-    ancestors = [a.summary.inheritable for a in chain]
-    metrics = dict(entry.summary.code)
-    metrics.update(_inheritance_metrics(entry, chain, ancestors))
-    metrics.update(_coupling_metrics(entry, ancestors))
+    ancestors = [frozenset(a.summary.inheritable) for a in chain]
+    own = frozenset(entry.summary.signatures)
+    metrics = dict(zip(OWN_CODE_METRICS, entry.summary.values))
+    metrics.update(_inheritance_metrics(entry, chain, ancestors, own))
+    metrics.update(_coupling_metrics(entry, ancestors, own))
     return metrics
 
 
@@ -447,7 +469,8 @@ def extract_records(
         metrics = compute_code_metrics(corpus.index, prod)
         if nbi_by_class is not None:
             metrics[MetricId.NBI] = nbi_by_class[prod]
-        metrics.update(corpus.index[test].summary.test_effort)
+        test_effort = corpus.index[test].summary.values[len(OWN_CODE_METRICS):]
+        metrics.update(zip(TEST_EFFORT_METRICS, test_effort))
         rows.append([metrics[m] for m in columns])
     values = np.array(rows, dtype=np.float64).reshape(len(pairs), len(columns))
     return RawDataset([p for p, _ in pairs], [t for _, t in pairs], columns, values)

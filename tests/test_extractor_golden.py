@@ -6,7 +6,10 @@ counts from reading the code). Integers must match exactly; ratio metrics
 to 1e-9.
 """
 
+import dataclasses
 import math
+import pickle
+from array import array
 
 import pytest
 from classfile_builder import (
@@ -36,7 +39,8 @@ from testability.javasrc import (
     pair_classes,
     parse_source,
 )
-from testability.javasrc.extract import compute_code_metrics
+from testability.javasrc.corpus import SUMMARY_METRICS, ClassSummary
+from testability.javasrc.extract import compute_code_metrics, summarize_files
 from testability.metrics import INDEPENDENT_VARIABLES, MetricId as M
 
 # (LOC, LOCCOM, NPM, NSTAM, NOF, NSTAF, NMC, NMCI, NMCE) then
@@ -195,7 +199,7 @@ def test_code_metrics_match_hand_computation(corpus_index, qname):
 
 @pytest.mark.parametrize("qname", sorted(EXPECTED_TEST))
 def test_test_effort_metrics_match_hand_computation(corpus_index, qname):
-    actual = corpus_index[qname].summary.test_effort
+    actual = dict(zip(SUMMARY_METRICS, corpus_index[qname].summary.values))
     for metric, expected in EXPECTED_TEST[qname].items():
         if isinstance(expected, int):
             assert actual[metric] == expected, f"{qname} {metric.column}"
@@ -282,3 +286,36 @@ def test_trees_indexed_in_process_give_the_records_of_parse_corpus(corpus):
         assert (first.class_ids, first.test_ids, first.columns) == (
             again.class_ids, again.test_ids, again.columns)
         assert first.values.tobytes() == again.values.tobytes()
+
+
+def types_held(value):
+    """The types of ``value`` and of everything its containers and
+    dataclass fields hold, dict keys included."""
+    held, stack = set(), [value]
+    while stack:
+        item = stack.pop()
+        held.add(type(item))
+        if dataclasses.is_dataclass(item):
+            stack.extend(getattr(item, f.name) for f in dataclasses.fields(item))
+        elif isinstance(item, dict):
+            stack.extend(item.items())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+    return held
+
+
+def test_a_worker_result_pickles_as_plain_tuples_strings_and_float_arrays():
+    result = summarize_files(find_java_files([CORPUS_DIR]))
+    loaded = pickle.loads(pickle.dumps(result))
+    assert loaded == result
+    assert all(isinstance(summaries, list) for summaries in loaded)
+    held = types_held(loaded)
+    assert not held & {M, dict, set, frozenset}
+    assert held <= {list, tuple, str, int, bool, type(None), array, ClassSummary}
+    summaries = [summary for file_summaries in loaded for summary in file_summaries]
+    assert len({id(summary.package) for summary in summaries}) == 1  # interned "fix"
+    for summary in summaries:
+        assert (summary.values.typecode, len(summary.values)) == ("d", len(SUMMARY_METRICS))
+        shared = {id(signature) for signature in summary.signatures}
+        assert {id(signature) for signature, _ in summary.methods} == shared
+        assert {id(signature) for signature in summary.inheritable} <= shared

@@ -1,7 +1,9 @@
-"""Every field of a syntax-tree or lexer dataclass is read somewhere.
+"""Every field of a syntax-tree, lexer or corpus-index dataclass is read
+somewhere.
 
 A field that is built but never read costs memory for each node of every
-parsed file. The check is by name: a field passes when some module under
+parsed file, and for each class summary that a worker sends to the parent.
+The check is by name: a field passes when some module under
 ``src/testability`` reads an attribute of that name.
 """
 
@@ -10,7 +12,8 @@ import os
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src",
                    "testability")
-DATACLASS_MODULES = [os.path.join(SRC, "javasrc", name) for name in ("tree.py", "lexer.py")]
+DATACLASS_MODULES = [os.path.join(SRC, "javasrc", name)
+                     for name in ("tree.py", "lexer.py", "corpus.py")]
 
 
 def parse(path):
@@ -43,6 +46,7 @@ def attributes_read():
 
 def test_every_tree_and_lexer_field_is_read():
     fields = [f for path in DATACLASS_MODULES for f in dataclass_fields(path)]
-    assert {"MethodDecl.annotations", "CommentSpan.start_line"} <= set(fields)
+    assert {"MethodDecl.annotations", "CommentSpan.start_line",
+            "ClassSummary.values"} <= set(fields)
     read = attributes_read()
     assert [f for f in fields if f.split(".")[1] not in read] == []
