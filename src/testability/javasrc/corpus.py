@@ -1,4 +1,4 @@
-"""Cross-file index: class lookup, superclass resolution, reference graph.
+"""Cross-file index: class lookup, superclass resolution, coupling counts.
 
 The index is built from ``ClassSummary`` records, one per top-level
 class, not from syntax trees: a summary is what a worker process sends
@@ -13,6 +13,12 @@ interned, and each distinct (name, arity) tuple of a class is one object
 that its signature tuples and ``methods`` share, so pickle writes each
 once. A reader builds a frozenset where it runs set algebra.
 
+The index keeps, per class, only what the metrics read of the class graph:
+its resolved parent, and three counts: its children (NOC), the classes it
+references or is referenced by (CBO), and those that reference it (Ca).
+The reference sets behind the counts live only while ``index_classes``
+runs.
+
 Resolution is name-based: a superclass or referenced type name resolves to
 a corpus class when its qualified name matches, else when its simple name
 does (same package preferred, then lexicographically smallest qualified
@@ -23,7 +29,7 @@ re-indexing a permuted corpus yields identical relations.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..metrics import TEST_EFFORT_METRICS, MetricId
@@ -55,7 +61,6 @@ class ClassSummary:
     superclass: str | None  # the extends name of a class
     type_refs: tuple[str, ...]  # every referenced type name, its own names too
     inheritable: tuple[Signature, ...]  # own methods: not nested, constructors or private
-    signatures: tuple[Signature, ...]  # declared methods
     internal_calls: tuple[Signature, ...]  # calls with no receiver, or on this or super
     methods: tuple[tuple[Signature, bool], ...]  # per declared method: calls super?
     values: array  # array('d') of the SUMMARY_METRICS, in that order
@@ -78,9 +83,9 @@ class ClassEntry:
     summary: ClassSummary
     parent: str | None = None  # resolved qualified name
     external_parent: str | None = None  # unresolved extends text
-    children: list[str] = field(default_factory=list)
-    references: frozenset[str] = frozenset()  # resolved corpus classes referenced
-    referenced_by: frozenset[str] = frozenset()
+    noc: int = 0  # classes whose resolved parent it is
+    cbo: int = 0  # other corpus classes it references or is referenced by
+    ca: int = 0  # other corpus classes that reference it
 
 
 class CorpusIndex:
@@ -152,27 +157,18 @@ def index_classes(summaries: Iterable[ClassSummary]) -> CorpusIndex:
 
     _check_acyclic(index)
 
-    for qname in index.class_names():
-        parent = entries[qname].parent
-        if parent is not None:
-            entries[parent].children.append(qname)
-    for entry in entries.values():
-        entry.children.sort()
-
-    for qname in index.class_names():
-        entry = entries[qname]
-        referenced: set[str] = set()
-        for name in entry.summary.type_refs:
-            resolved = index.resolve(name, entry.summary.package)
-            if resolved is not None and resolved != qname:
-                referenced.add(resolved)
-        entry.references = frozenset(referenced)
-    incoming: dict[str, set[str]] = {q: set() for q in entries}
+    coupled: dict[str, set[str]] = {qname: set() for qname in entries}
     for qname, entry in entries.items():
-        for target in entry.references:
-            incoming[target].add(qname)
-    for qname, sources in incoming.items():
-        entries[qname].referenced_by = frozenset(sources)
+        if entry.parent is not None:
+            entries[entry.parent].noc += 1
+        package = entry.summary.package
+        referenced = {index.resolve(name, package) for name in entry.summary.type_refs}
+        for target in referenced - {None, qname}:
+            entries[target].ca += 1
+            coupled[qname].add(target)
+            coupled[target].add(qname)
+    for qname, entry in entries.items():
+        entry.cbo = len(coupled[qname])
     return index
 
 

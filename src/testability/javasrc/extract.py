@@ -26,10 +26,12 @@ metric of the class alone as one float array in ``SUMMARY_METRICS``
 order: size (all but NBI), complexity, cohesion, encapsulation, Ce and
 the six test-effort metrics, of which T-LOC, T-NMC, T-WMC and T-AMC are
 the class's LOC, NMC, WMC and AMC. Its name sets travel as tuples of
-interned names. The parent indexes the summaries in file order and adds
-the seven metrics that read other classes through the index: DIT, NOC,
-MFA, CBO, IC, CBM and Ca (``compute_code_metrics``), building frozensets
-of signatures only where it compares them. NBI comes from the class files.
+interned names. The parent indexes the summaries in file order; the
+index counts each class's children and coupled classes once, so NOC, CBO
+and Ca are read from it. ``compute_code_metrics`` adds those and the other
+metrics that read other classes through the index, DIT, MFA, IC and CBM,
+building frozensets of signatures only where it compares them. NBI comes
+from the class files.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _size_metrics(facts: ClassFacts, tree: SyntaxTree) -> dict[MetricId, float]:
         lo = max(span.start_line, start)
         hi = min(span.end_line, end)
         loccom_lines.update(range(lo, hi + 1))
-    calls = decl.events.calls
+    calls = decl.calls
     nmci = sum(
         1
         for call in calls
@@ -113,7 +115,7 @@ def _complexity_metrics(facts: ClassFacts) -> dict[MetricId, float]:
     amc = wmc / len(methods) if methods else 0.0
     invoked = {
         (c.name, c.argc)
-        for c in facts.decl.events.calls
+        for c in facts.decl.calls
         if (c.name, c.argc) not in facts.signatures
     }
     rfc = len(methods) + len(invoked)
@@ -183,7 +185,7 @@ def _test_effort_metrics(
     )
     t_noa = sum(
         1
-        for c in facts.decl.events.calls
+        for c in facts.decl.calls
         if c.name.startswith("assert") or c.name == "fail"
     )
     return {
@@ -206,7 +208,7 @@ def _summary(decl: TypeDecl, tree: SyntaxTree) -> ClassSummary:
     metrics: dict[MetricId, float] = {}
     metrics.update(_size_metrics(facts, tree))
     metrics.update(_complexity_metrics(facts))
-    metrics[MetricId.CE] = len(set(decl.events.type_refs) - decl.own_names)
+    metrics[MetricId.CE] = len(set(decl.type_refs) - decl.own_names)
     metrics.update(_cohesion_metrics(facts))
     metrics.update(_encapsulation_metrics(facts))
     metrics.update(_test_effort_metrics(facts, metrics))
@@ -224,16 +226,15 @@ def _summary(decl: TypeDecl, tree: SyntaxTree) -> ClassSummary:
         package=sys.intern(decl.package),
         path=tree.path,
         superclass=decl.superclass and sys.intern(decl.superclass),
-        type_refs=_distinct(map(sys.intern, decl.events.type_refs)),
+        type_refs=_distinct(map(sys.intern, decl.type_refs)),
         inheritable=_distinct(
             signature(m.name, m.arity)
             for m in decl.methods
             if not (m.nested or m.is_constructor or "private" in m.modifiers)
         ),
-        signatures=_distinct(signature(m.name, m.arity) for m in facts.methods),
         internal_calls=_distinct(
             signature(c.name, c.argc)
-            for c in decl.events.calls
+            for c in decl.calls
             if c.receiver in (None, "this", "super")
         ),
         methods=tuple(
@@ -262,12 +263,11 @@ def _inheritance_metrics(
     external = (chain[-1] if chain else entry).external_parent
     if external is not None and external.rsplit(".", 1)[-1] != "Object":
         depth += 1
-    noc = len(entry.children)
     inherited: set[Signature] = set().union(*ancestors)
     inherited -= own
     denom = len(inherited) + len(entry.summary.methods)
     mfa = len(inherited) / denom if denom and ancestors else 0.0
-    return {MetricId.DIT: depth, MetricId.NOC: noc, MetricId.MFA: mfa}
+    return {MetricId.DIT: depth, MetricId.NOC: entry.noc, MetricId.MFA: mfa}
 
 
 def _coupling_metrics(
@@ -288,10 +288,10 @@ def _coupling_metrics(
         if signature in ancestor_union or calls_super
     )
     return {
-        MetricId.CBO: len(entry.references | entry.referenced_by),
+        MetricId.CBO: entry.cbo,
         MetricId.IC: ic,
         MetricId.CBM: cbm,
-        MetricId.CA: len(entry.referenced_by),
+        MetricId.CA: entry.ca,
     }
 
 
@@ -302,7 +302,7 @@ def compute_code_metrics(index: CorpusIndex, qualified_name: str) -> dict[Metric
     chain = index.ancestors(qualified_name)
     # per resolved ancestor: its own non-private, non-constructor signatures
     ancestors = [frozenset(a.summary.inheritable) for a in chain]
-    own = frozenset(entry.summary.signatures)
+    own = frozenset(signature for signature, _ in entry.summary.methods)
     metrics = dict(zip(OWN_CODE_METRICS, entry.summary.values))
     metrics.update(_inheritance_metrics(entry, chain, ancestors, own))
     metrics.update(_coupling_metrics(entry, ancestors, own))
@@ -406,8 +406,8 @@ def parse_corpus(roots: list[str], pool=None) -> ParsedCorpus:
 
 
 def read_pairing_file(path: str) -> list[tuple[str, str]]:
-    """One pair per line: production-class-id, test-class-id."""
-    pairs = []
+    """One pair per line: production-class-id, test-class-id, each pair once."""
+    first_line: dict[tuple[str, str], int] = {}  # pair -> the line that gives it
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -416,8 +416,12 @@ def read_pairing_file(path: str) -> list[tuple[str, str]]:
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 2 or not all(parts):
                 raise PairingError(f"{path}:{line_no}: expected 'production,test'")
-            pairs.append((parts[0], parts[1]))
-    return pairs
+            pair = (parts[0], parts[1])
+            if pair in first_line:
+                raise PairingError(
+                    f"{path}:{line_no}: repeats line {first_line[pair]} ({pair[0]}, {pair[1]})")
+            first_line[pair] = line_no
+    return list(first_line)
 
 
 def pair_classes(

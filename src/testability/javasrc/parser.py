@@ -5,16 +5,18 @@ resolution in mind: no type inference, no classpath. Lambdas are opaque
 (their bodies produce no events), annotation arguments are skipped, and
 generic type arguments are parsed only to recover referenced type names.
 
-Expression structure is not retained; parsing emits flat per-body events:
+Expression structure is not retained; parsing emits flat events:
   - call expressions (receiver text, simple name, argument count)
   - decision points (if, for, while, do, case, catch, ?:, &&, ||)
   - simple-name variable uses (bare identifiers and ``this.x``)
   - referenced type names from declared contexts (locals, news, casts)
 
 Nested, local and anonymous classes and enum constant bodies are folded
-while they are parsed: their members and events go straight into the
-top-level ``TypeDecl``. Every event lands in that type's sink, and a
-method body's events also in the method's own.
+while they are parsed: their members, calls and type references go
+straight into the top-level ``TypeDecl``. Each event goes only where it is
+read: a call to the type and to the method whose body holds it, a type
+reference to the type, and a decision or variable use to the method alone
+(outside a method body it is dropped).
 
 The parser reads the lexer's token columns by index: it tests a token by
 its text, and by its kind only where a text could be an identifier or a
@@ -115,8 +117,8 @@ class _Parser:
 
     @contextmanager
     def method_body(self, events: EventSink | None):
-        """Every event goes to the top-level type's sink, and also to
-        ``events`` (a method's own) while one is given."""
+        """While ``events`` (a method's own) is given, calls, decisions and
+        variable uses go to it."""
         outer, self.method_events = self.method_events, events
         try:
             yield
@@ -131,36 +133,28 @@ class _Parser:
         finally:
             self.suppress -= 1
 
-    # Each event object is appended to both sinks, never copied.
-
     def emit_call(self, receiver: str | None, name: str, argc: int) -> None:
         if not self.suppress:
-            call = CallEvent(receiver, name, argc)
-            self.decl.events.calls.append(call)
+            call = CallEvent(receiver, name, argc)  # one object in both lists
+            self.decl.calls.append(call)
             if self.method_events is not None:
                 self.method_events.calls.append(call)
 
     def emit_decision(self, kind: str) -> None:
-        if not self.suppress:
-            self.decl.events.decisions.append(kind)
-            if self.method_events is not None:
-                self.method_events.decisions.append(kind)
+        if not self.suppress and self.method_events is not None:
+            self.method_events.decisions.append(kind)
 
     def emit_var_use(self, name: str) -> None:
-        if not self.suppress:
-            self.decl.events.var_uses.append(name)
-            if self.method_events is not None:
-                self.method_events.var_uses.append(name)
+        if not self.suppress and self.method_events is not None:
+            self.method_events.var_uses.append(name)
 
     def emit_type_refs(self, names) -> None:
         if not self.suppress:
-            self.decl.events.type_refs.extend(names)
-            if self.method_events is not None:
-                self.method_events.type_refs.extend(names)
+            self.decl.type_refs.extend(names)
 
     def declare_type_refs(self, names) -> None:
         """A declared field, parameter or return type counts even inside a lambda."""
-        self.decl.events.type_refs.extend(names)
+        self.decl.type_refs.extend(names)
 
     # ---- compilation unit -------------------------------------------------
 

@@ -1,17 +1,19 @@
 """Syntax tree nodes produced by the Java subset parser.
 
 The tree keeps exactly what the metric definitions and the corpus index
-read: declarations with names, modifiers and referenced type names,
-per-body event lists (calls, decision kinds, simple-name variable uses,
-referenced type names), comment spans, code lines, and each type
-declaration's line span. It is not a general-purpose AST; expression
-structure beyond those events, and every position but a type's span, is
-discarded. A tier-1 test fails when a field here is never read.
+read: declarations with names, modifiers and referenced type names, the
+calls and referenced type names of each top-level type, the calls,
+decision kinds and simple-name variable uses of each method body, comment
+spans, code lines, and each type declaration's line span. It is not a
+general-purpose AST; expression structure beyond those events, and every
+position but a type's span, is discarded. A tier-1 test fails when a
+field here is never read.
 
 Each ``TypeDecl`` is a top-level type, the class the dataset is keyed by.
 The parser folds every nested, local and anonymous class and every enum
 constant body into it: their methods and fields join its own, their
-events join its ``events``, and their names join its ``own_names``.
+calls and type references join its ``calls`` and ``type_refs``, and their
+names join its ``own_names``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ class CallEvent:
 
 @dataclass
 class EventSink:
+    """The events of one method body."""
+
     calls: list[CallEvent] = field(default_factory=list)
     decisions: list[str] = field(default_factory=list)  # kinds: if, case, catch, and, ...
     var_uses: list[str] = field(default_factory=list)
-    type_refs: list[str] = field(default_factory=list)  # simple type names
 
 
 @dataclass
@@ -70,16 +73,13 @@ class TypeDecl:
     superclass: str | None = None  # the extends name of a class; None for other kinds
     fields: list[FieldDecl] = field(default_factory=list)
     methods: list[MethodDecl] = field(default_factory=list)
-    # every body's events; type_refs also holds each declared field, parameter
-    # and return type name, even where a lambda hides the body's events
-    events: EventSink = field(default_factory=EventSink)
+    calls: list[CallEvent] = field(default_factory=list)  # every body's, methods' too
+    # simple names from every body, and each declared field, parameter and
+    # return type name, even where a lambda hides the body's events
+    type_refs: list[str] = field(default_factory=list)
     own_names: set[str] = field(default_factory=set)  # its name and its named nested types'
     line_span: tuple[int, int] = (0, 0)
     package: str = ""
-
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.package}.{self.name}" if self.package else self.name
 
 
 @dataclass

@@ -303,6 +303,16 @@ def test_extract_names_production_classes_without_a_class_file(workdir):
     assert "no class file for: fix.Circle, fix.Empty, fix.Mixed, fix.Util" in stderr
 
 
+def test_extract_with_a_repeated_pairing_line_exits_2_naming_both_lines(workdir):
+    (workdir / "pairs.txt").write_text(
+        "fix.Box,fix.BoxTest\nfix.Circle,fix.CircleTest\n\n fix.Box , fix.BoxTest\n",
+        encoding="utf-8")
+    code, _, stderr = run("extract", "--src", "corpus", "--pairs", "pairs.txt", "--out", "x")
+    assert code == 2
+    assert "error: bad pairing file: pairs.txt:4: repeats line 1 (fix.Box, fix.BoxTest)" in stderr
+    assert not os.path.exists("x")
+
+
 @pytest.mark.parametrize("name, data", [
     ("Deep.java", b"class Deep { int f() { return " + b"(" * 3000 + b"1" + b")" * 3000
      + b"; } }"),

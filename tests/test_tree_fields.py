@@ -1,5 +1,5 @@
-"""Every field of a syntax-tree, lexer or corpus-index dataclass is read
-somewhere.
+"""Every field of a syntax-tree, lexer, corpus-index or extraction
+dataclass is read somewhere.
 
 A field that is built but never read costs memory for each node of every
 parsed file, and for each class summary that a worker sends to the parent.
@@ -13,7 +13,14 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src",
                    "testability")
 DATACLASS_MODULES = [os.path.join(SRC, "javasrc", name)
-                     for name in ("tree.py", "lexer.py", "corpus.py")]
+                     for name in ("tree.py", "lexer.py", "corpus.py", "extract.py")]
+#: Fields kept for a caller outside ``src/testability``, each with the reason.
+EXEMPT = {
+    # kept for bench/layers.py, which passes in the trees it parsed itself;
+    # nothing reads it (the name check alone would pass it, as the forest
+    # settings read ``.trees``)
+    "ParsedCorpus.trees",
+}
 
 
 def parse(path):
@@ -47,6 +54,6 @@ def attributes_read():
 def test_every_tree_and_lexer_field_is_read():
     fields = [f for path in DATACLASS_MODULES for f in dataclass_fields(path)]
     assert {"MethodDecl.annotations", "CommentSpan.start_line",
-            "ClassSummary.values"} <= set(fields)
+            "ClassSummary.values", "ClassFacts.signatures"} | EXEMPT <= set(fields)
     read = attributes_read()
-    assert [f for f in fields if f.split(".")[1] not in read] == []
+    assert [f for f in fields if f.split(".")[1] not in read and f not in EXEMPT] == []
