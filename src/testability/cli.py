@@ -9,7 +9,12 @@ then prints. correlate, evaluate and rank each run one stage of
 ``STAGES`` through ``run_analysis``, and pipeline runs all three; each
 writes a manifest whose hash every one of its reports embeds. Only
 extract reads Java sources and class files, so only it imports
-``javasrc`` and ``classfile``.
+``javasrc`` and ``classfile``. Config, pairing and dataset files may start
+with a UTF-8 byte-order mark.
+
+A handler keeps what it still reads and no more: label keeps the labelled
+rows and the ingested count, train the feature matrix, and predict the
+class ids and the feature block while it scores.
 
 Exit codes: 0 success, 2 input error, 3 labeling degeneracy, 4 training
 failure, 5 prediction schema mismatch.
@@ -167,10 +172,11 @@ def _not_utf8(path: str) -> str:
 
 
 def load_config_file(path: str) -> dict[str, object]:
-    """Line-oriented key=value file; '#' starts a comment."""
+    """Line-oriented key=value file; '#' starts a comment. A UTF-8 byte-order
+    mark before the first line is dropped."""
     values: dict[str, object] = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read config: {exc}")
@@ -349,15 +355,16 @@ def _extract(config: RunConfig, pool) -> Outcome:
 
 def cmd_label(config: RunConfig, args) -> Outcome:
     raw, labeled = _ingest_and_label(config)
+    ingested = len(raw)
+    del raw  # the labelled rows are all that is written
     kept = labeled.kept
     if not len(kept):  # with no row kept, no row lacks a variable: all are listed
         kept = RawDataset((), (), ALL_METRICS, np.empty((0, len(ALL_METRICS))))
     columns = [m for m in INDEPENDENT_VARIABLES if m in kept.columns] + [MetricId.M]
-    cells = dataset.cell_columns(kept, columns)
-    cells.append(["label", *(LABELS[y] for y in labeled.y.tolist())])
+    text = "".join(dataset.csv_blocks(kept, columns, labeled.y))
     out_path = os.path.join(config.out, "labeled.csv")
-    return [(out_path, reports.csv_text(zip(*cells)))], (
-        f"ingested {len(raw)}, labeled {len(labeled)} "
+    return [(out_path, text)], (
+        f"ingested {ingested}, labeled {len(labeled)} "
         f"(thresholds {labeled.q1_threshold:g}/{labeled.q3_threshold:g}, "
         f"discarded {labeled.discarded_count}) -> {out_path}"
     )
@@ -368,8 +375,7 @@ def cmd_train(config: RunConfig, args) -> Outcome:
     kind, *others = _classifier_kinds(config)
     if others:
         raise CliError(EXIT_INPUT, "train needs exactly one --classifier")
-    _, labeled = _ingest_and_label(config)
-    matrix = to_feature_matrix(labeled, config.feature_ids())
+    matrix = to_feature_matrix(_ingest_and_label(config)[1], config.feature_ids())
     try:
         model = train_model(matrix, kind, config.params(kind), seed=seed)
     except (SingleClassInput, NonFiniteLoss, NonFiniteScale) as exc:
@@ -390,15 +396,18 @@ def cmd_predict(config: RunConfig, args) -> Outcome:
     except ModelFormatError as exc:
         raise CliError(EXIT_INPUT, f"bad model file: {exc}")
     data = _ingest(config, require=model.feature_ids, missing_exit=EXIT_PREDICT)
-    scores = model.predict_scores(data.column(model.feature_ids)).tolist() if len(data) else []
+    class_ids, X = data.class_ids, data.column(model.feature_ids)
+    del data  # scoring reads the feature block alone
+    scores = model.predict_scores(X).tolist() if len(class_ids) else []
+    del X  # before the rows are formatted
     labels = [LABELS[score >= 0.5] for score in scores]
     text = reports.csv_text([("class_id", "score", "label"),
-                             *zip(data.class_ids, map(repr, scores), labels)])
+                             *zip(class_ids, map(repr, scores), labels)])
     out_path = _output_path(config, "predictions.csv")
     effective = labels.count(LABELS[1])
     return [(out_path, text)], (
-        f"predicted {len(data)} rows: {effective} Effective, "
-        f"{len(data) - effective} NonEffective -> {out_path}"
+        f"predicted {len(class_ids)} rows: {effective} Effective, "
+        f"{len(class_ids) - effective} NonEffective -> {out_path}"
     )
 
 

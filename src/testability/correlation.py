@@ -2,7 +2,8 @@
 
 rho is computed as the Pearson correlation of average ranks, never via the
 6*sum(d^2)/n(n^2-1) shortcut: the shortcut is wrong under ties and real
-metric data is tie-heavy.
+metric data is tie-heavy. The table reads one feature column at a time,
+so it holds no copy of the feature block.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import INDEPENDENT_VARIABLES, MetricId
-from .dataset import LabeledDataset, RawDataset
+from .dataset import LabeledDataset, RawDataset, check_columns
 
 
 class LengthMismatch(ValueError):
@@ -131,8 +132,9 @@ def correlation_table(
     target_ranks = _centred_ranks(data.column(target))  # ranked once for every feature
     full: list[tuple[MetricId, float]] = []
     skipped: list[tuple[MetricId, str]] = []
-    for metric, values in zip(features, data.column(features).T):
-        ranks = None if target_ranks is None else _centred_ranks(values)
+    check_columns(data.columns, features)
+    for metric in features:
+        ranks = None if target_ranks is None else _centred_ranks(data.column(metric))
         if ranks is None:
             skipped.append((metric, _CONSTANT))
         else:

@@ -9,13 +9,20 @@ A label is 0 (NonEffective) or 1 (Effective) everywhere, stored as int8;
 The CSV dialect is fixed: comma-separated, UTF-8, one header row of
 canonical column names, "." decimal separator. Metadata columns carried by
 the published dataset (project, url, commit, class and test paths) are not
-features; the class/test paths double as record identifiers. Every metric
-invariant is checked as a boolean array over the whole matrix.
+features; the class/test paths double as record identifiers. A UTF-8
+byte-order mark before the header is dropped.
 
 Ingest converts a row's metric cells in one ``map(float, ...)``; a row where
 that fails (a bad cell, or a row too short) is parsed again cell by cell, so
-its error names its first bad cell. Written CSV cells are formatted a column
-at a time where the column allows it (see ``cell_columns``).
+its error names its first bad cell. The values go into one ``array('d')``,
+which becomes the matrix itself unless a metric header repeats, so a
+dataset holds one copy of its rows. Every metric invariant is checked one
+column at a time, so no check makes a temporary larger than a column.
+
+Written CSV (``labeled.csv``, extract's ``metrics.csv``) goes through
+``csv_blocks``, ``CSV_BLOCK_ROWS`` rows at a time, so only one block's cells
+exist as strings at once; within a block, cells are formatted a column at a
+time where the column allows it (see ``cell_columns``).
 """
 
 from __future__ import annotations
@@ -24,9 +31,9 @@ import csv
 import io
 from array import array
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -89,6 +96,13 @@ class ForbiddenFeature(ValueError):
     """A test-quality metric (M, L, B) was requested as a feature."""
 
 
+def check_columns(columns: Sequence[MetricId], metrics: Iterable[MetricId]) -> None:
+    """Raise MissingColumn naming every metric of ``metrics`` not in ``columns``."""
+    missing = [m.column for m in metrics if m not in columns]
+    if missing:
+        raise MissingColumn(missing)
+
+
 @dataclass(frozen=True)
 class RawDataset:
     """Rows of (class id, test id) with one float64 value per metric column.
@@ -120,9 +134,7 @@ class RawDataset:
         """One metric's column, or the ``(rows, k)`` block of a list of metrics."""
         if isinstance(metrics, MetricId):
             return self.column([metrics])[:, 0]
-        missing = [m.column for m in metrics if m not in self.columns]
-        if missing:
-            raise MissingColumn(missing)
+        check_columns(self.columns, metrics)
         return self.values.take([self.columns.index(m) for m in metrics], axis=1)
 
     @property
@@ -204,7 +216,11 @@ def ingest_csv(
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    reader = csv.reader(stream)
+    lines = iter(stream)
+    first = next(lines, None)
+    if first is not None:  # a UTF-8 byte-order mark before the header is not part of it
+        lines = chain([first.removeprefix("\ufeff")], lines)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -229,9 +245,7 @@ def ingest_csv(
                 metric_cols[i] = metric
 
     columns = tuple(dict.fromkeys(metric_cols.values()))
-    missing = [m.column for m in require if m not in columns]
-    if missing:
-        raise MissingColumn(missing)
+    check_columns(columns, require)
 
     last_cell = {metric: j for j, metric in enumerate(metric_cols.values())}
     metric_cells = _cell_getter(list(metric_cols))
@@ -257,7 +271,8 @@ def ingest_csv(
         raise IngestError(f"row {reader.line_num}: {exc}") from None
     finally:  # an earlier row's violation comes before whatever stopped the loop
         values = np.frombuffer(buffer, dtype=np.float64).reshape(len(row_nos), len(metric_cols))
-        values = values.take([last_cell[m] for m in columns], axis=1)
+        if len(columns) < len(metric_cols):  # a repeated header keeps its last cell
+            values = values.take([last_cell[m] for m in columns], axis=1)
         _check_invariants(columns, values, row_nos)
 
     note = provenance
@@ -301,37 +316,42 @@ def _check_invariants(
 ) -> None:
     """Raise InvalidRecord for the first row that breaks a metric invariant.
 
-    Each check is a boolean array over the matrix; the failing row's
-    messages come column by column, in the order of the checks below, then
-    the NMC identity.
+    The checks run one column at a time, so no temporary is larger than a
+    column. The failing row's messages come column by column, in the order
+    of ``_cell_checks``, then the NMC identity.
     """
-    def among(metrics) -> np.ndarray:
-        return np.array([m in metrics for m in columns], dtype=bool)
-
-    finite = np.isfinite(values)
     with np.errstate(invalid="ignore"):
-        cell_checks = [
-            (~finite, "{} is not finite"),
-            (finite & (values < 0) & among(COUNT_METRICS), "{} is negative"),
-            (finite & (np.trunc(values) != values) & among(COUNT_METRICS),
-             "{} is not an integer"),
-            (finite & ~((values >= 0) & (values <= 1)) & among(UNIT_INTERVAL_METRICS),
-             "{} out of [0,1]"),
-            (finite & ~((values >= 0) & (values <= 2)) & among({MetricId.LCOM3}),
-             "LCOM3 out of [0,2]"),
-        ]
         nmc = [values[:, columns.index(m)] for m in (MetricId.NMC, MetricId.NMCI, MetricId.NMCE)
                if m in columns]
         nmc_mismatch = nmc[0] != nmc[1] + nmc[2] if len(nmc) == 3 else np.zeros(len(values), bool)
-    invalid = np.logical_or.reduce([nmc_mismatch] + [mask.any(axis=1) for mask, _ in cell_checks])
+        invalid = nmc_mismatch.copy()
+        for j, metric in enumerate(columns):
+            for mask, _ in _cell_checks(metric, values[:, j]):
+                invalid |= mask
     if not invalid.any():
         return
     r = int(np.argmax(invalid))
-    violations = [text.format(metric.column) for j, metric in enumerate(columns)
-                  for mask, text in cell_checks if mask[r, j]]
+    with np.errstate(invalid="ignore"):
+        violations = [text for j, metric in enumerate(columns)
+                      for mask, text in _cell_checks(metric, values[r:r + 1, j]) if mask[0]]
     if nmc_mismatch[r]:
         violations.append("NMC != NMCI+NMCE")
     raise InvalidRecord(row_nos[r], violations)
+
+
+def _cell_checks(metric: MetricId, column: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """Each invariant of ``metric`` as (a mask of the cells of ``column`` that
+    break it, its message), in message order."""
+    finite = np.isfinite(column)
+    checks = [(~finite, f"{metric.column} is not finite")]
+    if metric in COUNT_METRICS:
+        checks += [(finite & (column < 0), f"{metric.column} is negative"),
+                   (finite & (np.trunc(column) != column), f"{metric.column} is not an integer")]
+    if metric in UNIT_INTERVAL_METRICS:
+        checks.append((finite & ~((column >= 0) & (column <= 1)), f"{metric.column} out of [0,1]"))
+    if metric is MetricId.LCOM3:
+        checks.append((finite & ~((column >= 0) & (column <= 2)), "LCOM3 out of [0,2]"))
+    return checks
 
 
 def compute_quartiles(scores: Sequence[float]) -> tuple[float, float]:
@@ -393,6 +413,10 @@ def to_feature_matrix(
     return FeatureMatrix(feature_ids=features, X=data.kept.column(features), y=data.y)
 
 
+#: Rows that ``csv_blocks`` formats at a time.
+CSV_BLOCK_ROWS = 1024
+
+
 def format_metric_value(metric: MetricId, value: float) -> str:
     """Canonical CSV cell for a metric value; integral counts print as ints."""
     if metric in COUNT_METRICS and float(value) == int(value):
@@ -418,8 +442,33 @@ def _metric_cells(metric: MetricId, values: np.ndarray) -> Iterable[str]:
     return (format_metric_value(metric, v) for v in values.tolist())
 
 
+def csv_blocks(
+    data: RawDataset, columns: Sequence[MetricId], y: np.ndarray | None = None
+) -> Iterator[str]:
+    """CSV text of ``data`` in blocks of ``CSV_BLOCK_ROWS`` rows, the header
+    in the first: class_id, test_id, each metric's canonical cells, then,
+    when labels ``y`` are given, each row's label text. Only one block's
+    cells exist as strings at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for start in range(0, max(len(data), 1), CSV_BLOCK_ROWS):  # the header alone for no rows
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        block = replace(data, class_ids=data.class_ids[rows], test_ids=data.test_ids[rows],
+                        values=data.values[rows])
+        cells = cell_columns(block, columns)
+        if y is not None:
+            cells.append(["label", *(LABELS[v] for v in y[rows].tolist())])
+        lines = zip(*cells)
+        if start:
+            next(lines)  # the header goes only before the first block
+        writer.writerows(lines)
+        yield buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+
+
 def write_records_csv(
     out: TextIO, data: RawDataset, columns: Sequence[MetricId]
 ) -> None:
     """Write rows with the canonical header: class_id, test_id, metrics."""
-    csv.writer(out, lineterminator="\n").writerows(zip(*cell_columns(data, columns)))
+    out.writelines(csv_blocks(data, columns))

@@ -406,9 +406,10 @@ def parse_corpus(roots: list[str], pool=None) -> ParsedCorpus:
 
 
 def read_pairing_file(path: str) -> list[tuple[str, str]]:
-    """One pair per line: production-class-id, test-class-id, each pair once."""
+    """One pair per line: production-class-id, test-class-id, each pair once.
+    A UTF-8 byte-order mark before the first line is dropped."""
     first_line: dict[tuple[str, str], int] = {}  # pair -> the line that gives it
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -12,10 +12,12 @@ for training and prediction alike. It allocates its (n, h) and (n, 2)
 arrays and the weight gradients once, and each epoch writes into them
 with ``matmul(..., out=)`` and in-place ufuncs, in the same float
 expressions and order as a freshly allocating pass, so the weights are
-the same bits. The sigmoid is exp(min(z, 0)) / (1 + exp(-|z|)): no
-branch, no overflow. The softmax of two units reads its two columns with
-``maximum`` and ``add``, and each row's own class is a ``take`` over the
-flat probabilities.
+the same bits; the bias gradients are column sums (``_column_sums``).
+The rows are standardized into one array, centred and then scaled in
+place. The sigmoid is exp(min(z, 0)) / (1 + exp(-|z|)): no branch, no
+overflow. The softmax of two units reads its two columns with ``maximum``
+and ``add``, and each row's own class is a ``take`` over the flat
+probabilities.
 
 A fit keeps w1, b1, w2 and b2 as views of one flat parameter vector, and
 the gradients and the velocity as flat vectors of the same layout
@@ -64,8 +66,8 @@ class MLPModel:
     b2: np.ndarray  # (2,)
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        X = model_rows(X, len(self.feature_ids))
-        xs = (X - self.mean) / self.scale
+        xs = model_rows(X, len(self.feature_ids)) - self.mean
+        xs /= self.scale
         probs = _Pass(xs, None, self.w1.shape[1]).forward(self.w1, self.b1, self.w2, self.b2)
         return probs[:, 1]
 
@@ -95,6 +97,20 @@ def _sigmoid(z: np.ndarray, spare: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= spare
     return z
+
+
+def _column_sums(a: np.ndarray, out: np.ndarray) -> None:
+    """``np.add.reduce(a, axis=0, out=out)`` bit for bit, for a C-ordered ``a``.
+
+    Over two or more columns, add.reduce adds each column's rows in row
+    order, and so does ``einsum("ij->j")``, 3-4x faster. Over one column,
+    add.reduce sums pairwise and einsum does not, so that case keeps
+    add.reduce.
+    """
+    if a.shape[1] > 1:
+        np.einsum("ij->j", a, out=out)
+    else:
+        np.add.reduce(a, axis=0, out=out)
 
 
 class _Pass:
@@ -147,13 +163,13 @@ class _Pass:
         delta2.put(self.own, own)
         delta2 /= n
         np.matmul(hidden.T, delta2, out=self.gw2)
-        np.add.reduce(delta2, axis=0, out=self.gb2)
+        _column_sums(delta2, self.gb2)
         delta1 = np.matmul(delta2, w2.T, out=self.spare)
         delta1 *= hidden
         np.subtract(1.0, hidden, out=hidden)  # hidden is not read again in this pass
         delta1 *= hidden
         np.matmul(self.xs.T, delta1, out=self.gw1)
-        np.add.reduce(delta1, axis=0, out=self.gb1)
+        _column_sums(delta1, self.gb1)
         return loss, self.grad
 
 
@@ -177,7 +193,8 @@ def train_mlp(
         raise NonFiniteScale(f"feature {name} cannot be standardized: its mean or "
                              "standard deviation overflows")
     scale[scale == 0.0] = 1.0  # constant feature stays at 0 after centering
-    xs = (X - mean) / scale
+    xs = X - mean
+    xs /= scale
 
     rng = np.random.default_rng(seed)
     theta = np.zeros(d * h + 3 * h + 2)

@@ -22,6 +22,7 @@ import pytest
 
 from classfile_builder import IMPLICIT_CTOR, NOP, RETURN, build_class
 from conftest import CORPUS_DIR, FIXTURES
+from testability import dataset
 from testability.cli import main
 from testability.javasrc import extract
 from testability.learn import ModelKind, evaluation, train_model
@@ -170,6 +171,55 @@ def run_all():
 
 def test_outputs_match_golden_digests(workdir):
     assert run_all() == GOLDEN
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10**6], ids=["one", "seven", "all"])
+def test_the_csv_block_size_does_not_change_the_bytes(workdir, monkeypatch, rows):
+    monkeypatch.setattr(dataset, "CSV_BLOCK_ROWS", rows)
+    argv = dict(COMMANDS)
+    for out in ("extract", "label"):
+        assert run(*argv[out], "--out", out)[0] == 0
+    for path in ("extract/metrics.csv", "label/labeled.csv"):
+        with open(path, "rb") as handle:
+            assert sha(handle.read()) == GOLDEN[path], path
+
+
+def read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def test_a_byte_order_mark_before_the_dataset_header_is_dropped(workdir):
+    with open("bom.csv", "w", encoding="utf-8") as out:
+        out.write("\ufeff" + read_bytes("metrics.csv").decode("utf-8"))
+    assert run("label", *DATA, "--out", "plain")[0] == 0
+    code, stdout, stderr = run("label", "--dataset", "bom.csv", "--config", "run.cfg",
+                               "--out", "bom")
+    assert code == 0, stderr
+    assert read_bytes("bom/labeled.csv") == read_bytes("plain/labeled.csv")
+    assert sha(read_bytes("bom/labeled.csv")) == GOLDEN["label/labeled.csv"]
+
+
+def test_a_byte_order_mark_before_a_config_file_is_dropped(workdir):
+    (workdir / "bom.cfg").write_text("\ufeffepochs = 30\ntrees = 5\n", encoding="utf-8")
+    code, _, stderr = run("train", "--dataset", "metrics.csv", "--config", "bom.cfg",
+                          "--classifier", "mlp", "--seed", "1", "--out", "m")
+    assert code == 0, stderr
+    assert sha(read_bytes("m/model.txt")) == GOLDEN["train-mlp/model.txt"]
+
+
+def test_a_byte_order_mark_before_a_pairing_file_is_dropped(workdir):
+    pairs = "fix.Box,fix.BoxTest\nfix.Circle,fix.CircleTest\n"
+    (workdir / "plain.txt").write_text(pairs, encoding="utf-8")
+    (workdir / "bom.txt").write_text("\ufeff" + pairs, encoding="utf-8")
+    for name in ("plain", "bom"):
+        code, _, stderr = run("extract", "--src", "corpus", "--pairs", f"{name}.txt",
+                              "--out", name)
+        assert code == 0, stderr
+    text = read_bytes("bom/metrics.csv")
+    assert text == read_bytes("plain/metrics.csv")
+    assert [line.split(b",")[0] for line in text.splitlines()] == [
+        b"class_id", b"fix.Box", b"fix.Circle"]
 
 
 @pytest.mark.parametrize("argv, code, message", [
