@@ -231,7 +231,7 @@ def _ingest(config: RunConfig, require=None, missing_exit: int = EXIT_INPUT) -> 
     if require is None:
         require = [*config.feature_ids(), MetricId.M]
     try:
-        with open(config.dataset, "r", encoding="utf-8", newline="") as handle:
+        with open(config.dataset, "r", encoding="utf-8-sig", newline="") as handle:
             return ingest_csv(handle, require=require, provenance=config.dataset)
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read dataset: {exc}")

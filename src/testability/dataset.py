@@ -10,7 +10,8 @@ The CSV dialect is fixed: comma-separated, UTF-8, one header row of
 canonical column names, "." decimal separator. Metadata columns carried by
 the published dataset (project, url, commit, class and test paths) are not
 features; the class/test paths double as record identifiers. A UTF-8
-byte-order mark before the header is dropped.
+byte-order mark before the header of CSV text is dropped; the CLI opens a
+dataset file as "utf-8-sig", which drops it before ingest reads.
 
 Ingest converts a row's metric cells in one ``map(float, ...)``; a row where
 that fails (a bad cell, or a row too short) is parsed again cell by cell, so
@@ -31,7 +32,7 @@ import csv
 import io
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain, compress
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -215,12 +216,10 @@ def ingest_csv(
     before its invariant violations, which come before a duplicate id.
     """
     if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    lines = iter(stream)
-    first = next(lines, None)
-    if first is not None:  # a UTF-8 byte-order mark before the header is not part of it
-        lines = chain([first.removeprefix("\ufeff")], lines)
-    reader = csv.reader(lines)
+        # Text decoded as plain UTF-8 keeps a byte-order mark; a file opened
+        # as "utf-8-sig" has already dropped it.
+        stream = io.StringIO(stream.removeprefix("\ufeff"))
+    reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:

@@ -12,12 +12,11 @@ for training and prediction alike. It allocates its (n, h) and (n, 2)
 arrays and the weight gradients once, and each epoch writes into them
 with ``matmul(..., out=)`` and in-place ufuncs, in the same float
 expressions and order as a freshly allocating pass, so the weights are
-the same bits; the bias gradients are column sums (``_column_sums``).
-The rows are standardized into one array, centred and then scaled in
-place. The sigmoid is exp(min(z, 0)) / (1 + exp(-|z|)): no branch, no
-overflow. The softmax of two units reads its two columns with ``maximum``
-and ``add``, and each row's own class is a ``take`` over the flat
-probabilities.
+the same bits. The rows are standardized into one array, centred and
+then scaled in place. The sigmoid is exp(min(z, 0)) / (1 + exp(-|z|)):
+no branch, no overflow. The softmax of two units reads its two columns
+with ``maximum`` and ``add``, and each row's own class is a ``take`` over
+the flat probabilities.
 
 A fit keeps w1, b1, w2 and b2 as views of one flat parameter vector, and
 the gradients and the velocity as flat vectors of the same layout
@@ -99,20 +98,6 @@ def _sigmoid(z: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return z
 
 
-def _column_sums(a: np.ndarray, out: np.ndarray) -> None:
-    """``np.add.reduce(a, axis=0, out=out)`` bit for bit, for a C-ordered ``a``.
-
-    Over two or more columns, add.reduce adds each column's rows in row
-    order, and so does ``einsum("ij->j")``, 3-4x faster. Over one column,
-    add.reduce sums pairwise and einsum does not, so that case keeps
-    add.reduce.
-    """
-    if a.shape[1] > 1:
-        np.einsum("ij->j", a, out=out)
-    else:
-        np.add.reduce(a, axis=0, out=out)
-
-
 class _Pass:
     """A forward pass, and for a fit its loss and gradients, over fixed rows.
 
@@ -163,13 +148,13 @@ class _Pass:
         delta2.put(self.own, own)
         delta2 /= n
         np.matmul(hidden.T, delta2, out=self.gw2)
-        _column_sums(delta2, self.gb2)
+        np.add.reduce(delta2, axis=0, out=self.gb2)
         delta1 = np.matmul(delta2, w2.T, out=self.spare)
         delta1 *= hidden
         np.subtract(1.0, hidden, out=hidden)  # hidden is not read again in this pass
         delta1 *= hidden
         np.matmul(self.xs.T, delta1, out=self.gw1)
-        _column_sums(delta1, self.gb1)
+        np.add.reduce(delta1, axis=0, out=self.gb1)
         return loss, self.grad
 
 

@@ -34,7 +34,7 @@ from testability.forkpool import fork_pool
 from testability.learn import tree
 from testability.learn.evaluation import cross_validate, pooled_report, stratified_kfold
 from testability.learn.forest import RandomForestModel
-from testability.learn.mlp import _column_sums, _Pass, _sigmoid, _views
+from testability.learn.mlp import _Pass, _sigmoid, _views
 from testability.learn.tree import (
     DecisionTreeModel,
     TreeNode,
@@ -856,21 +856,6 @@ def test_an_epoch_over_one_row_is_bit_identical_to_the_allocating_reference():
         assert bits(loss) == bits(want_loss)
         for got, want in zip(grads, want_grads):
             assert np.array_equal(bits(got), bits(want))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3000), st.integers(1, 40), st.integers(-300, 300), st.integers(0, 600),
-       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_column_sums_are_add_reduce_bit_for_bit(rows, cols, low, span, zeros, seed):
-    rng = np.random.default_rng(seed)
-    magnitude = 10.0 ** rng.uniform(low, min(low + span, 300), size=(rows, cols))
-    a = np.where(rng.random((rows, cols)) < zeros, 0.0, magnitude)
-    a = np.copysign(a, rng.choice([-1.0, 1.0], size=(rows, cols)))  # signed zeros too
-    flat = np.empty(cols + 2)  # the sums land in a view of a longer vector, as in _views
-    _column_sums(a, flat[1:-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = np.add.reduce(a, axis=0)
-    assert np.array_equal(bits(flat[1:-1]), bits(want))
 
 
 def test_a_diverging_fit_stops_at_the_reference_epoch():
