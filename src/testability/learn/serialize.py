@@ -9,12 +9,21 @@ kind's params dataclass as ``name=value``, in declaration order: None is
 else is ``str(value)``. ``setting_value`` reads a value back by the
 field's declared type, taking ``none`` or ``auto`` for any optional one.
 
+A ``nodes N`` block lists a tree's N nodes in preorder, root first: ``leaf
+<non-effective> <effective>`` or ``split <feature> <threshold> <left>
+<right>``, the children by their index in the block. ``dump_model`` walks
+each tree's flat arrays (``tree.Tree``, nodes in the order they were made)
+once to number them in preorder; ``_parse_tree`` fills those arrays
+straight from the block, keeping the file's numbering, so a valid tree
+numbered out of preorder loads, predicts the same and dumps in preorder.
+
 ``load_model`` rejects text that does not parse, an unknown kind, a
 feature that is unknown, repeated or a test-quality metric (M, L, B), a
 params line without exactly its dataclass's keys, a setting out of range,
 a split past the features, with a non-finite threshold or linking outside
-the nodes after it, an empty leaf, an array of the wrong size or with a
-non-finite value, a scale of 0, and lines after the model.
+the nodes after it, a node other than the root that is not linked exactly
+once (so the nodes form one tree), an empty leaf, an array of the wrong
+size or with a non-finite value, a scale of 0, and lines after the model.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from .base import ModelKind
 from .evaluation import LEARNERS
 from .forest import RandomForestModel
 from .mlp import MLPModel
-from .tree import DecisionTreeModel, TreeNode
+from .tree import DecisionTreeModel, Tree
 
 MAGIC = "testability-model 1"
 
@@ -67,43 +76,59 @@ def _array_shapes(d: int, h: int) -> dict[str, tuple[int, ...]]:
     return {"mean": (d,), "scale": (d,), "w1": (d, h), "b1": (h,), "w2": (h, 2), "b2": (2,)}
 
 
-def _tree_lines(root: TreeNode) -> Iterator[str]:
-    nodes, stack = [], [root]
+def _tree_lines(tree: Tree) -> Iterator[str]:
+    feature, left, right = tree.feature.tolist(), tree.left.tolist(), tree.right.tolist()
+    order, stack = [], [0]
     while stack:
-        nodes.append(stack.pop())
-        stack += [] if nodes[-1].is_leaf else [nodes[-1].right, nodes[-1].left]
-    ids = {id(node): i for i, node in enumerate(nodes)}  # preorder
-    yield f"nodes {len(nodes)}"
-    for node in nodes:
-        if node.is_leaf:
-            yield f"leaf {node.counts[0]} {node.counts[1]}"
+        order.append(stack.pop())
+        if feature[order[-1]] >= 0:
+            stack += (right[order[-1]], left[order[-1]])
+    rank = [0] * len(order)  # each node's preorder index
+    for i, node in enumerate(order):
+        rank[node] = i
+    threshold, counts = tree.threshold.tolist(), tree.counts.tolist()
+    yield f"nodes {len(order)}"
+    for node in order:
+        if feature[node] < 0:
+            yield f"leaf {counts[node][0]} {counts[node][1]}"
         else:
-            yield (f"split {node.feature} {node.threshold!r} "
-                   f"{ids[id(node.left)]} {ids[id(node.right)]}")
+            yield (f"split {feature[node]} {threshold[node]!r} "
+                   f"{rank[left[node]]} {rank[right[node]]}")
 
 
-def _parse_tree(lines: list[str], at: int, n_features: int) -> tuple[TreeNode, int]:
-    """Rebuild one tree; every split must link forward to nodes inside it."""
+def _parse_tree(lines: list[str], at: int, n_features: int) -> tuple[Tree, int]:
+    """Rebuild one tree; every split must link forward to nodes inside it,
+    and every node but the root must be linked exactly once."""
     head = lines[at].split()
     count = int(head[1])
     if head[0] != "nodes" or not 0 < count < len(lines) - at:
         raise ModelFormatError(f"expected nodes 1 to {len(lines) - at - 1}, got {lines[at]!r}")
-    nodes = [TreeNode() for _ in range(count)]
-    for i, (node, line) in enumerate(zip(nodes, lines[at + 1 : at + 1 + count])):
+    body = lines[at + 1 : at + 1 + count]
+    feature, threshold, left, right = [-1] * count, [0.0] * count, [-1] * count, [-1] * count
+    counts, links = [(0, 0)] * count, [0] * count
+    for i, line in enumerate(body):
         parts = line.split()
         if parts[0] == "leaf":
-            node.counts = (int(parts[1]), int(parts[2]))
-            ok = min(node.counts) >= 0 and sum(node.counts) > 0
+            counts[i] = (int(parts[1]), int(parts[2]))
+            ok = min(counts[i]) >= 0 and sum(counts[i]) > 0
         else:
-            node.feature, node.threshold = int(parts[1]), float(parts[2])
-            left, right = int(parts[3]), int(parts[4])
-            ok = (parts[0] == "split" and 0 <= node.feature < n_features
-                  and math.isfinite(node.threshold) and i < left < count and i < right < count)
+            f, t = int(parts[1]), float(parts[2])
+            a, b = int(parts[3]), int(parts[4])
+            ok = (parts[0] == "split" and 0 <= f < n_features and math.isfinite(t)
+                  and i < a < count and i < b < count)
+            if ok:
+                feature[i], threshold[i], left[i], right[i] = f, t, a, b
+                links[a] += 1
+                links[b] += 1
         if not ok:
             raise ModelFormatError(f"bad node {i}: {line!r}")
-        if parts[0] == "split":
-            node.left, node.right = nodes[left], nodes[right]
-    return nodes[0], at + 1 + count
+    for i in range(1, count):
+        if links[i] != 1:
+            raise ModelFormatError(f"bad node {i}: {body[i]!r} is linked {links[i]} times, "
+                                   "not once")
+    tree = Tree(np.array(feature), np.array(threshold), np.array(left), np.array(right),
+                np.array(counts).reshape(count, 2))
+    return tree, at + 1 + count
 
 
 def _parse_array(line: str, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -127,8 +152,8 @@ def dump_model(model: TrainedModel) -> str:
         lines += [f"{name} " + " ".join(repr(float(v)) for v in getattr(model, name).ravel())
                   for name in _array_shapes(d, h)]
     else:
-        for root in model.roots if isinstance(model, RandomForestModel) else [model.root]:
-            lines.extend(_tree_lines(root))
+        for tree in model.trees if isinstance(model, RandomForestModel) else [model.tree]:
+            lines.extend(_tree_lines(tree))
     return "\n".join(lines) + "\n"
 
 
@@ -171,11 +196,11 @@ def _parse_model(lines: list[str]) -> TrainedModel:
                 for i, (name, dims) in enumerate(_array_shapes(d, int(shape[2])).items())}
         at = 6 + len(body)
     else:
-        roots, at = [], 5
+        trees, at = [], 5
         for _ in range(params.trees if model_class is RandomForestModel else 1):
-            root, at = _parse_tree(lines, at, d)
-            roots.append(root)
-        body = {"roots": roots} if model_class is RandomForestModel else {"root": roots[0]}
+            tree, at = _parse_tree(lines, at, d)
+            trees.append(tree)
+        body = {"trees": trees} if model_class is RandomForestModel else {"tree": trees[0]}
     if at != len(lines):
         raise ModelFormatError(f"{len(lines) - at} lines after the model")
     return model_class(feature_ids=tuple(map(metric_for_column, names)),

@@ -7,19 +7,34 @@ the split's intrinsic information); zero-gain splits are still taken when
 nothing better exists, which lets patterns invisible to a single split
 (XOR-like) be separated deeper down.
 
+A tree is stored as flat node arrays (``Tree``), in the order its nodes
+are made, root at index 0: ``feature`` (-1 for a leaf), ``threshold``,
+``left`` and ``right`` child indices (-1 for a leaf; a row goes left when
+``x[feature] <= threshold``), and ``counts``, the (NonEffective,
+Effective) rows that reached the node. ``TreeNode`` is a read-only view of
+one node of such a tree, for callers that walk nodes.
+
 One engine, ``grow_trees``, grows all the trees of a fit in lockstep: the
 bootstrap trees of a random forest, or a single decision tree as a forest
 of one. A fit first codes each column once as ranks into its sorted
 distinct values (``column_codes``), so split search sorts integer keys and
-never floats. Each round gathers the nodes that need a split (a forest
-tree's next one in preorder, or every pending node of a tree that draws no
-candidates) and scores them together in slices of at most ``SLICE_CELLS``
-(row, candidate) cells, which bounds the working set of a round. The
-feature rankers and ``auc`` share ``column_codes`` through ``value_counts``.
+never floats. Each tree keeps a stack of the nodes that still need a
+split; a child that is pure, or at the depth limit, becomes a leaf at
+once and never enters it. Each round takes one node from every forest
+tree (its next in preorder) or every pending node of a tree that draws no
+candidates, scores them together in slices of at most ``SLICE_CELLS``
+(row, candidate) cells, which bounds the working set of a round, and then
+applies every split in one pass: a gather of ``x[feature] <= threshold``,
+one stable partition of the rows and one cumulative label count give
+every child's rows and class counts.
 
-Prediction (``tree_scores``) lays the trees of a model out as flat node
-arrays and routes every row through every tree at once, one level per
-step, in place of a walk over the nodes.
+A forest split's candidate features are the tree's ``Generator.choice(d,
+k, replace=False)``, sorted; ``CandidateDraws`` replays that call ahead of
+time, bit for bit, from the tree's 32-bit stream (see there). The feature
+rankers and ``auc`` share ``column_codes`` through ``value_counts``.
+
+Prediction (``tree_scores``) concatenates the trees' arrays and routes
+every row through every tree at once, one level per step.
 """
 
 from __future__ import annotations
@@ -34,19 +49,49 @@ from ..metrics import MetricId
 from .base import ModelKind, check_two_classes, model_rows
 
 
-@dataclass
-class TreeNode:
-    """Internal nodes split ``feature <= threshold`` left, ``>`` right."""
+@dataclass(eq=False)
+class Tree:
+    """One tree's nodes as flat arrays, root at index 0 (see the module docstring)."""
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    counts: tuple[int, int] = (0, 0)  # (non-effective, effective) for leaves
+    feature: np.ndarray  # int64, -1 for a leaf
+    threshold: np.ndarray  # float64
+    left: np.ndarray  # int64, -1 for a leaf
+    right: np.ndarray  # int64, -1 for a leaf
+    counts: np.ndarray  # int64 (nodes, 2): (non-effective, effective)
+
+
+@dataclass(frozen=True, eq=False)
+class TreeNode:
+    """Node ``index`` of ``tree``, read-only. Internal nodes split
+    ``feature <= threshold`` left, ``>`` right; a leaf has no children."""
+
+    tree: Tree
+    index: int = 0
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None
+        return bool(self.tree.feature[self.index] < 0)
+
+    @property
+    def feature(self) -> int:
+        return int(self.tree.feature[self.index])
+
+    @property
+    def threshold(self) -> float:
+        return float(self.tree.threshold[self.index])
+
+    @property
+    def left(self) -> "TreeNode | None":
+        return None if self.is_leaf else TreeNode(self.tree, int(self.tree.left[self.index]))
+
+    @property
+    def right(self) -> "TreeNode | None":
+        return None if self.is_leaf else TreeNode(self.tree, int(self.tree.right[self.index]))
+
+    @property
+    def counts(self) -> tuple[int, int]:
+        non_eff, eff = self.tree.counts[self.index].tolist()
+        return non_eff, eff
 
 
 @dataclass(frozen=True)
@@ -67,54 +112,56 @@ class DecisionTreeModel:
     feature_ids: tuple[MetricId, ...]
     seed: int
     params: TreeParams
-    root: TreeNode
+    tree: Tree
+
+    @property
+    def root(self) -> TreeNode:
+        return TreeNode(self.tree)
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Probability of Effective per row, from reached-leaf distributions."""
         X = model_rows(X, len(self.feature_ids))
-        return tree_scores([self.root], X)[0]
+        return tree_scores([self.tree], X)[0]
 
 
-def tree_scores(roots: Sequence[TreeNode], X: np.ndarray) -> np.ndarray:
+def tree_scores(trees: Sequence[Tree], X: np.ndarray) -> np.ndarray:
     """Each tree's leaf Effective-fraction for each row, shape (trees, rows).
 
-    The trees are laid out breadth first in flat node arrays (feature,
-    threshold, left child, leaf score; a right child follows its left
-    one), and every (tree, row) pair goes down one level per step, all
-    pairs at once, until each sits on a leaf. Rows go in blocks of at most
-    ``SLICE_CELLS`` pairs, which bounds the working set. A leaf's score is
-    ``eff / (eff + non_eff)`` of its counts.
+    The trees' node arrays are concatenated, child indices shifted by each
+    tree's offset, and every (tree, row) pair goes down one level per step,
+    all pairs at once, until each sits on a leaf. Rows go in blocks of at
+    most ``SLICE_CELLS`` pairs, which bounds the working set. A leaf's
+    score is ``eff / (eff + non_eff)`` of its counts.
     """
-    nodes = list(roots)  # tree t's root is node t
-    left = []  # 0 marks a leaf: node 0 is a root, no one's child
-    for node in nodes:  # the loop visits the children it appends
-        left.append(0 if node.is_leaf else len(nodes))
-        if not node.is_leaf:
-            nodes += (node.left, node.right)
-    left = np.array(left)
-    feature = np.array([node.feature for node in nodes])
-    threshold = np.array([node.threshold for node in nodes], dtype=np.float64)
-    score = np.array([node.counts[1] / sum(node.counts) if node.is_leaf else 0.0
-                      for node in nodes])
-    trees, n = len(roots), X.shape[0]
-    out = np.empty((trees, n))
-    step = max(1, SLICE_CELLS // trees)
+    sizes = np.array([tree.feature.size for tree in trees])
+    roots = np.cumsum(sizes) - sizes
+    shift = np.repeat(roots, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left for tree in trees]) + shift
+    right = np.concatenate([tree.right for tree in trees]) + shift
+    counts = np.concatenate([tree.counts for tree in trees])
+    leaf = feature < 0
+    score = np.divide(counts[:, 1], counts.sum(axis=1), out=np.zeros(leaf.size), where=leaf)
+    n = X.shape[0]
+    out = np.empty((len(trees), n))
+    step = max(1, SLICE_CELLS // len(trees))
     for start in range(0, n, step):
         block = X[start : start + step]
-        at = np.repeat(np.arange(trees), block.shape[0])  # pair t * rows + r's node
-        live = np.flatnonzero(left[at])
+        at = np.repeat(roots, block.shape[0])  # pair t * rows + r's node
+        live = np.flatnonzero(~leaf[at])
         while live.size:
             node = at[live]
             stay_left = block[live % block.shape[0], feature[node]] <= threshold[node]
-            at[live] = left[node] + ~stay_left
-            live = live[left[at[live]] > 0]
-        out[:, start : start + step] = score[at].reshape(trees, -1)
+            at[live] = np.where(stay_left, left[node], right[node])
+            live = live[~leaf[at[live]]]
+        out[:, start : start + step] = score[at].reshape(len(trees), -1)
     return out
 
 
 def _xlog2x(p: np.ndarray) -> np.ndarray:
-    """p * log2(p) for each p in [0, 1], with 0 where p is 0."""
-    out = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    """p * log2(p) for each p in [0, 1] (float64), with 0 where p is 0."""
+    out = np.log2(p, out=np.zeros(p.shape), where=p > 0)
     out *= p
     return out
 
@@ -137,10 +184,11 @@ def column_codes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     Returns ``(codes, values, starts)``. ``codes[j, r]`` is ``2 * rank + y[r]``,
     where rank is the position of ``X[r, j]`` among column j's distinct
     values ``values[starts[j]:]`` (ascending), so sorting codes orders rows
-    by value and carries their labels along.
+    by value and carries their labels along. Codes are int32 unless the
+    rows are too many for it, which halves what split search sorts.
     """
     n, d = X.shape
-    codes = np.empty((d, n), dtype=np.int64)
+    codes = np.empty((d, n), dtype=np.int32 if n < 1 << 29 else np.int64)
     tables = []
     for j in range(d):
         table, codes[j] = np.unique(X[:, j], return_inverse=True)
@@ -184,30 +232,55 @@ def best_splits(
     """Pick each node's (feature, threshold) maximizing gain ratio.
 
     ``coded`` is ``column_codes(X, y)``. A node is its rows (indices into
-    X) and its sorted candidate features. Nodes are scored in slices of at
-    most ``SLICE_CELLS`` (row, candidate) cells. Returns None for a node
-    that has no cut keeping ``min_leaf`` rows on each side.
+    X) and its sorted candidate features. Returns None for a node that has
+    no cut keeping ``min_leaf`` rows on each side.
     """
-    splits: list[tuple[int, float] | None] = []
-    start, cells = 0, 0
-    for i, (rows, candidates) in enumerate(nodes):
-        size = rows.size * candidates.size
+    columns = np.full((len(nodes), max(c.size for _, c in nodes)), -1)
+    for i, (_, candidates) in enumerate(nodes):
+        columns[i, : candidates.size] = candidates
+    feature, threshold = _best_splits(coded, np.concatenate([rows for rows, _ in nodes]),
+                                      np.array([rows.size for rows, _ in nodes]), columns,
+                                      min_leaf)
+    return [None if f < 0 else (f, t) for f, t in zip(feature.tolist(), threshold.tolist())]
+
+
+def _best_splits(coded, rows, sizes, columns, min_leaf):
+    """``best_splits`` over flat arrays: node i is the next ``sizes[i]`` of
+    ``rows``, and its candidates are row i of ``columns``, ascending, padded
+    at the end with -1.
+
+    Returns ``(feature, threshold)`` per node, feature -1 where no cut
+    keeps ``min_leaf`` rows on each side. Nodes are scored in slices of at
+    most ``SLICE_CELLS`` (row, candidate) cells.
+    """
+    feature = np.full(sizes.size, -1)
+    threshold = np.zeros(sizes.size)
+    ends = np.cumsum(sizes).tolist()
+    start, cells = 0, 0  # the slice so far: nodes start..i-1, with their cells
+    # a last, oversized entry closes the final slice
+    for i, size in enumerate((sizes * columns.shape[1]).tolist() + [SLICE_CELLS + 1]):
         if i > start and cells + size > SLICE_CELLS:
-            splits += _score_slice(coded, nodes[start:i], min_leaf)
+            lo = ends[start - 1] if start else 0
+            _score_slice(coded, rows[lo : ends[i - 1]], sizes[start:i], columns[start:i],
+                         min_leaf, feature[start:i], threshold[start:i])
             start, cells = i, 0
         cells += size
-    return splits + _score_slice(coded, nodes[start:], min_leaf)
+    return feature, threshold
 
 
-def _score_slice(coded, nodes, min_leaf):
-    """Score every cut of every (node, candidate) segment in one array pass.
+def _score_slice(coded, rows, sizes, columns, min_leaf, feature, threshold):
+    """Score every cut of every (node, candidate) segment in one array pass,
+    writing each node's best into ``feature`` and ``threshold``.
 
-    Each cell (row, candidate) gets the int64 key ``segment * 2n + code``
-    for the n rows of X, so one sort groups the cells by segment and orders
-    them by value, label last. A cut is the end of a run of equal values
-    that leaves ``min_leaf`` rows on each side; its left positive count is
-    one global cumsum of the labels minus the count before the segment,
-    exact for integers.
+    Each cell (row, candidate) gets the key ``segment * 2n + code`` for the
+    n rows of X, where segment is ``node * width + slot`` for the
+    candidate's slot in its node's row of ``columns``; a padding slot's
+    cells all get code 0, so they hold no cut. Keys keep the codes' dtype
+    unless the largest would not fit it, and are int64 then. One sort
+    groups the cells by segment and orders them by value, label last. A
+    cut is the end of a run of equal values that leaves ``min_leaf`` rows
+    on each side; its left positive count is one global cumsum of the
+    labels minus the count before the segment, exact for integers.
 
     Every binary entropy the scores need (each node's parent, each left
     and right side, and each cut's left share for the intrinsic
@@ -219,42 +292,44 @@ def _score_slice(coded, nodes, min_leaf):
     the two values around the cut.
     """
     codes, values, starts = coded
-    splits: list[tuple[int, float] | None] = [None] * len(nodes)
-    sizes = np.array([rows.size for rows, _ in nodes])
-    counts = np.array([candidates.size for _, candidates in nodes])
-    if not counts.any():
-        return splits
-    seg_node = np.repeat(np.arange(len(nodes)), counts)
-    seg_col = np.concatenate([candidates for _, candidates in nodes])
-    seg_size = sizes[seg_node]
-    seg_end = np.cumsum(seg_size)
-    seg_start = seg_end - seg_size
-    row_start = (np.cumsum(sizes) - sizes)[seg_node]
+    k, width = columns.shape
+    if width == 0:
+        return
     n_rows = codes.shape[1]
     stride = 2 * n_rows  # codes are below 2n
-    rows = np.concatenate([rows for rows, _ in nodes])
-    rows = rows[np.arange(seg_end[-1]) + np.repeat(row_start - seg_start, seg_size)]
-    key = codes.ravel()[np.repeat(seg_col * n_rows, seg_size) + rows]
-    key += np.repeat(np.arange(seg_col.size) * stride, seg_size)
+    index = np.repeat((columns * n_rows).T, sizes, axis=1)  # cell (slot, row) of the slice
+    index += rows
+    key = codes.ravel()[index]
+    if k * width * stride > np.iinfo(key.dtype).max:
+        key = key.astype(np.int64)
+    padding = columns < 0
+    if padding.any():
+        key[np.repeat(padding.T, sizes, axis=1)] = 0
+    key += np.repeat(np.arange(0, k * width * stride, width * stride, dtype=key.dtype), sizes)
+    key += np.arange(0, width * stride, stride, dtype=key.dtype)[:, None]
+    key = key.ravel()
     key.sort()
-    pos = np.zeros(key.size + 1, dtype=np.int64)
+    seg_size = np.repeat(sizes, width)
+    seg_end = np.cumsum(seg_size)
+    seg_start = seg_end - seg_size
+    pos = np.zeros(key.size + 1, dtype=key.dtype)
     np.cumsum(key & 1, out=pos[1:])
     edge = np.flatnonzero((key[1:] ^ key[:-1]) > 1)  # the next cell has another value
     seg = key[edge] // stride
     n_left = edge + 1 - seg_start[seg]
     keep = (n_left >= min_leaf) & (seg_size[seg] - n_left >= min_leaf)
     cut, seg, n_left = edge[keep], seg[keep], n_left[keep]
-    if cut.size == 0:
-        return splits
-    node = seg_node[seg]
-    first_seg = np.cumsum(counts) - counts
+    m = cut.size
+    if m == 0:
+        return
+    node = seg // width
+    first_seg = np.arange(0, k * width, width)
     node_pos = (pos[seg_end[first_seg]] - pos[seg_start[first_seg]]).astype(np.float64)
     node_n = sizes.astype(np.float64)
     total_pos, n = node_pos[node], node_n[node]
     pos_left = (pos[cut + 1] - pos[seg_start[seg]]).astype(np.float64)
     left = n_left.astype(np.float64)
     right = n - left
-    k, m = len(nodes), cut.size
     half = k + 3 * m
     p = np.empty(2 * half)  # [parents, left p's, right p's, left shares, 1 - each]
     np.divide(node_pos, node_n, out=p[:k])
@@ -267,18 +342,109 @@ def _score_slice(coded, nodes, min_leaf):
     h_children = left / n * bits[k : k + m] + right / n * bits[k + m : k + 2 * m]
     gain = np.maximum(bits[:k][node] - h_children, 0.0)
     ratio = gain / bits[k + 2 * m :]
-    first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    new = np.empty(m, dtype=bool)  # the first cut of each node
+    new[0] = True
+    np.not_equal(node[1:], node[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    group = np.cumsum(new) - 1
     best = np.maximum.reduceat(ratio, first)
-    hits = np.flatnonzero(ratio == np.repeat(best, np.diff(np.r_[first, m])))
-    pick = hits[np.r_[True, node[hits[1:]] != node[hits[:-1]]]]
+    pick = np.minimum.reduceat(np.where(ratio == best[group], np.arange(m), m), first)
     cut, seg = cut[pick], seg[pick]
-    col = seg_col[seg]
+    col = columns.ravel()[seg]
     low = starts[col] + (key[cut] - seg * stride) // 2
     high = starts[col] + (key[cut + 1] - seg * stride) // 2
-    threshold = midpoints(values[low], values[high])
-    for i, feature, t in zip(node[pick].tolist(), col.tolist(), threshold.tolist()):
-        splits[i] = (feature, t)
-    return splits
+    at = node[first]
+    feature[at] = col
+    threshold[at] = midpoints(values[low], values[high])
+
+
+#: Candidate sets a forest tree decodes from its stream at a time.
+DRAW_BATCH = 48
+
+
+class CandidateDraws:
+    """Every forest tree's split candidates, ``np.sort(rng.choice(d, k,
+    replace=False))`` once per split, drawn ahead from the tree's generator.
+
+    numpy (up to at least 2.4) makes that call, for a population of at most
+    10,000, with Floyd's algorithm over Lemire's bounded integers on the
+    generator's 32-bit stream: for j = d - k, ..., d - 1 it draws v in
+    [0, j] as ``(u * (j + 1)) >> 32`` from the next 32-bit word u, and takes
+    v, or j when v was already taken; then it shuffles the k values with
+    k - 1 more bounded draws, in [0, i] for i = k - 1, ..., 1, which sorting
+    undoes but which still consume words. Lemire rejects a word, and draws
+    the next in its place, when ``(u * (j + 1)) mod 2**32`` is below
+    ``2**32 mod (j + 1)``; that happens about once in 2.4e8 draws.
+
+    So each tree reads its stream with ``rng.integers(0, 2**32, size,
+    dtype=np.uint32)``, which continues the same 32-bit stream (the
+    generator keeps the unread half of a 64-bit word for the next call), in
+    even-sized chunks of ``DRAW_BATCH`` sets' words, 2k - 1 words a set. A
+    chunk decodes as arrays. A set whose words hold a rejection, and every
+    set after it in its chunk, is decoded one word at a time instead, with
+    one more word drawn for each rejection. Features here number at most
+    34, well inside Floyd's range.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator], d: int, k: int):
+        self.rngs, self.d, self.k = rngs, d, k
+        floyd = np.arange(d - k + 1, d + 1, dtype=np.uint64)  # the bounds j + 1
+        self.bounds = np.concatenate([floyd, np.arange(k, 1, -1, dtype=np.uint64)])
+        self.rejected_below = np.uint64(1 << 32) % self.bounds
+        self.sets = self._decode(list(range(len(rngs))))
+        self.next = np.zeros(len(rngs), dtype=np.intp)
+
+    def take(self, trees: np.ndarray) -> np.ndarray:
+        """The next candidate set of each of ``trees``, shape (len(trees), k)."""
+        for t in trees[self.next[trees] == DRAW_BATCH].tolist():
+            self.sets[t] = self._decode([t])[0]
+            self.next[t] = 0
+        sets = self.sets[trees, self.next[trees]]
+        self.next[trees] += 1
+        return sets
+
+    def _words(self, t: int, size: int) -> np.ndarray:
+        return self.rngs[t].integers(0, 2**32, size, np.uint32)
+
+    def _decode(self, trees: list[int]) -> np.ndarray:
+        """The next ``DRAW_BATCH`` sets of each of ``trees``, shape (trees, batch, k)."""
+        d, k, per = self.d, self.k, self.bounds.size
+        words = np.stack([self._words(t, DRAW_BATCH * per) for t in trees])
+        scaled = words.reshape(len(trees), DRAW_BATCH, per).astype(np.uint64) * self.bounds
+        drawn = (scaled[..., :k] >> 32).astype(np.intp)
+        sets = np.empty_like(drawn)
+        for c, j in enumerate(range(d - k, d)):
+            taken = (sets[..., :c] == drawn[..., c, None]).any(axis=-1)
+            sets[..., c] = np.where(taken, j, drawn[..., c])
+        rejected = ((scaled & 0xFFFFFFFF) < self.rejected_below).any(axis=-1)
+        for r in np.flatnonzero(rejected.any(axis=-1)).tolist():
+            s = int(rejected[r].argmax())
+            sets[r, s:] = self._replay(trees[r], words[r, s * per :].tolist(), DRAW_BATCH - s)
+        sets.sort(axis=-1)
+        return sets
+
+    def _replay(self, t: int, words: list[int], n_sets: int) -> list[list[int]]:
+        """``n_sets`` sets decoded one word at a time, rejections included.
+        ``words`` holds the sets' words without rejections; each rejection
+        draws one more word from tree t's stream."""
+        words.reverse()
+
+        def bounded(bound: int) -> int:  # Lemire's draw in [0, bound)
+            while True:
+                scaled = (words.pop() if words else int(self._words(t, 1)[0])) * bound
+                if scaled & 0xFFFFFFFF >= (1 << 32) % bound:
+                    return scaled >> 32
+
+        sets = []
+        for _ in range(n_sets):
+            chosen: list[int] = []
+            for j in range(self.d - self.k, self.d):
+                v = bounded(j + 1)
+                chosen.append(j if v in chosen else v)
+            for i in range(self.k - 1, 0, -1):
+                bounded(i + 1)
+            sets.append(chosen)
+        return sets
 
 
 def grow_trees(
@@ -289,57 +455,130 @@ def grow_trees(
     max_depth: int | None = None,
     n_candidates: int | None = None,
     rngs: Sequence[np.random.Generator] | None = None,
-) -> list[TreeNode]:
+) -> list[Tree]:
     """Grow one tree per row set (indices into X, repeats allowed) in lockstep.
 
-    Each tree keeps its own preorder stack. When ``n_candidates`` is below
-    the feature count, every split samples that many feature indices
-    uniformly without replacement from the tree's own generator in
-    ``rngs`` (random-forest mode), so a tree depends only on its rows and
-    its generator. Each round moves every live tree to its next node that
-    needs a split, draws that node's candidates, and scores all those
-    nodes together. A tree that samples no candidates has no draw order to
-    keep, so it puts every pending node into the round. Iterative, so deep
-    trees hit no recursion limit.
+    When ``n_candidates`` is below the feature count, every split samples
+    that many feature indices uniformly without replacement from the
+    tree's own generator in ``rngs`` (random-forest mode), so a tree
+    depends only on its rows and its generator. Each round takes every
+    live tree's next node in preorder, with its candidates, and scores all
+    those nodes together; a tree that samples no candidates has no draw
+    order to keep, so it puts every pending node into the round. Leaves
+    draw nothing, so the stacks skip them. Iterative, so deep trees hit no
+    recursion limit.
+
+    Nodes live in one pool while the trees grow: the roots are nodes 0 to
+    trees - 1, and each split appends its two children, left then right.
+    At the end each tree's nodes are taken out of the pool in that order.
     """
     d = X.shape[1]
     y = np.asarray(y, dtype=np.intp)
     coded = column_codes(X, y)
     sampled = n_candidates is not None and n_candidates < d
+    draws = CandidateDraws(rngs, d, n_candidates) if sampled else None
     every = np.arange(d)
-    roots = [TreeNode() for _ in row_sets]
-    stacks = [[(root, np.asarray(rows), 0)] for root, rows in zip(roots, row_sets)]
-    live = list(range(len(roots)))
+
+    def splittable(pos, size, depth):
+        return (0 < pos) & (pos < size) & (max_depth is None or depth < max_depth)
+
+    row_sets = [np.asarray(rows) for rows in row_sets]
+    trees = len(row_sets)
+    pos = [np.count_nonzero(y[rows]) for rows in row_sets]  # labels are 0 or 1
+    node_tree = [np.arange(trees)]
+    node_counts = [np.array([(rows.size - p, p) for rows, p in zip(row_sets, pos)])]
+    splits: list[tuple[np.ndarray, ...]] = []  # (node, feature, threshold, left child)
+    stacks = [[(t, t, rows, 0)] if splittable(p, rows.size, 0) else []
+              for t, (rows, p) in enumerate(zip(row_sets, pos))]
+    made = trees
+    live = [t for t in range(trees) if stacks[t]]
     while live:
-        waiting: list[tuple[int, TreeNode, np.ndarray, int]] = []
-        nodes: list[tuple[np.ndarray, np.ndarray]] = []
-        for t in live:
-            stack = stacks[t]
-            while stack:
-                node, rows, depth = stack.pop()
-                pos = np.count_nonzero(y[rows])  # labels are 0 or 1
-                node.counts = (rows.size - pos, pos)
-                if pos in (0, rows.size) or (max_depth is not None and depth >= max_depth):
-                    continue
-                waiting.append((t, node, rows, depth))
-                if not sampled:
-                    nodes.append((rows, every))
-                    continue
-                draw = rngs[t].choice(d, size=n_candidates, replace=False)
-                draw.sort()
-                nodes.append((rows, draw))
-                break
-        for (t, node, rows, depth), split in zip(waiting, best_splits(coded, nodes, min_leaf)):
-            if split is None:
-                continue
-            node.feature, node.threshold = split
-            mask = X[rows, node.feature] <= node.threshold
-            node.left = TreeNode()
-            node.right = TreeNode()
-            stacks[t].append((node.right, rows[~mask], depth + 1))
-            stacks[t].append((node.left, rows[mask], depth + 1))
+        if sampled:
+            picked = [stacks[t].pop() for t in live]
+            columns = draws.take(np.array(live))
+        else:
+            picked = [entry for t in live for entry in stacks[t]]
+            for t in live:
+                stacks[t].clear()
+            columns = np.tile(every, (len(picked), 1))
+        node_ids, tree_ids, rows, depths = zip(*picked)
+        sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        rows = np.concatenate(rows)
+        feature, threshold = _best_splits(coded, rows, sizes, columns, min_leaf)
+        split = feature >= 0
+        found = np.flatnonzero(split)
+        if found.size:
+            feature, threshold = feature[found], threshold[found]
+            rows, start, mid, end, pos_left, pos_right = _partition(
+                X, y, rows[np.repeat(split, sizes)], sizes[found], feature, threshold)
+            n_left, n_right = mid - start, end - mid
+            left = made + 2 * np.arange(found.size)
+            made += 2 * found.size
+            depth = np.array(depths)[found] + 1
+            owner = np.array(tree_ids)[found]
+            node_tree.append(np.repeat(owner, 2))
+            node_counts.append(np.column_stack(
+                [n_left - pos_left, pos_left, n_right - pos_right, pos_right]).reshape(-1, 2))
+            splits.append((np.array(node_ids)[found], feature, threshold, left))
+            for t, child, level, a, b, c, go_left, go_right in zip(
+                    owner.tolist(), left.tolist(), depth.tolist(), start.tolist(),
+                    mid.tolist(), end.tolist(), splittable(pos_left, n_left, depth).tolist(),
+                    splittable(pos_right, n_right, depth).tolist()):
+                if go_right:  # pushed first, so the left child is taken first
+                    stacks[t].append((child + 1, t, rows[b:c], level))
+                if go_left:
+                    stacks[t].append((child, t, rows[a:b], level))
         live = [t for t in live if stacks[t]]
-    return roots
+    return _pool_trees(np.concatenate(node_tree), np.concatenate(node_counts), splits, trees)
+
+
+def _partition(X, y, rows, sizes, feature, threshold):
+    """Split node i's rows (the next ``sizes[i]`` of ``rows``) by
+    ``x[feature[i]] <= threshold[i]``, all nodes in one pass.
+
+    Returns the rows stably partitioned node by node, left rows first, each
+    node's start, middle (its first right row) and end in them, and the
+    Effective count of each node's left and right rows.
+    """
+    node = np.repeat(np.arange(sizes.size), sizes)
+    goes_left = X[rows, feature[node]] <= threshold[node]
+    key = 2 * node
+    key += ~goes_left
+    rows = rows[np.argsort(key, kind="stable")]
+    end = np.cumsum(sizes)
+    start = end - sizes
+    mid = start + np.add.reduceat(goes_left, start, dtype=np.intp)
+    labels = np.zeros(rows.size + 1, dtype=np.intp)
+    np.cumsum(y[rows], out=labels[1:])
+    return rows, start, mid, end, labels[mid] - labels[start], labels[end] - labels[mid]
+
+
+def _pool_trees(node_tree, counts, splits, trees):
+    """Each tree's nodes out of the growth pool, in the order they were made.
+
+    ``node_tree[i]`` is node i's tree and ``counts[i]`` its class counts;
+    each split names its node, feature, threshold and left child (the
+    right child is the next node).
+    """
+    n = node_tree.size
+    feature = np.full(n, -1)
+    threshold = np.zeros(n)
+    left = np.full(n, -1)
+    if splits:
+        at, f, t, child = (np.concatenate(part) for part in zip(*splits))
+        feature[at], threshold[at], left[at] = f, t, child
+    order = np.argsort(node_tree, kind="stable")
+    per_tree = np.bincount(node_tree, minlength=trees)
+    ends = np.cumsum(per_tree)
+    local = np.empty(n, dtype=np.intp)  # each node's index in its own tree
+    local[order] = np.arange(n) - np.repeat(ends - per_tree, per_tree)
+    inner = left >= 0
+    right = np.where(inner, local[left + 1], -1)[order]
+    left = np.where(inner, local[left], -1)[order]
+    feature, threshold, counts = feature[order], threshold[order], counts[order]
+    bounds = zip((ends - per_tree).tolist(), ends.tolist())
+    return [Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], counts[a:b])
+            for a, b in bounds]
 
 
 def train_decision_tree(
@@ -348,12 +587,12 @@ def train_decision_tree(
     seed: int = 0,
 ) -> DecisionTreeModel:
     check_two_classes(matrix.y)
-    (root,) = grow_trees(
+    (tree,) = grow_trees(
         matrix.X, matrix.y, [np.arange(matrix.n_rows)], params.min_leaf, params.max_depth
     )
     return DecisionTreeModel(
         feature_ids=matrix.feature_ids,
         seed=seed,
         params=params,
-        root=root,
+        tree=tree,
     )

@@ -2,6 +2,7 @@ import math
 import os
 import pickle
 import signal
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from testability.learn.forest import RandomForestModel
 from testability.learn.mlp import _Pass, _sigmoid, _views
 from testability.learn.tree import (
     DecisionTreeModel,
+    Tree,
     TreeNode,
     _xlog2x,
     best_splits,
@@ -207,6 +209,20 @@ def test_split_scorer_scores_several_problems_in_one_call(problems, slice_cells)
     assert got == [reference_best_split(X, y, c, min_leaf) for X, y, c, _ in problems]
 
 
+def test_split_keys_widen_when_the_codes_dtype_cannot_hold_them():
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, 5, size=(40, 3)).astype(float)
+    y = rng.integers(0, 2, size=40)
+    codes, values, starts = column_codes(X, y)
+    # codes stay below 2 * 40 and fit int8; keys reach 2 nodes * 3 slots * 80
+    narrow = (codes.astype(np.int8), values, starts)
+    nodes = [(np.arange(40), np.arange(3)), (np.arange(0, 40, 2), np.array([1, 2]))]
+    want = [reference_best_split(X[rows], y[rows], list(candidates), 1)
+            for rows, candidates in nodes]
+    assert best_splits(narrow, nodes, 1) == want
+    assert best_splits((codes, values, starts), nodes, 1) == want
+
+
 def test_split_scorer_ties_go_to_the_smaller_feature_then_the_smaller_threshold():
     # features 0 and 2 are copies, and each separates the labels at 1.5 and
     # at 2.5 with the same gain ratio
@@ -243,6 +259,38 @@ def test_xlog2x_is_bit_identical_to_the_masked_form():
 # -- lockstep growth against one tree at a time -----------------------------------
 
 
+@dataclass
+class RefNode:
+    """A node of the trees the references grow, linked by object. Internal
+    nodes split ``feature <= threshold`` left, ``>`` right."""
+
+    feature: int = -1
+    threshold: float = 0.0
+    left: "RefNode | None" = None
+    right: "RefNode | None" = None
+    counts: tuple[int, int] = (0, 0)  # (non-effective, effective)
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def to_tree(root: RefNode) -> Tree:
+    """The model's flat node arrays for a tree of RefNodes, numbered in preorder."""
+    nodes, stack = [], [root]
+    while stack:
+        nodes.append(stack.pop())
+        stack += [] if nodes[-1].is_leaf else [nodes[-1].right, nodes[-1].left]
+    index = {id(node): i for i, node in enumerate(nodes)}
+    child = [(-1, -1) if node.is_leaf else (index[id(node.left)], index[id(node.right)])
+             for node in nodes]
+    return Tree(feature=np.array([node.feature for node in nodes]),
+                threshold=np.array([node.threshold for node in nodes]),
+                left=np.array([left for left, _ in child]),
+                right=np.array([right for _, right in child]),
+                counts=np.array([node.counts for node in nodes]))
+
+
 def reference_grow_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -250,7 +298,7 @@ def reference_grow_tree(
     max_depth: int | None,
     n_candidates: int | None = None,
     rng: np.random.Generator | None = None,
-) -> TreeNode:
+) -> RefNode:
     """The earlier one-tree-at-a-time ``grow_tree``, kept as the oracle of
     ``grow_trees``; only its ``best_split`` call now goes to the reference.
 
@@ -260,8 +308,8 @@ def reference_grow_tree(
     uniformly without replacement at every split (random-forest mode).
     """
     d = X.shape[1]
-    root = TreeNode()
-    stack: list[tuple[TreeNode, np.ndarray, int]] = [(root, np.arange(y.size), 0)]
+    root = RefNode()
+    stack: list[tuple[RefNode, np.ndarray, int]] = [(root, np.arange(y.size), 0)]
     while stack:
         node, idx, depth = stack.pop()
         sub_y = y[idx]
@@ -279,8 +327,8 @@ def reference_grow_tree(
             continue
         node.feature, node.threshold = split
         mask = X[idx, node.feature] <= node.threshold
-        node.left = TreeNode()
-        node.right = TreeNode()
+        node.left = RefNode()
+        node.right = RefNode()
         stack.append((node.right, idx[~mask], depth + 1))
         stack.append((node.left, idx[mask], depth + 1))
     return root
@@ -290,13 +338,13 @@ def reference_forest(fm, params, seed):
     """Trees grown one after another on bootstrap copies, as forests were before."""
     n, d = fm.X.shape
     fps = params.candidates_per_split(d)
-    roots = []
+    trees = []
     for seq in np.random.SeedSequence(seed).spawn(params.trees):
         rng = np.random.default_rng(seq)
         idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        roots.append(reference_grow_tree(fm.X[idx], fm.y[idx], min_leaf=params.min_leaf,
-                                         max_depth=None, n_candidates=fps, rng=rng))
-    return RandomForestModel(feature_ids=fm.feature_ids, seed=seed, params=params, roots=roots)
+        trees.append(to_tree(reference_grow_tree(fm.X[idx], fm.y[idx], min_leaf=params.min_leaf,
+                                                 max_depth=None, n_candidates=fps, rng=rng)))
+    return RandomForestModel(feature_ids=fm.feature_ids, seed=seed, params=params, trees=trees)
 
 
 @st.composite
@@ -338,7 +386,8 @@ def test_lockstep_forest_dumps_match_trees_grown_one_at_a_time(fm, data):
 def test_single_tree_dump_matches_the_tree_grown_node_by_node(fm, min_leaf, max_depth):
     params = TreeParams(min_leaf=min_leaf, max_depth=max_depth)
     root = reference_grow_tree(fm.X, fm.y, min_leaf, max_depth)
-    expected = DecisionTreeModel(feature_ids=fm.feature_ids, seed=0, params=params, root=root)
+    expected = DecisionTreeModel(feature_ids=fm.feature_ids, seed=0, params=params,
+                                 tree=to_tree(root))
     assert dump_model(train_decision_tree(fm, params)) == dump_model(expected)
 
 
@@ -363,11 +412,13 @@ def test_a_threshold_whose_midpoint_is_off_still_splits_the_rows(column):
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(5)
     try:
-        (root,) = tree.grow_trees(np.array([column]).T, np.array([0, 1]), [np.arange(2)], 1, None)
+        (grown,) = tree.grow_trees(np.array([column]).T, np.array([0, 1]), [np.arange(2)], 1,
+                                   None)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     a, b = column
+    root = TreeNode(grown)
     assert a <= root.threshold < b
     assert root.left.counts == (1, 0) and root.right.counts == (0, 1)
     assert root.left.is_leaf and root.right.is_leaf
@@ -448,33 +499,29 @@ def test_unlimited_depth_auto_hidden_and_zero_epochs_stay_valid():
 # -- flat prediction against the per-node walk -----------------------------------
 
 
-def walk_scores(root, X):
-    """The per-node walk that flat prediction replaced: one tree's scores."""
+def walk_scores(grown, X):
+    """The per-node walk that flat prediction replaced: one tree's scores,
+    following its child indices from the root."""
     out = np.empty(X.shape[0], dtype=np.float64)
-    stack = [(root, np.arange(X.shape[0]))]
+    stack = [(0, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
         if idx.size == 0:
             continue
-        if node.is_leaf:
-            non_eff, eff = node.counts
+        if grown.feature[node] < 0:
+            non_eff, eff = grown.counts[node].tolist()
             out[idx] = eff / (eff + non_eff)
             continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
+        mask = X[idx, grown.feature[node]] <= grown.threshold[node]
+        stack.append((grown.left[node], idx[mask]))
+        stack.append((grown.right[node], idx[~mask]))
     return out
 
 
-def split_points(root):
+def split_points(grown):
     """Every (feature, threshold) of a tree's internal nodes."""
-    stack, points = [root], []
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            points.append((node.feature, node.threshold))
-            stack += [node.left, node.right]
-    return points
+    inner = grown.feature >= 0
+    return list(zip(grown.feature[inner].tolist(), grown.threshold[inner].tolist()))
 
 
 CELLS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 3.0, 1e300, -1e300])
@@ -495,17 +542,17 @@ def test_flat_prediction_equals_the_per_node_walk(data):
     forest_params = ForestParams(trees=data.draw(st.integers(1, 7)), min_leaf=min_leaf)
     forest = train_random_forest(fm, forest_params, seed=data.draw(st.integers(0, 9)))
     probes = [X]  # the training rows, then rows that sit on each threshold
-    for feature, threshold in split_points(single.root) + [
-            p for root in forest.roots for p in split_points(root)]:
+    for feature, threshold in split_points(single.tree) + [
+            p for grown in forest.trees for p in split_points(grown)]:
         row = X[0].copy()
         row[feature] = threshold
         probes.append(row[None])
     P = np.vstack(probes)
-    want_tree = walk_scores(single.root, P)
+    want_tree = walk_scores(single.tree, P)
     want_votes = np.zeros(P.shape[0])
-    for root in forest.roots:
-        want_votes += walk_scores(root, P) >= 0.5
-    want_forest = want_votes / len(forest.roots)
+    for grown in forest.trees:
+        want_votes += walk_scores(grown, P) >= 0.5
+    want_forest = want_votes / len(forest.trees)
     for cells in (1, 5, tree.SLICE_CELLS):  # one (tree, row) pair per block, a few, all
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tree, "SLICE_CELLS", cells)

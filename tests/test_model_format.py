@@ -113,3 +113,34 @@ def test_mutated_dumps_fail_cleanly_or_load_a_usable_model(text):
     with np.errstate(all="ignore"):
         scores = model.predict_scores(rows)
     assert scores.shape == (5,)
+
+
+HEADER = "".join(line + "\n" for line in TREE.splitlines()[:5])  # through the params line
+
+
+def _tree_text(*nodes):
+    return HEADER + f"nodes {len(nodes)}\n" + "".join(node + "\n" for node in nodes)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    (["split 0 1.5 2 2", "leaf 1 0", "leaf 0 1"], "bad node 1: 'leaf 1 0' is linked 0 times"),
+    (["split 0 1.5 1 2", "leaf 1 0", "leaf 0 1", "leaf 2 2"],
+     "bad node 3: 'leaf 2 2' is linked 0 times"),
+    (["split 0 1.5 1 2", "split 1 0.5 2 3", "leaf 0 1", "leaf 1 0"],
+     "bad node 2: 'leaf 0 1' is linked 2 times"),
+], ids=["both-children-one-node", "unlinked-leaf", "node-with-two-parents"])
+def test_nodes_that_do_not_form_one_tree_are_rejected(nodes, message):
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load_model(_tree_text(*nodes))
+
+
+def test_a_tree_numbered_out_of_preorder_loads_predicts_and_dumps_in_preorder():
+    text = _tree_text("split 0 5.0 3 1", "split 1 2.0 2 4", "leaf 3 1", "leaf 5 0", "leaf 0 4")
+    rows = np.array([[4.0, 0.0], [6.0, 1.0], [6.0, 3.0]])
+    model = load_model(text)
+    assert model.predict_scores(rows).tolist() == [0.0, 0.25, 1.0]
+    dumped = dump_model(model)
+    assert dumped == _tree_text("split 0 5.0 1 2", "leaf 5 0", "split 1 2.0 3 4", "leaf 3 1",
+                                "leaf 0 4")
+    assert load_model(dumped).predict_scores(rows).tolist() == [0.0, 0.25, 1.0]
+    assert dump_model(load_model(dumped)) == dumped
