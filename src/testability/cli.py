@@ -63,7 +63,7 @@ from .learn import (
 )
 from .learn.serialize import ModelFormatError, setting_value
 from .metrics import ALL_METRICS, INDEPENDENT_VARIABLES, MetricId, metric_for_column
-from .ranking import RankingAlgorithm, rank_features
+from .ranking import rank_all
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -446,7 +446,7 @@ def _evaluate(config: RunConfig, raw, labeled, matrix, pool):
 
 
 def _rank(config: RunConfig, raw, labeled, matrix, pool):
-    tables = [rank_features(matrix, algorithm) for algorithm in RankingAlgorithm]
+    tables = rank_all(matrix)
     return lambda: (tables, "rank-1 features -> " + ", ".join(
         f"{t.algorithm.value}: {t.entries[0][0].column}" for t in tables if t.entries))
 

@@ -13,12 +13,20 @@ features; the class/test paths double as record identifiers. A UTF-8
 byte-order mark before the header of CSV text is dropped; the CLI opens a
 dataset file as "utf-8-sig", which drops it before ingest reads.
 
-Ingest converts a row's metric cells in one ``map(float, ...)``; a row where
-that fails (a bad cell, or a row too short) is parsed again cell by cell, so
-its error names its first bad cell. The values go into one ``array('d')``,
-which becomes the matrix itself unless a metric header repeats, so a
-dataset holds one copy of its rows. Every metric invariant is checked one
-column at a time, so no check makes a temporary larger than a column.
+Ingest reads the data lines in blocks of ``CSV_BLOCK_ROWS``. A block parses
+in C, through ``np.loadtxt`` over its metric columns, with its ids from one
+``split(",")`` per line, where that reading is sure to equal the csv
+module's (``_parse_block``: ASCII, no quote, no NUL, no overlong line, one
+row per line, id columns present, no repeated id, no loadtxt error). Any
+other block, and every line after it, goes through the csv row loop,
+numbered from that block's first row, so every error, its row and its order
+come from the loop alone. The loop converts a row's metric cells in one
+``map(float, ...)``; a row where that fails (a bad cell, or a row too short)
+is parsed again cell by cell, so its error names its first bad cell. The
+values go into one ``array('d')``, which becomes the matrix itself unless a
+metric header repeats, so a dataset holds one copy of its rows. Every metric
+invariant is checked one column at a time, so no check makes a temporary
+larger than a column.
 
 Written CSV (``labeled.csv``, extract's ``metrics.csv``) goes through
 ``csv_blocks``, ``CSV_BLOCK_ROWS`` rows at a time, so only one block's cells
@@ -30,9 +38,10 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from array import array
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -219,7 +228,8 @@ def ingest_csv(
         # Text decoded as plain UTF-8 keeps a byte-order mark; a file opened
         # as "utf-8-sig" has already dropped it.
         stream = io.StringIO(stream.removeprefix("\ufeff"))
-    reader = csv.reader(stream)
+    lines = iter(stream)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -251,8 +261,16 @@ def ingest_csv(
     buffer = array("d")
     row_nos: list[int] = []
     ids: dict[tuple[str, str], None] = {}  # (class id, test id) in row order
+    usecols = list(metric_cols)
+    header_lines, first_row = reader.line_num, 2  # first_row: the next data row's number
     try:
-        for row_no, row in enumerate(reader, start=2):
+        while block := list(islice(lines, CSV_BLOCK_ROWS)):
+            if not _parse_block(block, first_row, usecols, id_cols, ids, buffer):
+                break
+            row_nos.extend(range(first_row, first_row + len(block)))
+            first_row += len(block)
+        reader = csv.reader(chain(block, lines))
+        for row_no, row in enumerate(reader, start=first_row):
             if not row or all(not c.strip() for c in row):
                 continue
             try:
@@ -267,7 +285,8 @@ def ingest_csv(
                 raise DuplicateRecord(class_id, test_id)
             ids[class_id, test_id] = None
     except csv.Error as exc:  # such as a cell over the csv module's field size limit
-        raise IngestError(f"row {reader.line_num}: {exc}") from None
+        line = header_lines + first_row - 2 + reader.line_num  # a row loadtxt took is one line
+        raise IngestError(f"row {line}: {exc}") from None
     finally:  # an earlier row's violation comes before whatever stopped the loop
         values = np.frombuffer(buffer, dtype=np.float64).reshape(len(row_nos), len(metric_cols))
         if len(columns) < len(metric_cols):  # a repeated header keeps its last cell
@@ -278,6 +297,63 @@ def ingest_csv(
     if ignored:
         note = f"{provenance} (ignored columns: {', '.join(ignored)})".strip()
     return RawDataset([c for c, _ in ids], [t for _, t in ids], columns, values, note)
+
+
+def _parse_block(
+    block: list[str],
+    first_row: int,
+    usecols: list[int],
+    id_cols: dict[str, int],
+    ids: dict[tuple[str, str], None],
+    buffer: array,
+) -> bool:
+    """Parse the data lines ``block``, numbered from ``first_row``, with
+    ``np.loadtxt``, appending its values to ``buffer`` and its ids to
+    ``ids``; or return False, having changed nothing, for a block that the
+    csv row loop must read.
+
+    The block is taken only where the two readings agree: at least one
+    metric column, ASCII text with no quote character and no NUL (the csv
+    dialect's special characters), no line over the csv field size limit,
+    one parsed row per line (loadtxt skips a blank line, and fails on a
+    line whose metric cells are blank), every line holding the id columns,
+    and no id pair seen before. loadtxt converts a cell as
+    ``float(cell.strip())`` does, or raises; it raises where the row loop
+    would reject a cell, and also on a cell the loop accepts through
+    Python's own syntax (``1_0``) or with a carriage return in it.
+    """
+    text = "".join(block)
+    if (not usecols or not text.isascii() or '"' in text or "\0" in text
+            or max(map(len, block)) > csv.field_size_limit()):
+        return False
+    try:
+        with warnings.catch_warnings():  # a block of blank lines warns that it has no data
+            warnings.simplefilter("ignore")
+            values = np.loadtxt(block, delimiter=",", usecols=usecols, comments=None,
+                                dtype=np.float64, ndmin=2)
+    except ValueError:
+        return False
+    if values.shape[0] != len(block):
+        return False
+    rows = range(first_row, first_row + len(block))
+    if id_cols:
+        last = max(id_cols.values())
+        cells = [line.split(",", last + 1) for line in block]
+        if min(map(len, cells)) <= last:
+            return False
+
+    def id_column(name: str) -> Iterable[str]:
+        i = id_cols.get(name)
+        if i is None:
+            return (f"row-{r}" for r in rows)
+        return map(str.strip, map(itemgetter(i), cells))
+
+    pairs = dict.fromkeys(zip(id_column("class_id"), id_column("test_id")))
+    if len(pairs) < len(block) or not ids.keys().isdisjoint(pairs):
+        return False
+    buffer.frombytes(values.tobytes())
+    ids.update(pairs)
+    return True
 
 
 def _cell_getter(indices: list[int]) -> Callable[[list[str]], tuple[str, ...]]:
@@ -412,7 +488,7 @@ def to_feature_matrix(
     return FeatureMatrix(feature_ids=features, X=data.kept.column(features), y=data.y)
 
 
-#: Rows that ``csv_blocks`` formats at a time.
+#: Rows that ``ingest_csv`` parses, and ``csv_blocks`` formats, at a time.
 CSV_BLOCK_ROWS = 1024
 
 

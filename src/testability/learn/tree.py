@@ -224,30 +224,12 @@ def value_counts(x: Sequence[float], y: Sequence[int]) -> tuple[np.ndarray, np.n
     return values, np.bincount(codes[0], minlength=2 * values.size).reshape(-1, 2)
 
 
-def best_splits(
-    coded: tuple[np.ndarray, np.ndarray, np.ndarray],
-    nodes: Sequence[tuple[np.ndarray, np.ndarray]],
-    min_leaf: int,
-) -> list[tuple[int, float] | None]:
+def _best_splits(coded, rows, sizes, columns, min_leaf):
     """Pick each node's (feature, threshold) maximizing gain ratio.
 
-    ``coded`` is ``column_codes(X, y)``. A node is its rows (indices into
-    X) and its sorted candidate features. Returns None for a node that has
-    no cut keeping ``min_leaf`` rows on each side.
-    """
-    columns = np.full((len(nodes), max(c.size for _, c in nodes)), -1)
-    for i, (_, candidates) in enumerate(nodes):
-        columns[i, : candidates.size] = candidates
-    feature, threshold = _best_splits(coded, np.concatenate([rows for rows, _ in nodes]),
-                                      np.array([rows.size for rows, _ in nodes]), columns,
-                                      min_leaf)
-    return [None if f < 0 else (f, t) for f, t in zip(feature.tolist(), threshold.tolist())]
-
-
-def _best_splits(coded, rows, sizes, columns, min_leaf):
-    """``best_splits`` over flat arrays: node i is the next ``sizes[i]`` of
-    ``rows``, and its candidates are row i of ``columns``, ascending, padded
-    at the end with -1.
+    ``coded`` is ``column_codes(X, y)``. Node i is the next ``sizes[i]`` of
+    ``rows`` (indices into X), and its candidate features are row i of
+    ``columns``, ascending, padded at the end with -1.
 
     Returns ``(feature, threshold)`` per node, feature -1 where no cut
     keeps ``min_leaf`` rows on each side. Nodes are scored in slices of at

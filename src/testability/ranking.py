@@ -164,16 +164,29 @@ def oner_score(feature: Sequence[float], labels: Sequence[int], min_bucket: int 
 
 def rank_features(matrix: FeatureMatrix, algorithm: RankingAlgorithm) -> RankingTable:
     """Score every feature column; sort descending, ties in column-name order."""
+    (table,) = _rank(matrix, (algorithm,))
+    return table
+
+
+def rank_all(matrix: FeatureMatrix) -> list[RankingTable]:
+    """``rank_features`` for each algorithm, in ``RankingAlgorithm`` order,
+    discretizing each column once for the three entropy measures."""
+    return _rank(matrix, tuple(RankingAlgorithm))
+
+
+def _rank(matrix: FeatureMatrix, algorithms: tuple[RankingAlgorithm, ...]) -> list[RankingTable]:
     if matrix.n_rows < 2:
         raise ValueError(f"ranking needs at least 2 labeled rows, got {matrix.n_rows}")
     y = matrix.y.astype(np.intp)
-    entries: list[tuple[MetricId, float]] = []
+    entropy = any(a is not RankingAlgorithm.ONE_R for a in algorithms)
+    entries: dict[RankingAlgorithm, list[tuple[MetricId, float]]] = {a: [] for a in algorithms}
     for j, metric in enumerate(matrix.feature_ids):
         column = matrix.X[:, j]
-        if algorithm is RankingAlgorithm.ONE_R:
-            score = oner_score(column, y)
-        else:
-            score = entropy_scores(mdl_discretize(column, y).table)[algorithm]
-        entries.append((metric, score))
-    entries.sort(key=lambda e: (-e[1], e[0].column))
-    return RankingTable(algorithm=algorithm, entries=tuple(entries))
+        scores = entropy_scores(mdl_discretize(column, y).table) if entropy else {}
+        if RankingAlgorithm.ONE_R in entries:
+            scores[RankingAlgorithm.ONE_R] = oner_score(column, y)
+        for algorithm, scored in entries.items():
+            scored.append((metric, scores[algorithm]))
+    for scored in entries.values():
+        scored.sort(key=lambda e: (-e[1], e[0].column))
+    return [RankingTable(algorithm=a, entries=tuple(e)) for a, e in entries.items()]

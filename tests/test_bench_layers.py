@@ -3,17 +3,16 @@
 ``bench/layers.py`` counts tree nodes by walking ``forest.roots`` and
 ``tree.root`` through ``is_leaf``, ``left`` and ``right``. This imports it
 as it is and checks its counts against each tree's ``nodes N`` line in
-``dump_model``, so a model change that breaks the benchmark's traced pass
-fails here too.
+``dump_model``, and runs its traced ``bulk-20k`` pass on a small generated
+CSV, so a program change that breaks the benchmark's traced passes fails
+here too.
 """
 
-import importlib
 import os
-import sys
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, import_bench
 from testability.dataset import ingest_csv, label_by_quartiles, to_feature_matrix
 from testability.learn import (
     ForestParams,
@@ -23,16 +22,9 @@ from testability.learn import (
     train_random_forest,
 )
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-
-
 @pytest.fixture(scope="module")
 def layers():
-    sys.path.insert(0, BENCH)  # layers.py imports its sibling generate.py
-    try:
-        return importlib.import_module("layers")
-    finally:
-        sys.path.remove(BENCH)
+    return import_bench("layers")
 
 
 def dumped_node_counts(model):
@@ -48,3 +40,12 @@ def test_count_nodes_equals_the_dumped_node_counts(layers):
     single = train_decision_tree(fm, TreeParams(min_leaf=1), seed=3)
     assert [layers.count_nodes(single.root)] == dumped_node_counts(single)
     assert dumped_node_counts(single)[0] > 1
+
+
+def test_the_traced_bulk_pass_times_ingest_training_and_prediction(layers, tmp_path):
+    path, _ = import_bench("generate").metrics_csv(str(tmp_path), 1, 400)
+    spans = layers.Spans()
+    layers.bulk(spans, path, 1, str(tmp_path))
+    for name in ("dataset.ingest_s", "mlp.train_s", "mlp.epochs_per_s", "predict.scores_s",
+                 *layers.RANKER_METRICS.values(), "ranking.mdl_cuts"):
+        assert spans.values[name] > 0, name

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import os
 import pickle
 import signal
@@ -40,8 +42,8 @@ from testability.learn.tree import (
     DecisionTreeModel,
     Tree,
     TreeNode,
+    _best_splits,
     _xlog2x,
-    best_splits,
     column_codes,
     entropy_bits,
 )
@@ -177,6 +179,18 @@ def split_problems(draw):
     min_leaf = draw(st.integers(1, 4))
     X = np.array(cells, dtype=np.float64).reshape(n, d)
     return X, np.array(labels, dtype=np.intp), candidates, min_leaf
+
+
+def best_splits(coded, nodes, min_leaf):
+    """Each node's (feature, threshold), or None, from ``_best_splits`` over
+    the flat arrays of ``nodes``, (rows, sorted candidates) pairs."""
+    columns = np.full((len(nodes), max(c.size for _, c in nodes)), -1)
+    for i, (_, candidates) in enumerate(nodes):
+        columns[i, : candidates.size] = candidates
+    feature, threshold = _best_splits(coded, np.concatenate([rows for rows, _ in nodes]),
+                                      np.array([rows.size for rows, _ in nodes]), columns,
+                                      min_leaf)
+    return [None if f < 0 else (f, t) for f, t in zip(feature.tolist(), threshold.tolist())]
 
 
 def score_one(X, y, candidates, min_leaf):
@@ -743,7 +757,7 @@ def test_fold_training_error_survives_a_pickle_round_trip():
 
 
 def reference_sigmoid(z):
-    """The masked form the branch-free _sigmoid replaced."""
+    """The masked two-branch logistic function."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -752,27 +766,23 @@ def reference_sigmoid(z):
     return out
 
 
-def where_sigmoid(z):
-    """The np.where form the in-place _sigmoid replaced."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def sigmoid_of(z):
-    return _sigmoid(z.copy(), np.empty_like(z))  # _sigmoid writes over its argument
+    return _sigmoid(z.copy())  # _sigmoid writes over its argument
 
 
-def test_sigmoid_is_bit_identical_to_the_masked_form():
+def test_sigmoid_is_within_one_ulp_of_the_masked_form():
+    """Each form is off the exact value by up to about 1.5 * 2**-53, so on
+    [0.5, 1) they may differ by one ulp, 2**-52. They agree at 0 and at the
+    infinities, and both keep NaN."""
     rng = np.random.default_rng(11)
     edges = [0.0, -0.0, np.inf, -np.inf, 709.8, -709.8, 745.2, -745.2, 1e-320, -1e-320]
     for z in [rng.standard_normal((1000, 18)) * scale for scale in (0.1, 1, 30, 300)] + [
-            np.array(edges), rng.standard_normal(10**6) * 40]:
-        bits = sigmoid_of(z).view(np.uint64)
-        assert np.array_equal(bits, reference_sigmoid(z).view(np.uint64))
-        assert np.array_equal(bits, where_sigmoid(z).view(np.uint64))
+            np.array(edges), rng.standard_normal(10**6) * 40, rng.uniform(-40, 40, 10**6)]:
+        assert np.abs(sigmoid_of(z) - reference_sigmoid(z)).max() <= 2.0**-52
+    z = np.array([0.0, -0.0, np.inf, -np.inf])
+    assert sigmoid_of(z).tolist() == reference_sigmoid(z).tolist() == [0.5, 0.5, 1.0, 0.0]
     z = np.array([np.nan, -np.nan, 1.0])
-    assert np.array_equal(sigmoid_of(z), reference_sigmoid(z), equal_nan=True)
-    assert np.array_equal(sigmoid_of(z), where_sigmoid(z), equal_nan=True)
+    assert np.array_equal(np.isnan(sigmoid_of(z)), [True, True, False])
 
 
 def test_mlp_gradients_match_central_finite_differences():
@@ -802,13 +812,24 @@ def test_mlp_gradients_match_central_finite_differences():
             assert abs(numeric - analytic) / scale < 1e-5
 
 
-# The fit this module's buffered pass replaced: every epoch allocates its
-# arrays afresh. _reference_forward and _reference_loss_and_gradients are
-# verbatim, and reference_train_mlp is train_mlp's loop around them.
+# The fit this module's buffered pass computes, with every epoch allocating
+# its arrays afresh: rows with a ones column times (w1; b1), the tanh form
+# of the sigmoid, and the two products over the rows summed in row blocks.
+
+
+def blocked_product(a, b):
+    """a.T @ b summed over the row blocks _Pass uses, in order."""
+    step = max(1, 2**18 // (a.shape[1] * b.shape[1]))
+    return functools.reduce(operator.add, [a[s:s + step].T @ b[s:s + step]
+                                           for s in range(0, a.shape[0], step)])
+
+
+def with_ones(xs):
+    return np.hstack([xs, np.ones((xs.shape[0], 1))])
 
 
 def _reference_forward(xs, w1, b1, w2, b2):
-    hidden = where_sigmoid(xs @ w1 + b1)
+    hidden = 0.5 + 0.5 * np.tanh(with_ones(xs) @ np.vstack([w1, b1]) / 2)
     logits = hidden @ w2 + b2
     shifted = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(shifted)
@@ -824,12 +845,11 @@ def _reference_loss_and_gradients(xs, y, w1, b1, w2, b2):
     delta2 = probs.copy()
     delta2[np.arange(n), y] -= 1.0
     delta2 /= n
-    gw2 = hidden.T @ delta2
+    gw2 = blocked_product(hidden, delta2)
     gb2 = delta2.sum(axis=0)
     delta1 = (delta2 @ w2.T) * hidden * (1.0 - hidden)
-    gw1 = xs.T @ delta1
-    gb1 = delta1.sum(axis=0)
-    return loss, (gw1, gb1, gw2, gb2)
+    gw1b = blocked_product(with_ones(xs), delta1)
+    return loss, (gw1b[:-1], gw1b[-1], gw2, gb2)
 
 
 def reference_train_mlp(matrix, params, seed):

@@ -21,7 +21,7 @@ import zipfile
 import pytest
 
 from classfile_builder import IMPLICIT_CTOR, NOP, RETURN, build_class
-from conftest import CORPUS_DIR, FIXTURES
+from conftest import CORPUS_DIR, FIXTURES, SRC, import_bench
 from testability import dataset
 from testability.cli import main
 from testability.javasrc import extract
@@ -110,7 +110,7 @@ GOLDEN = {
     "train-mlp/<stdout>":
         "4e875bc27400741c5f08f13625088d541ca5de7ba06a0a6ac01d0af802b841eb",
     "train-mlp/model.txt":
-        "b6a27d5a875e5873e7c0da125195a87e4bd9519147139cdcefec1833ed3625fe",
+        "3c047dc72e6f1298d512f576c43da467c97f468221ce1bfb3259f7966ed6db36",
     "predict-tree/<stdout>":
         "9eb182f1d647e863c63f8e300534b3b2e51f650878a784fd3a4c2a1b728e04cb",
     "predict-tree/predictions.csv":
@@ -122,7 +122,7 @@ GOLDEN = {
     "predict-mlp/<stdout>":
         "7a08068c25fc1797c099c7ed015ac6485c85b5650a40c013f270354970ea26ae",
     "predict-mlp/predictions.csv":
-        "dd509bcac61658de3f45c4ab54b7ee5e8c34aba8ed04470a8b8a931648855420",
+        "e6fd384523079470d7ed9f7ef28cc33ee2b6abb7f1c11fccda6fa1b4f7395a45",
 }
 
 
@@ -175,13 +175,28 @@ def test_outputs_match_golden_digests(workdir):
 
 @pytest.mark.parametrize("rows", [1, 7, 10**6], ids=["one", "seven", "all"])
 def test_the_csv_block_size_does_not_change_the_bytes(workdir, monkeypatch, rows):
+    """CSV is written and read in blocks of CSV_BLOCK_ROWS rows."""
     monkeypatch.setattr(dataset, "CSV_BLOCK_ROWS", rows)
-    argv = dict(COMMANDS)
-    for out in ("extract", "label"):
-        assert run(*argv[out], "--out", out)[0] == 0
-    for path in ("extract/metrics.csv", "label/labeled.csv"):
-        with open(path, "rb") as handle:
-            assert sha(handle.read()) == GOLDEN[path], path
+    assert run_all() == GOLDEN
+
+
+@pytest.mark.parametrize("hidden", [None, 64], ids=["hidden-auto", "hidden-64"])
+def test_the_mlp_model_is_the_same_under_one_or_two_blas_threads(tmp_path, hidden):
+    """Large enough that one x.T @ delta1 product would be split across threads."""
+    path, _ = import_bench("generate").metrics_csv(str(tmp_path), 3, 4000)
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs = 20\n" + (f"hidden = {hidden}\n" if hidden else ""),
+                      encoding="utf-8")
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "testability.cli", "train", "--dataset", path,
+                        "--config", str(config), "--classifier", "mlp", "--seed", "1",
+                        "--out", str(out)], env=env, capture_output=True, timeout=120,
+                       check=True)
+        models.append(read_bytes(out / "model.txt"))
+    assert models[0] == models[1]
 
 
 def read_bytes(path):
@@ -509,11 +524,10 @@ def test_unparsable_files_in_different_jobs_are_listed_in_file_order(workdir):
 
 def loaded_by_importing_the_cli(packages):
     """The modules of ``packages`` that a fresh interpreter holds after importing the CLI."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     script = ("import sys, testability.cli; "
               f"print(sorted(m for m in sys.modules for p in {packages!r} "
               "if m == p or m.startswith(p + '.')))")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     return done.stdout.strip()

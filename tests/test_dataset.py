@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import re
 from array import array
 from dataclasses import dataclass
@@ -9,8 +10,10 @@ from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import FIXTURES
+from testability import dataset
 from testability.dataset import (
     _ID_COLUMNS,
     METADATA_COLUMNS,
@@ -700,6 +703,96 @@ def exact_outcome(ingest, text):
 @given(odd_cells_csv())
 def test_ingest_matches_the_per_cell_loop_bit_for_bit(text):
     assert exact_outcome(ingest_csv, text) == exact_outcome(percell_ingest_csv, text)
+
+
+# -- loadtxt blocks against the csv row loop ---------------------------------------
+
+
+#: A metric cell that passes every invariant of the ODD_HEADERS metrics.
+CLEAN_CELL = "1"
+#: Metric cells where the two readings could part: padded, Python-only and
+#: non-ASCII spellings, a quoted or broken cell, and an invariant violation.
+BLOCK_CELLS = ["1_0", " 1.5 ", "١", '"1"', "1\r5", "\x1c1", "", "x", "-0", "nan", "1e400",
+               "2", "-1"]
+ROW_KINDS = ["clean"] * 6 + ["odd", "repeat", "short", "blank", "spaces", "nul", "oversized",
+                             "quoted"]
+
+
+@st.composite
+def blocked_csv(draw):
+    """CSV text of mostly clean rows, so that loadtxt reads whole blocks,
+    with an odd row anywhere: an odd cell, a repeated id, a short row, a
+    blank or whitespace-only line, a NUL or an oversized field in an
+    ignored column, or a quoted cell; and \\n, \\r\\n or \\r line ends."""
+    metrics = draw(st.lists(st.sampled_from(ODD_HEADERS), min_size=1, unique=True))
+    ids = draw(st.lists(st.sampled_from(["class_id", "test_id"]), unique=True))
+    header = draw(st.permutations(metrics + ids + ["mystery"]))
+    lines = [",".join(header)]
+    for n in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        cells = {name: f"{name[0]}{n}" for name in ids}
+        cells.update({name: CLEAN_CELL for name in metrics}, mystery="p")
+        if kind == "odd":
+            cells[draw(st.sampled_from(metrics))] = draw(st.sampled_from(BLOCK_CELLS))
+        elif kind == "repeat" and n:
+            cells.update({name: f"{name[0]}{draw(st.integers(0, n - 1))}" for name in ids})
+        elif kind == "nul":
+            cells["mystery"] = "p\0q"
+        elif kind == "oversized":
+            cells["mystery"] = OVERSIZED_CELL
+        elif kind == "quoted":
+            cells[draw(st.sampled_from(ids + ["mystery"]))] = '"a,b"'
+        line = ",".join(cells[name] for name in header)
+        if kind == "short":
+            line = line[:draw(st.integers(0, len(line) - 1))]
+        elif kind == "blank":
+            line = ""
+        elif kind == "spaces":
+            line = draw(st.sampled_from([" ", "\t", " , "]))
+        lines.append(line)
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"
+
+
+def blocked_outcome(text, as_file, block_rows, loop_only):
+    """``exact_outcome`` of ingesting ``text``, from a string or as a file
+    opened with newline="", in blocks of ``block_rows``; with ``loop_only``
+    every block goes to the csv row loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "CSV_BLOCK_ROWS", block_rows)
+        if loop_only:
+            patch.setattr(dataset, "_parse_block", lambda *args: False)
+        return exact_outcome(ingest_csv, io.StringIO(text, newline="") if as_file else text)
+
+
+@settings(max_examples=800, deadline=None)
+@given(blocked_csv(), st.booleans(), st.sampled_from([1, 2, 3, 5, 1024]))
+# a bad row on each side of the boundary of two 2-row blocks, either way round
+@example("class_id,LOC,M\na,1,0.5\nb,x,0.5\nc,1,2\nd,1,0.5\n", False, 2)
+@example("class_id,LOC,M\na,1,0.5\nb,1,2\nc,x,0.5\nd,1,0.5\n", False, 2)
+def test_loadtxt_blocks_read_as_the_row_loop_does_bit_for_bit(text, as_file, block_rows):
+    assert (blocked_outcome(text, as_file, block_rows, loop_only=False)
+            == blocked_outcome(text, as_file, block_rows, loop_only=True))
+
+
+def taken_blocks(text, block_rows, monkeypatch):
+    """Whether ``_parse_block`` took each block it was given."""
+    taken = []
+    parse_block = dataset._parse_block
+    monkeypatch.setattr(dataset, "CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(dataset, "_parse_block", lambda *args: taken.append(
+        parse_block(*args)) or taken[-1])
+    exact_outcome(ingest_csv, text)
+    return taken
+
+
+def test_loadtxt_reads_every_block_of_a_clean_csv_and_the_loop_the_rest(monkeypatch):
+    with open(os.path.join(FIXTURES, "metrics.csv"), encoding="utf-8", newline="") as handle:
+        text = handle.read()
+    rows = text.count("\n") - 1
+    assert taken_blocks(text, 7, monkeypatch) == [True] * math.ceil(rows / 7)
+    lines = text.splitlines(keepends=True)
+    lines[9] = '"' + lines[9].replace(",", '",', 1)  # row 9 with its first cell quoted
+    assert taken_blocks("".join(lines), 7, monkeypatch) == [True, False]
 
 
 def test_ingest_keeps_the_sign_of_zero_and_names_the_first_bad_cell():

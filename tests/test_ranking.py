@@ -1,10 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import entropy
 
-from testability.dataset import FeatureMatrix
+from conftest import FIXTURES
+from testability.dataset import FeatureMatrix, ingest_csv, label_by_quartiles, to_feature_matrix
 from testability.learn.tree import entropy_bits, value_counts
 from testability.metrics import INDEPENDENT_VARIABLES
 from testability.ranking import (
@@ -12,6 +15,7 @@ from testability.ranking import (
     entropy_scores,
     mdl_discretize,
     oner_score,
+    rank_all,
     rank_features,
 )
 
@@ -189,6 +193,28 @@ def test_rank_features_keeps_its_documented_claims(rows):
     for j, metric in enumerate(FEATURES):  # each entropy score against scipy on the MDL bins
         bins = np.searchsorted(mdl_discretize(X[:, j], y).cut_points, X[:, j], side="left")
         _assert_matches_oracle({a: s[metric] for a, s in scores.items()}, bins, y)
+
+
+def assert_rank_all_is_the_four_rankings(matrix):
+    tables = rank_all(matrix)
+    assert [t.algorithm for t in tables] == list(RankingAlgorithm)
+    assert tables == [rank_features(matrix, algorithm) for algorithm in RankingAlgorithm]
+
+
+def test_rank_all_equals_each_ranking_on_the_fixture():
+    with open(os.path.join(FIXTURES, "metrics.csv"), encoding="utf-8", newline="") as handle:
+        assert_rank_all_is_the_four_rankings(
+            to_feature_matrix(label_by_quartiles(ingest_csv(handle))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=len(FEATURES),
+                                   max_size=len(FEATURES)), st.integers(0, 1)),
+                min_size=2, max_size=40))
+def test_rank_all_equals_each_ranking_on_tie_heavy_matrices(rows):
+    X = np.array([cells for cells, _ in rows], dtype=np.float64)
+    y = np.array([label for _, label in rows])
+    assert_rank_all_is_the_four_rankings(FeatureMatrix(feature_ids=FEATURES, X=X, y=y))
 
 
 def test_binary_entropy_matches_scipy():
